@@ -29,6 +29,7 @@ from . import geometry as geom
 from . import isotropic as iso
 from . import stability as st
 from . import transport as tr
+from .rng import make_rng
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -327,7 +328,7 @@ def cmd_suite(args):
     worst = 0.0
     for trial in range(5 if args.quick else 25):
         mu = el.random_isotropic_measure(2 + trial % 3, 12, args.seed + trial)
-        t = np.exp(np.random.default_rng(args.seed + trial).uniform(
+        t = np.exp(make_rng(args.seed + trial, 1).uniform(
             np.log(0.1), np.log(10.0), mu.k))
         rep = iso.ball_barthe_check(mu, t)
         slack = rep.lhs - rep.theta_star * rep.rhs

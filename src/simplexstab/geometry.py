@@ -11,7 +11,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 from scipy.spatial import ConvexHull
 
 from .rng import as_rng
@@ -471,65 +471,26 @@ def vertex_enumeration(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.nd
 # distances and volumes
 
 
-def point_polytope_distance(x: np.ndarray, V: np.ndarray,
-                            tol: float = 1e-9, max_iter: int = 500):
-    """Euclidean distance from x to conv(V) by away-step Frank-Wolfe.
+def point_polytope_distance(x: np.ndarray, V: np.ndarray):
+    """Euclidean distance from x to conv(V) by one exact NNLS solve.
 
-    Returns (distance, projection).  The final iterate is polished by an
-    exact projection onto the affine hull of the active vertices, so the
-    distance is accurate to ~1e-12 on desk-scale inputs.
+    Minimises |E u - f| over u >= 0 (Lawson-Hanson active set, finite) with
+    E = [(V - x)^T; 1^T] and f = (0, ..., 0, 1).  For u = t lam with lam in
+    the unit simplex the optimum over t is a/(1+a), a = |(V - x)^T lam|^2,
+    so lam = u / sum(u) weights the nearest point p = lam V.  A failed solve
+    raises GeometryError.  Returns (distance, projection).
     """
     x = np.asarray(x, dtype=float)
-    V = np.atleast_2d(V)
-    k = V.shape[0]
-    lam = np.zeros(k)
-    lam[int(np.argmin(np.linalg.norm(V - x, axis=1)))] = 1.0
-    p = lam @ V
-    scale = max(1.0, np.linalg.norm(x), float(np.abs(V).max()))
-    for _ in range(max_iter):
-        g = V @ (p - x)                       # gradient of 0.5*|p-x|^2 wrt lambda
-        i_fw = int(np.argmin(g))
-        active = lam > 1e-14
-        g_active = np.where(active, g, -np.inf)
-        i_aw = int(np.argmax(g_active))
-        gap = lam @ g - g[i_fw]
-        if gap <= (tol * scale) ** 2:
-            break
-        if (g[i_aw] - lam @ g) > (lam @ g - g[i_fw]):
-            d = p - V[i_aw]                   # away step
-            gamma_max = lam[i_aw] / (1.0 - lam[i_aw]) if lam[i_aw] < 1.0 else 1e18
-            e = np.zeros(k); e[i_aw] = 1.0
-            dlam = lam - e
-        else:
-            d = V[i_fw] - p                   # forward step
-            gamma_max = 1.0
-            e = np.zeros(k); e[i_fw] = 1.0
-            dlam = e - lam
-        denom = d @ d
-        if denom <= 0:
-            break
-        gamma = np.clip(-((p - x) @ d) / denom, 0.0, gamma_max)
-        if gamma <= 0:
-            break
-        lam = lam + gamma * dlam
-        lam = np.maximum(lam, 0.0)
-        s = lam.sum()
-        if s > 0:
-            lam /= s
-        p = lam @ V
-    # polish: exact least-squares projection onto the active-vertex hull
-    active = np.flatnonzero(lam > 1e-12)
-    if active.size:
-        Va = V[active]
-        M = np.vstack([Va.T, np.ones(active.size)])
-        rhs = np.concatenate([x, [1.0]])
-        sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        if np.all(sol >= -1e-12):
-            cand = np.clip(sol, 0.0, None)
-            cand /= cand.sum()
-            p_cand = cand @ Va
-            if np.linalg.norm(p_cand - x) <= np.linalg.norm(p - x) + 1e-15:
-                p = p_cand
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    E = np.vstack([(V - x).T, np.ones(V.shape[0])])
+    try:
+        u, _ = nnls(E, np.r_[np.zeros(x.size), 1.0])
+    except (RuntimeError, ValueError) as exc:
+        raise GeometryError(f"point-to-hull projection failed: {exc}") from exc
+    total = u.sum()
+    if not total > 0.0:
+        raise GeometryError("point-to-hull projection failed: zero NNLS solution")
+    p = (u / total) @ V
     return float(np.linalg.norm(p - x)), p
 
 

@@ -103,9 +103,9 @@ class DiscreteMeasure:
     def mass(self) -> float:
         return float(self.weights.sum())
 
-    def validate(self, tol: float = 1e-8) -> IsotropyReport:
-        """Report-only check of the isotropy / centering / mass conditions."""
-        del tol  # residuals are reported; thresholds are the caller's business
+    def validate(self) -> IsotropyReport:
+        """Report-only check of the isotropy / centering / mass conditions;
+        thresholds are the caller's business."""
         M = self.moment_matrix()
         return IsotropyReport(
             isotropy_residual=float(np.linalg.norm(M - np.eye(self.n), "fro")),

@@ -10,6 +10,7 @@ log-log regressions of distance against the measured deficit.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -157,61 +158,64 @@ class AlignmentResult:
     delta_vol_stderr: float | None = None
 
 
-def _rotation_from_angles(n: int, angles: np.ndarray) -> np.ndarray:
-    """Product of Givens rotations over the coordinate planes."""
-    R = np.eye(n)
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            c, s = math.cos(angles[k]), math.sin(angles[k])
-            G = np.eye(n)
-            G[i, i] = c; G[j, j] = c
-            G[i, j] = -s; G[j, i] = s
-            R = G @ R
-            k += 1
-    return R
-
-
-def _procrustes(source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix R (any determinant sign) minimising |R source - target|."""
-    U, _, Vt = np.linalg.svd(target.T @ source)
-    return U @ Vt
+def _plane_rotation(n: int, i: int, j: int, angle: float) -> np.ndarray:
+    """Givens rotation by ``angle`` in the (i, j) coordinate plane."""
+    c, s = math.cos(angle), math.sin(angle)
+    G = np.eye(n)
+    G[i, i] = c; G[j, j] = c
+    G[i, j] = -s; G[j, i] = s
+    return G
 
 
 def _assignment_rotation(directions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Hungarian matching of unit directions to target vertices, then Procrustes.
+    """Hungarian matching of unit directions to target vertices, then the
+    orthogonal Procrustes fit (any determinant sign) of the matched pairs.
 
     Returns the rotation R such that targets @ R.T best matches the
     directions (the target-to-body map).
     """
-    cos = np.clip(directions @ targets.T, -1.0, 1.0)
-    cost = np.arccos(cos)
+    cost = np.arccos(np.clip(directions @ targets.T, -1.0, 1.0))
     rows, cols = linear_sum_assignment(cost)
-    return _procrustes(targets[cols], directions[rows])
+    U, _, Vt = np.linalg.svd(directions[rows].T @ targets[cols])
+    return U @ Vt
 
 
-def _best_rotation(n: int, candidates, objective, sweeps: int = 3,
-                   step0: float = 0.05, min_step: float = 1e-5):
-    """Pick the best candidate rotation and refine it by monotone
-    coordinate-plane rotations of shrinking step size."""
+def _align(directions: np.ndarray, targets: np.ndarray, objective,
+           n_restarts: int, seed: int, raw_restarts: bool = True,
+           sweeps: int = 3, step0: float = 0.05, min_step: float = 1e-5):
+    """Rotation R of the target configuration (targets @ R.T) minimising
+    ``objective(R)``; returns (R, value).
+
+    Candidates: the Hungarian/Procrustes fit of ``targets`` to the unit
+    ``directions``, the identity, and per restart a random orthogonal Q
+    from ``make_rng(seed)`` with the fit started from ``targets @ Q.T``
+    (and Q itself if ``raw_restarts``).  The best is refined by monotone
+    +-step Givens rotations in every coordinate plane, the step shrinking
+    from ``step0`` by 0.35 per sweep; refinement stops after ``sweeps``
+    sweeps, or after a sweep without gain once the step is below ``min_step``.
+    """
+    n = targets.shape[1]
+    rng = make_rng(seed)
+    candidates = [_assignment_rotation(directions, targets), np.eye(n)]
+    for _ in range(n_restarts):
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        candidates.append(_assignment_rotation(directions, targets @ Q.T) @ Q)
+        if raw_restarts:
+            candidates.append(Q)
     best_R, best = None, math.inf
     for R in candidates:
         val = objective(R)
         if val < best:
             best_R, best = R, val
-    n_planes = n * (n - 1) // 2
     step = step0
     for _ in range(sweeps):
         improved = False
-        for plane in range(n_planes):
+        for i, j in itertools.combinations(range(n), 2):
             for sign in (+1.0, -1.0):
-                angles = np.zeros(n_planes)
-                angles[plane] = sign * step
-                R_try = _rotation_from_angles(n, angles) @ best_R
+                R_try = _plane_rotation(n, i, j, sign * step) @ best_R
                 val = objective(R_try)
                 if val < best:
-                    best_R, best = R_try, val
-                    improved = True
+                    best_R, best, improved = R_try, val, True
         step *= 0.35
         if not improved and step < min_step:
             break
@@ -231,27 +235,17 @@ def align_to_simplex(K: Polytope, target: Polytope, n_restarts: int = 20,
     """
     VK = K.vertices
     VT = target.vertices
-    directions = VK / np.linalg.norm(VK, axis=1)[:, None]
-    t_dirs = VT / np.linalg.norm(VT, axis=1)[:, None]
-    n = K.n
-    rng = make_rng(seed)
 
     def dist_for(R):
         return hausdorff_distance(K, Polytope(vertices=VT @ R.T, check=False))
 
-    candidates = [_assignment_rotation(directions, t_dirs), np.eye(n)]
-    for _ in range(n_restarts):
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        candidates.append(_assignment_rotation(directions, t_dirs @ Q.T) @ Q)
-        candidates.append(Q)
-    best_R, best_d = _best_rotation(n, candidates, dist_for,
-                                    sweeps=refine_sweeps, min_step=1e-4)
+    best_R, best_d = _align(VK / np.linalg.norm(VK, axis=1)[:, None],
+                            VT / np.linalg.norm(VT, axis=1)[:, None], dist_for,
+                            n_restarts, seed, sweeps=refine_sweeps, min_step=1e-4)
     result = AlignmentResult(rotation=best_R, delta_H=float(best_d))
     if n_samples > 0:
-        est, se = symdiff_volume(K, Polytope(vertices=VT @ best_R.T, check=False),
-                                 seed, n_samples)
-        result.delta_vol = est
-        result.delta_vol_stderr = se
+        result.delta_vol, result.delta_vol_stderr = symdiff_volume(
+            K, Polytope(vertices=VT @ best_R.T, check=False), seed, n_samples)
     return result
 
 
@@ -265,18 +259,12 @@ def align_points_to_simplex_vertices(points: np.ndarray, n: int,
     """
     P = np.atleast_2d(points)
     W = regular_simplex(n).vertices
-    rng = make_rng(seed)
-    dirs = P / np.linalg.norm(P, axis=1)[:, None]
 
     def dist_for(R):
         return point_set_hausdorff(P, W @ R.T)
 
-    candidates = [_assignment_rotation(dirs, W), np.eye(n)]
-    for _ in range(n_restarts):
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        candidates.append(_assignment_rotation(dirs, W @ Q.T) @ Q)
-        candidates.append(Q)
-    best_R, best_d = _best_rotation(n, candidates, dist_for, sweeps=4)
+    best_R, best_d = _align(P / np.linalg.norm(P, axis=1)[:, None], W, dist_for,
+                            n_restarts, seed, sweeps=4)
     return best_R, float(best_d)
 
 
@@ -285,19 +273,13 @@ def _worst_angle_alignment(points: np.ndarray, n: int, seed: int = 0):
     of each given unit point to its nearest rotated vertex."""
     U = np.atleast_2d(points)
     W = regular_simplex(n).vertices
-    rng = make_rng(seed)
 
     def worst_angle(R):
         cos = np.clip(U @ (W @ R.T).T, -1.0, 1.0)
         return float(np.arccos(cos).min(axis=1).max())
 
-    candidates = [_assignment_rotation(U, W), np.eye(n)]
-    for _ in range(10):
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        candidates.append(_assignment_rotation(U, W @ Q.T) @ Q)
-    R, angle = _best_rotation(n, candidates, worst_angle, sweeps=6,
-                              step0=0.02, min_step=1e-7)
-    return R, angle
+    return _align(U, W, worst_angle, 10, seed, raw_restarts=False,
+                  sweeps=6, step0=0.02, min_step=1e-7)
 
 
 def _check_unit_ball_normalisation(K: Polytope, side: str, tol: float) -> None:

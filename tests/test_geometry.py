@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -254,6 +255,51 @@ class TestPointProjection:
         V = g.regular_simplex(3).vertices
         d, _ = g.point_polytope_distance(np.zeros(3), V)
         assert d < 1e-9
+
+    def test_exact_on_many_near_active_vertices(self):
+        # many vertices close to the optimal edge from (-0.84, -1.26) to
+        # (1.07, -2.25); an iteration-capped method stops short here
+        V = np.array([[-1.23, -0.22], [1.45, -0.17], [1.07, -2.25], [-0.84, -1.26],
+                      [-0.27, 0.77], [-0.55, -1.24], [0.95, -0.76], [0.27, -0.66],
+                      [0.52, -0.38], [0.8, 0.62], [2.22, -0.08], [-0.98, -1.16],
+                      [-0.6, 0.38], [-0.71, 1.52]])
+        x = np.array([0.4, -1.95])
+        d, proj = g.point_polytope_distance(x, V)
+        assert abs(d - 0.0903 / math.sqrt(4.6282)) < 1e-12
+        a, e = V[3], V[2] - V[3]
+        assert np.allclose(proj, a + ((x - a) @ e) / (e @ e) * e, rtol=0.0, atol=1e-12)
+
+    @staticmethod
+    def _face_oracle(x, V):
+        """Exact (distance, nearest point): project onto the affine hull of
+        every subset of at most n+1 vertices and keep the nearest projection
+        that lies inside its subset's hull."""
+        n = V.shape[1]
+        best = (math.inf, None)
+        for size in range(1, n + 2):
+            for idx in itertools.combinations(range(V.shape[0]), size):
+                v0, D = V[idx[0]], V[list(idx[1:])] - V[idx[0]]
+                mu = np.linalg.lstsq(D.T, x - v0, rcond=None)[0] if size > 1 else np.zeros(0)
+                if mu.min(initial=0.0) < -1e-12 or mu.sum() > 1.0 + 1e-12:
+                    continue
+                p = v0 + mu @ D
+                best = min(best, (float(np.linalg.norm(p - x)), p), key=lambda c: c[0])
+        return best
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_face_enumeration(self, n, rng):
+        for _ in range(30):
+            V = rng.standard_normal((int(rng.integers(n + 1, 9)), n))
+            x = 2.0 * rng.standard_normal(n)
+            d, proj = g.point_polytope_distance(x, V)
+            d_exact, p_exact = self._face_oracle(x, V)
+            assert abs(d - d_exact) < 1e-10
+            assert np.allclose(proj, p_exact, rtol=0.0, atol=1e-9)
+
+    def test_non_finite_input_raises(self):
+        V = g.regular_simplex(2).vertices
+        with pytest.raises(g.GeometryError):
+            g.point_polytope_distance(np.array([np.nan, 0.0]), V)
 
 
 class TestVolumeGapLowerBounds:
