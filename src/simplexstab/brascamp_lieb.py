@@ -31,11 +31,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 from scipy.special import ndtr
 
 from .functionals import FunctionalEstimate
-from .geometry import gauge_many, regular_simplex
+from .geometry import Polytope, contains_points, gauge_many, regular_simplex
 from .isotropic import DiscreteMeasure, LiftedMeasure
 from .rng import make_rng
 from .transport import gtilde_integral
@@ -82,15 +81,62 @@ def bl_lhs(inst: BLInstance, n_samples: int = 200_000, seed: int = 0) -> Functio
     return FunctionalEstimate(scale * p, stderr, "mc-direct", int(n_samples))
 
 
+# rows within this hull-coordinate distance of a facet of conv(supp mu) go
+# on to the solve, whose NNLS residual decides their feasibility
+_SCREEN_TOL = 1e-9
+# smallest NNLS gradient component that lets a variable enter the passive set
+_ENTER_TOL = 1e-12
+
+
+def _normal_solve(M: np.ndarray, rhs: np.ndarray, lstsq_rows) -> np.ndarray:
+    """Stacked solve of small normal equations M_r z = rhs_r.
+
+    Rows whose normal matrix is singular go to ``lstsq_rows(rows)``, which
+    returns their minimum-norm least-squares solutions.
+    """
+    try:
+        z = np.linalg.solve(M, rhs[..., None])[..., 0]
+        bad = ~np.isfinite(z).all(axis=1)
+    except np.linalg.LinAlgError:
+        bad = np.linalg.slogdet(M)[0] <= 0.0
+        z = np.zeros_like(rhs)
+        z[~bad] = np.linalg.solve(M[~bad], rhs[~bad, :, None])[..., 0]
+    if bad.any():
+        z[bad] = lstsq_rows(np.flatnonzero(bad))
+    return z
+
+
 class _NonnegTransportSolver:
-    """Per-point concave maximisation behind the reverse integrand.
+    """Concave maximisation behind the reverse integrand, for many points at once.
 
     Minimises q(theta) = sum c~_i (theta_i - s)^2 subject to
-    A theta = x (A has columns c~_i u~_i) and theta >= 0.  Because
-    A D^{-1} A^T = Id for isotropic systems, the equality-constrained
-    minimiser is theta_i = <u~_i, x - m> + s with value |x - m|^2, feasible
-    exactly when x lies in the cone; outside, the problem is reduced to a
-    least-distance program and solved through nonnegative least squares.
+    A theta = x (A has columns c~_i u~_i) and theta >= 0, for every row x
+    of a sample array.  Because A D^{-1} A^T = Id for isotropic systems,
+    the equality-constrained minimiser is theta_i = <u~_i, x - m> + s =
+    <u~_i, x> with value |x - m|^2, feasible exactly on the dual cone
+    {<u~_i, x> >= 0}.  The other rows pass three array stages:
+
+    1. Screen.  Every lifted atom has last coordinate 1/sqrt(n+1), so x is
+       a nonnegative combination of the atoms exactly when x_last > 0 and
+       sign x[:n] / (sqrt(n) x_last) lies in conv(supp mu); one matmul
+       against the hull's halfspaces rejects the rows with no
+       decomposition.  Rows within ``_SCREEN_TOL`` of a facet stay.
+    2. Batched active set.  Each remaining row is reduced to the
+       least-distance program min |v| s.t. G_hat v >= h and solved as the
+       NNLS problem [G_hat^T; h^T] u ~ e_{p+1} (Lawson and Hanson 1974,
+       ch. 23), with a zero residual meaning the constraints are
+       incompatible.  All rows iterate together: per-row passive sets, the
+       classical entering guard (a candidate whose own coefficient comes
+       out nonpositive is refused), and one stacked normal-equation solve
+       per iteration.  The lifted simplex (k = d, no null space) runs the
+       same expressions with an empty G_hat.
+    3. Certificate.  Every accepted maximiser is checked against the KKT
+       conditions: feasibility, stationarity on the free set with the
+       multiplier from one stacked least-squares solve, and dual
+       feasibility on the active set.
+    Rows where the active set broke down or missed the certificate are
+    re-solved exactly by ``_solve_by_enumeration``, which scans all 2^k
+    supports and so serves only as the rescue and the test oracle.
     """
 
     def __init__(self, lifted: LiftedMeasure, s: float):
@@ -107,7 +153,6 @@ class _NonnegTransportSolver:
         _, svals, Vt = np.linalg.svd(A)
         rank = int(np.sum(svals > 1e-12 * svals[0]))
         self.N = Vt[rank:].T
-        self.p = self.N.shape[1]
         root_c = np.sqrt(lifted.weights)
         E = root_c[:, None] * self.N                           # k x p
         # orthonormalise the transformed null basis: E = Q R
@@ -117,46 +162,159 @@ class _NonnegTransportSolver:
         self.G_hat = self.N @ self.Rinv                        # constraint rows
         self.root_c = root_c
         self.m = self.s * math.sqrt(d) * lifted.pole
+        self.hull = Polytope(vertices=lifted.base.points, check=False)
 
-    def solve(self, x: np.ndarray):
-        """Return (q_star, theta) or (None, None) when no decomposition exists."""
+    def solve(self, X: np.ndarray, kkt_tol: float = 1e-8):
+        """Maximisers for the rows of X.
+
+        Returns (q, theta, kkt): q* per row, the maximisers (rows x k) and
+        the KKT residual of each maximiser.  Rows with no nonnegative
+        decomposition have q and theta NaN and kkt 0; rows in the dual cone
+        are exact and carry kkt 0.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        theta = X @ self.L.points.T                            # equality-constrained optimum
+        q = np.einsum("ij,ij->i", X - self.m, X - self.m)     # |x - m|^2, the dual-cone value
+        kkt = np.zeros(len(X))
+        hard = np.flatnonzero(theta.min(axis=1) < 0.0)
+        rows = hard[self._in_cone(X[hard])]
+        solved = self._solve_outside_dual_cone(X[rows], theta[rows], kkt_tol)
+        q[hard] = np.nan
+        theta[hard] = np.nan
+        q[rows], theta[rows], kkt[rows] = solved
+        return q, theta, kkt
+
+    def _in_cone(self, X: np.ndarray) -> np.ndarray:
+        """Rows of X in the cone of the lifted atoms, up to ``_SCREEN_TOL``
+        in hull coordinates."""
+        L = self.L
+        x_last = X[:, -1]
+        keep = x_last > 0.0
+        Y = L.sign * X[keep, :-1] / (math.sqrt(L.base.n) * x_last[keep, None])
+        keep[keep] = contains_points(self.hull, Y, tol=_SCREEN_TOL)
+        return keep
+
+    def _solve_outside_dual_cone(self, X: np.ndarray, theta_eq: np.ndarray, kkt_tol: float):
         L, s = self.L, self.s
-        theta_eq = L.points @ x                                # equality-constrained optimum
-        if self.p == 0:
-            if theta_eq.min() >= -1e-12:
-                theta = np.maximum(theta_eq, 0.0)
-                return float(L.weights @ (theta - s) ** 2), theta
-            return None, None
-        if theta_eq.min() >= 0.0:
-            return float(np.dot(x - self.m, x - self.m)), theta_eq
-        # least-distance form: minimise |v| s.t. G_hat v >= -theta_eq
+        # least-distance form: minimise |v| s.t. G_hat v >= h
         f = -self.root_c * (theta_eq - s)
-        h = -(theta_eq + self.G_hat @ (self.Q.T @ f))
-        # Lawson-Hanson: NNLS on [G_hat^T; h^T], target e_{p+1}
-        stacked = np.vstack([self.G_hat.T, h[None, :]])
-        target = np.zeros(self.p + 1)
-        target[-1] = 1.0
-        u, rnorm = nnls(stacked, target)
-        if rnorm <= 1e-12:
-            return None, None                                  # incompatible constraints
-        rho = stacked @ u - target
-        if abs(rho[-1]) < 1e-12:
-            return self._solve_by_enumeration(x)
-        v = -rho[:-1] / rho[-1]
-        w = self.Rinv @ (v + self.Q.T @ f)
-        theta_raw = theta_eq + self.N @ w
-        theta = np.maximum(theta_raw, 0.0)
-        # the NNLS route can terminate early on ill-conditioned inputs;
-        # verify feasibility and rescue exactly when it did
-        if theta_raw.min() < -1e-9 or np.linalg.norm(self.A @ theta - x) > 1e-9 * max(
-                1.0, float(np.linalg.norm(x))):
-            return self._solve_by_enumeration(x)
-        q = float(L.weights @ (theta - s) ** 2)
-        return q, theta
+        fQ = f @ self.Q
+        h = -(theta_eq + fQ @ self.G_hat.T)
+        u, converged = self._nnls(h)
+        # NNLS residual rho = [G_hat^T u; h.u - 1]
+        rho_head = u @ self.G_hat
+        rho_last = np.einsum("ij,ij->i", h, u) - 1.0
+        rnorm = np.sqrt(np.einsum("ij,ij->i", rho_head, rho_head) + rho_last ** 2)
+        feasible = rnorm > 1e-12                               # else incompatible constraints
+        x_scale = np.maximum(1.0, np.linalg.norm(X, axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = -rho_head / rho_last[:, None]
+            theta_raw = theta_eq + ((v + fQ) @ self.Rinv.T) @ self.N.T
+            theta = np.maximum(theta_raw, 0.0)
+            # a vanishing last residual, or a maximiser that is not a feasible
+            # decomposition, means the least-distance route broke down
+            broken = ((np.abs(rho_last) < 1e-12) | ~(theta_raw.min(axis=1) >= -1e-9)
+                      | ~(np.linalg.norm(theta @ self.A.T - X, axis=1) <= 1e-9 * x_scale))
+        theta[~feasible] = np.nan
+        q = L.weights @ ((theta - s) ** 2).T
+        kkt = np.zeros(len(X))
+        ok = feasible & ~broken
+        kkt[ok] = self.kkt_residual(X[ok], theta[ok])
+        rescue = np.flatnonzero(~converged | (feasible & broken) | (kkt > kkt_tol))
+        for i in rescue:
+            q_i, theta_i = self._solve_by_enumeration(X[i])
+            q[i], theta[i] = (np.nan, np.nan) if q_i is None else (q_i, theta_i)
+        redo = rescue[~np.isnan(q[rescue])]
+        kkt[rescue] = 0.0
+        kkt[redo] = self.kkt_residual(X[redo], theta[redo])
+        return q, theta, kkt
+
+    def _nnls(self, h: np.ndarray):
+        """Lawson-Hanson NNLS of [G_hat^T; h_r^T] u ~ e_{p+1} for every row h_r.
+
+        Returns (u, converged).  Loops over active-set iterations only; the
+        gradient is h_r (1 - h_r.u) - G_hat G_hat^T u.  Rows still iterating
+        after 10 k + 10 passes are reported as not converged.
+        """
+        n_rows, k = h.shape
+        u = np.zeros((n_rows, k))
+        passive = np.zeros((n_rows, k), dtype=bool)
+        refused = np.zeros((n_rows, k), dtype=bool)           # barred until u next moves
+        enter = np.ones(n_rows, dtype=bool)                    # outer step due
+        live = np.ones(n_rows, dtype=bool)
+        for _ in range(10 * k + 10):
+            # outer step: the rows whose last passive solution was accepted
+            # take the largest positive gradient component, or have converged
+            rows = np.flatnonzero(live & enter)
+            hr, ur = h[rows], u[rows]
+            grad = (hr * (1.0 - np.einsum("ij,ij->i", hr, ur))[:, None]
+                    - (ur @ self.G_hat) @ self.G_hat.T)
+            cand = ~passive[rows] & ~refused[rows] & (grad > _ENTER_TOL)
+            has = cand.any(axis=1)
+            live[rows[~has]] = False
+            rows = rows[has]
+            j = np.argmax(np.where(cand[has], grad[has], -np.inf), axis=1)
+            passive[rows, j] = True
+            act = np.flatnonzero(live)
+            if act.size == 0:
+                break
+            z = self._passive_solve(h[act], passive[act])
+            # entering guard: refuse a candidate whose own coefficient is not
+            # positive, leave u alone and pick again next iteration
+            at = np.searchsorted(act, rows)
+            no = z[at, j] <= 0.0
+            passive[rows[no], j[no]] = False
+            refused[rows[no], j[no]] = True
+            step = np.ones(act.size, dtype=bool)
+            step[at[no]] = False
+            act, z = act[step], z[step]
+            P = passive[act]
+            good = np.all(~P | (z > 0.0), axis=1)
+            # accepted passive solutions become the new iterate
+            acc = act[good]
+            u[acc] = z[good]
+            enter[acc] = True
+            refused[acc] = False
+            # otherwise move toward z until the first passive coefficient hits zero
+            back = act[~good]
+            zb, ub, Pb = z[~good], u[back], P[~good]
+            drop = Pb & (zb <= 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(drop & (ub > zb), ub / (ub - zb), np.inf)
+            jmin = np.argmin(ratio, axis=1)
+            alpha = ratio[np.arange(back.size), jmin]
+            hit = np.isfinite(alpha)
+            ub = ub + np.where(hit, alpha, 1.0)[:, None] * (zb - ub)
+            ub[np.flatnonzero(hit), jmin[hit]] = 0.0
+            Pb &= ub > 0.0
+            u[back] = np.where(Pb, ub, 0.0)
+            passive[back] = Pb
+            enter[back] = False
+            refused[back] = False
+        return u, ~live
+
+    def _passive_solve(self, h: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """Least-squares coefficients on each row's passive set, zero elsewhere."""
+        G = self.G_hat
+        k = h.shape[1]
+        M = h[:, :, None] * h[:, None, :]
+        M += G @ G.T
+        M *= P[:, :, None] & P[:, None, :]
+        M[:, np.arange(k), np.arange(k)] += ~P                # identity off the passive set
+
+        def lstsq_rows(rows):
+            E = np.concatenate([np.broadcast_to(G.T, (rows.size,) + G.T.shape),
+                                h[rows, None, :]], axis=1)
+            return np.linalg.pinv(np.where(P[rows, None, :], E, 0.0))[..., -1]
+
+        return _normal_solve(M, np.where(P, h, 0.0), lstsq_rows)
 
     def _solve_by_enumeration(self, x: np.ndarray):
         """Exact minimiser by scanning the stationarity system of every
-        active set (the atom count is small by precondition)."""
+        active set (the atom count is small by precondition).  A support
+        counts only when its clipped decomposition reproduces x to 1e-12
+        relative, so near a lower-dimensional face a support that only nearly
+        reproduces x cannot undercut the true minimum."""
         L, s = self.L, self.s
         k = L.k
         x_scale = max(1.0, float(np.linalg.norm(x)))
@@ -175,45 +333,59 @@ class _NonnegTransportSolver:
                 continue
             theta = np.zeros(k)
             theta[free] = np.maximum(theta_f, 0.0)
-            if np.linalg.norm(self.A @ theta - x) > 1e-8 * x_scale:
+            if np.linalg.norm(self.A @ theta - x) > 1e-12 * x_scale:
                 continue
             q = float(L.weights @ (theta - s) ** 2)
             if best_q is None or q < best_q:
                 best_q, best_theta = q, theta
         return best_q, best_theta
 
-    def kkt_residual(self, x: np.ndarray, theta: np.ndarray) -> float:
-        """Worst KKT violation of a proposed maximiser (feasibility,
-        stationarity on the free set, dual feasibility on the active set)."""
+    def kkt_residual(self, X: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """Worst KKT violation of proposed maximisers, one per row
+        (feasibility, stationarity on the free set, dual feasibility on the
+        active set)."""
         L, s = self.L, self.s
-        primal = np.linalg.norm(self.A @ theta - x)
+        X, theta = np.atleast_2d(X), np.atleast_2d(theta)
+        primal = np.linalg.norm(theta @ self.A.T - X, axis=1)
         grad = 2.0 * L.weights * (theta - s)
         free = theta > 1e-10
-        if free.any():
-            lam, *_ = np.linalg.lstsq(L.points[free] * L.weights[free, None],
-                                      grad[free], rcond=None)
-        else:
-            lam = np.zeros(L.dim)
-        mult = grad - (L.points * L.weights[:, None]) @ lam
-        stationarity = float(np.abs(mult[free]).max()) if free.any() else 0.0
-        dual = float(np.maximum(-mult[~free], 0.0).max()) if (~free).any() else 0.0
-        return max(primal, stationarity, dual)
+        # multiplier: least squares of A^T lambda = grad on the free rows
+        At = self.A.T
+        gram = np.einsum("rk,ki,kj->rij", free.astype(float), At, At)
+        grad_free = np.where(free, grad, 0.0)
+
+        def lstsq_rows(rows):
+            Af = np.where(free[rows, :, None], At, 0.0)
+            return (np.linalg.pinv(Af) @ grad_free[rows, :, None])[..., 0]
+
+        lam = _normal_solve(gram, grad_free @ At, lstsq_rows)
+        mult = grad - lam @ self.A
+        stationarity = np.where(free, np.abs(mult), 0.0).max(axis=1, initial=0.0)
+        dual = np.where(free, 0.0, -mult).max(axis=1, initial=0.0)
+        return np.maximum(primal, np.maximum(stationarity, dual))
 
 
 def nonneg_transport_sup(inst: BLInstance, x: np.ndarray):
     """q*(x) and its maximiser for a single point (None when infeasible)."""
-    return _NonnegTransportSolver(inst.lifted, inst.s).solve(np.asarray(x, float))
+    solver = _NonnegTransportSolver(inst.lifted, inst.s)
+    q, theta, _ = solver.solve(np.asarray(x, dtype=float)[None, :])
+    if np.isnan(q[0]):
+        return None, None
+    return float(q[0]), theta[0]
 
 
 def rbl_lhs(inst: BLInstance, n_samples: int = 50_000, seed: int = 0,
-            kkt_checks: int | None = None, kkt_tol: float = 1e-8) -> FunctionalEstimate:
+            kkt_tol: float = 1e-8) -> FunctionalEstimate:
     """Monte-Carlo value of the reverse (sup-decomposition) integral.
 
     Importance sampling from N(m, Id) makes every weight lie in [0, 1]
-    because q*(x) >= |x - m|^2; points inside the cone take weight one and
-    skip the optimiser.  Every accepted maximiser is verified against the
-    KKT conditions at ``kkt_tol`` (pass ``kkt_checks`` to spot-check an
-    evenly spaced subsample instead).
+    because q*(x) >= |x - m|^2.  All samples go to the solver in one
+    array: points inside the dual cone take weight one, points the cone
+    screen rejects take weight zero, and the rest are solved together by
+    the batched active-set NNLS.  Every accepted maximiser carries a KKT
+    certificate; points that miss ``kkt_tol`` are re-solved exactly by
+    active-set enumeration, and a ``RuntimeError`` is raised if any still
+    misses it.
     """
     L = inst.lifted
     d = L.dim
@@ -221,34 +393,12 @@ def rbl_lhs(inst: BLInstance, n_samples: int = 50_000, seed: int = 0,
     rng = make_rng(seed)
     m = solver.m
     Z = rng.standard_normal((int(n_samples), d)) + m
-    dots = Z @ L.points.T
-    inside = dots.min(axis=1) >= 0.0
-    weights = np.zeros(int(n_samples))
-    weights[inside] = 1.0
-    hard_idx = np.flatnonzero(~inside)
-    sq_dist = np.einsum("ij,ij->i", Z - m, Z - m)
-    if kkt_checks is None:
-        check_every = 1
-    else:
-        check_every = max(1, hard_idx.size // max(kkt_checks, 1))
-    worst_kkt = 0.0
-    for pos, i in enumerate(hard_idx):
-        q, theta = solver.solve(Z[i])
-        if q is None:
-            continue
-        if pos % check_every == 0:
-            kkt = solver.kkt_residual(Z[i], theta)
-            if kkt > kkt_tol:
-                # rare early termination of the least-distance solve: redo
-                # this point exactly by active-set enumeration
-                q_exact, theta_exact = solver._solve_by_enumeration(Z[i])
-                if q_exact is not None:
-                    q, theta = q_exact, theta_exact
-                    kkt = solver.kkt_residual(Z[i], theta)
-            worst_kkt = max(worst_kkt, kkt)
-        weights[i] = math.exp(-0.5 * max(q - sq_dist[i], 0.0))
+    q, _, kkt = solver.solve(Z, kkt_tol)
+    worst_kkt = float(kkt.max())
     if worst_kkt > kkt_tol:
         raise RuntimeError(f"inner optimiser KKT residual {worst_kkt:.3g} > {kkt_tol:g}")
+    sq_dist = np.einsum("ij,ij->i", Z - m, Z - m)
+    weights = np.where(np.isnan(q), 0.0, np.exp(-0.5 * np.maximum(q - sq_dist, 0.0)))
     scale = (2.0 * math.pi) ** (d / 2.0)
     value = scale * float(weights.mean())
     stderr = scale * float(np.std(weights, ddof=1) / math.sqrt(n_samples))
@@ -332,7 +482,6 @@ def smoothing_inequality_check(mu: DiscreteMeasure, tau_grid,
     X = rng.standard_normal((int(n_samples), n))
     tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=float))
 
-    from .geometry import Polytope
     hull = Polytope(vertices=C, check=False)
     g_simplex = gauge_many(simplex, X)
     g_hull = gauge_many(hull, X)

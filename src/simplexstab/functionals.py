@@ -2,8 +2,9 @@
 mean of the gauge, and the mean width.
 
 All Monte-Carlo estimates use the counter-based generator from
-:mod:`simplexstab.rng`, report a standard error, and can be partitioned
-across workers by disjoint sub-streams; closed-form values carry a zero
+:mod:`simplexstab.rng` and report a standard error.  The gauge sampler
+draws fixed-size chunks from disjoint sub-streams, so workers can share
+them out without changing any value; closed-form values carry a zero
 standard error.  The exact values for the ball and the regular simplex
 serve as independent oracles for the sampling paths.
 """
@@ -30,6 +31,8 @@ __all__ = [
 DEFAULT_SAMPLES = 200_000
 LAYER_NODES = 400
 LAYER_TAIL_LEVEL = 1e-4
+# samples per counter-based stream of the gauge sampler
+CHUNK_SAMPLES = 1 << 16
 
 
 def default_workers() -> int:
@@ -88,23 +91,26 @@ def simplex_ell_oracle(n: int) -> float:
 
 
 def _gauge_chunks(body, n_samples: int, seed: int, workers: int):
-    """Gauge values of Gaussian samples, partitioned over worker streams."""
-    workers = max(1, workers)
-    n = body.n
-    sizes = [n_samples // workers] * workers
-    sizes[0] += n_samples - sum(sizes)
+    """Gauge values of Gaussian samples drawn in fixed-size chunks.
 
-    def one(stream_size):
-        stream, size = stream_size
-        X = make_rng(seed, stream).standard_normal((size, n))
-        return gauge_many(body, X)
+    Chunk i holds the samples [i CHUNK_SAMPLES, (i + 1) CHUNK_SAMPLES) from
+    stream (seed, i), so the values do not depend on ``workers``, which
+    only sets how many threads map over the chunks.
+    """
+    gauges = np.empty(n_samples)
 
-    jobs = [(i, s) for i, s in enumerate(sizes) if s > 0]
-    if len(jobs) == 1:
-        return one(jobs[0])
-    with ThreadPoolExecutor(max_workers=len(jobs)) as ex:
-        parts = list(ex.map(one, jobs))
-    return np.concatenate(parts)
+    def one(stream):
+        part = gauges[stream * CHUNK_SAMPLES:(stream + 1) * CHUNK_SAMPLES]
+        part[:] = gauge_many(body, make_rng(seed, stream).standard_normal((part.size, body.n)))
+
+    streams = range(-(-n_samples // CHUNK_SAMPLES))
+    if workers <= 1 or len(streams) <= 1:
+        for stream in streams:
+            one(stream)
+    else:
+        with ThreadPoolExecutor(max_workers=min(workers, len(streams))) as ex:
+            list(ex.map(one, streams))
+    return gauges
 
 
 def gaussian_mass(body, t: float, n_samples: int = DEFAULT_SAMPLES,

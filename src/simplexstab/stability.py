@@ -231,7 +231,8 @@ def align_to_simplex(K: Polytope, target: Polytope, n_restarts: int = 20,
     of the extreme directions plus random restarts, then refines the best
     candidate by monotone coordinate-plane rotations.  When ``n_samples``
     is positive the symmetric-difference volume at the winning rotation is
-    estimated as well.
+    estimated as well, from stream (seed, 1) so that it does not reuse the
+    random bits of the restarts.
     """
     VK = K.vertices
     VT = target.vertices
@@ -245,7 +246,7 @@ def align_to_simplex(K: Polytope, target: Polytope, n_restarts: int = 20,
     result = AlignmentResult(rotation=best_R, delta_H=float(best_d))
     if n_samples > 0:
         result.delta_vol, result.delta_vol_stderr = symdiff_volume(
-            K, Polytope(vertices=VT @ best_R.T, check=False), seed, n_samples)
+            K, Polytope(vertices=VT @ best_R.T, check=False), make_rng(seed, 1), n_samples)
     return result
 
 

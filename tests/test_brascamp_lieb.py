@@ -1,7 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from simplexstab import brascamp_lieb as bl
 from simplexstab import ellipsoids as el
@@ -112,6 +114,70 @@ class TestReverseIntegral:
                 assert abs(got_q - best) < 1e-8 * max(1.0, best)
                 solver_checked += 1
         assert solver_checked >= 30
+
+    @staticmethod
+    def _oracle_points(inst, rng, count):
+        """Points inside the dual cone, feasible points outside it, points
+        within 1e-9 inside a cone facet, and infeasible points."""
+        L = inst.lifted
+        n = L.base.n
+        solver = bl._NonnegTransportSolver(L, inst.s)
+        Z = rng.standard_normal((20 * count, L.dim)) + solver.m
+        dual = Z[(Z @ L.points.T).min(axis=1) >= 0.0][:count]
+        X = rng.exponential(size=(20 * count, L.k)) ** 3 @ solver.A.T
+        outside = X[(X @ L.points.T).min(axis=1) < 0.0][:count]
+        hull = ConvexHull(L.base.points)
+        facet = rng.integers(len(hull.simplices), size=count)
+        corners = L.base.points[hull.simplices[facet]]
+        Y = np.einsum("ij,ijk->ik", rng.dirichlet(np.ones(n), size=count), corners)
+        normal = hull.equations[facet, :-1]
+        t = rng.uniform(0.5, 1.5, size=(count, 1))
+
+        def cone_point(y):
+            return np.hstack([L.sign * math.sqrt(n) * t * y, t])
+
+        near = cone_point(Y - rng.uniform(0.5e-9, 1e-9, size=(count, 1)) * normal)
+        beyond = cone_point(1.5 * Y + 0.2 * normal)
+        below = np.hstack([rng.standard_normal((count, n)), -t])
+        return solver, {"dual": dual, "outside": outside, "near": near,
+                        "infeasible": np.vstack([beyond, below])}
+
+    @pytest.mark.parametrize("build, s", [
+        (lambda: iso.lift(el.random_isotropic_measure(2, 9, seed=7), +1), 0.1),
+        (lambda: iso.lift(el.random_isotropic_measure(3, 9, seed=7101), +1), 0.0),
+        (lambda: iso.lift(iso.simplex_measure(2), +1), 0.15),
+        (lambda: iso.lift(iso.simplex_measure(3), +1), 0.1),
+    ], ids=["n2", "n3", "simplex-n2", "simplex-n3"])
+    def test_batched_solver_against_enumeration_oracle(self, build, s):
+        inst = bl.BLInstance(build(), s)
+        solver, groups = self._oracle_points(inst, make_rng(41), 12)
+        feasible_outside = 0
+        for kind, X in groups.items():
+            if len(X) == 0:
+                assert kind == "outside" and inst.lifted.k == inst.lifted.dim
+                continue
+            q, theta, kkt = solver.solve(X)
+            assert kkt.max() <= 1e-8, kind
+            for i, x in enumerate(X):
+                want, _ = solver._solve_by_enumeration(x)
+                assert (want is None) == np.isnan(q[i]), (kind, i)
+                assert (want is None) == (kind == "infeasible"), (kind, i)
+                single_q, single_theta = bl.nonneg_transport_sup(inst, x)
+                if want is None:
+                    assert single_q is None and single_theta is None
+                    continue
+                assert abs(q[i] - want) <= 1e-9 * max(1.0, want), (kind, i)
+                assert abs(single_q - q[i]) <= 1e-12 * max(1.0, q[i])
+                assert np.allclose(single_theta, theta[i], rtol=1e-9, atol=1e-9)
+                feasible_outside += kind in ("outside", "near")
+        assert feasible_outside >= (12 if inst.lifted.k > inst.lifted.dim else 0)
+
+    def test_stacked_solve_falls_back_on_singular_rows(self):
+        M = np.array([np.diag([2.0, 4.0]), np.diag([1.0, 0.0])])
+        rhs = np.array([[2.0, 4.0], [3.0, 0.0]])
+        E = np.array([[[1.0, 0.0], [0.0, 0.0]]])
+        z = bl._normal_solve(M, rhs, lambda rows: (np.linalg.pinv(E) @ [[3.0], [0.0]])[..., 0])
+        assert np.allclose(z, [[1.0, 1.0], [3.0, 0.0]])
 
 
 class TestDilateIdentities:

@@ -1,5 +1,7 @@
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +32,19 @@ class TestExitCodes:
 
     def test_seed_is_mandatory_for_stochastic_commands(self):
         assert run_cli(["measure", "generate", "--n", "2", "--k", "8"]) == cli.EXIT_USAGE
+
+
+class TestReadme:
+    def test_every_readme_command_parses(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = text.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines
+                    if line.startswith("simplexstab ")]
+        assert len(commands) >= 10
+        parser = cli.build_parser()
+        for argv in commands:
+            args = parser.parse_args(argv)
+            assert callable(args.func), argv
 
 
 class TestMeasurePipeline:

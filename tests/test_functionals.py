@@ -101,6 +101,15 @@ class TestEllNorm:
         b = fn.ell_norm(body, n_samples=100_000, seed=10, workers=4)
         assert a.value == b.value
 
+    def test_worker_count_does_not_change_estimates(self):
+        body = g.regular_simplex_polar(2)
+        one = fn.ell_norm(body, n_samples=200_000, seed=3, workers=1)
+        four = fn.ell_norm(body, n_samples=200_000, seed=3, workers=4)
+        assert (one.value, one.stderr) == (four.value, four.stderr)
+        mass_one = fn.gaussian_mass(body, 1.2, n_samples=200_000, seed=3, workers=1)
+        mass_four = fn.gaussian_mass(body, 1.2, n_samples=200_000, seed=3, workers=4)
+        assert mass_one == mass_four
+
 
 class TestMeanWidth:
     def test_ball_closed_form(self):
