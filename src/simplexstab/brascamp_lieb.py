@@ -22,8 +22,11 @@ inscribed regular simplex (and its polar on the reversed lifting),
   (2 pi)^{n/2} e^{-(n+1)s^2/2} int_0^inf e^{-r^2/2 + s r sqrt(n+1)}
       gamma_n(r sqrt(n) simplex) dr  =  (int f)^{n+1},
 
-which this module verifies by outer quadrature over r with the dilate
-measure estimated from one common Gaussian sample.
+which this module verifies by Monte-Carlo: the r-integral has a closed
+form for each Gaussian sample (the kernel integrated from the sample's
+gauge radius to infinity), and its sample mean estimates the left side.
+All sampling goes through the chunked Gaussian sampler
+``functionals.sample_map`` and all means through ``functionals.estimate``.
 """
 from __future__ import annotations
 
@@ -33,10 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .functionals import FunctionalEstimate
+from .functionals import FunctionalEstimate, estimate, sample_map
 from .geometry import Polytope, contains_points, gauge_many, regular_simplex
 from .isotropic import DiscreteMeasure, LiftedMeasure
-from .rng import make_rng
 from .transport import gtilde_integral
 
 __all__ = [
@@ -71,14 +73,10 @@ def bl_lhs(inst: BLInstance, n_samples: int = 200_000, seed: int = 0) -> Functio
     """
     L = inst.lifted
     d = L.dim
-    rng = make_rng(seed)
     m = inst.s * math.sqrt(d) * L.pole
-    Z = rng.standard_normal((int(n_samples), d)) + m
-    inside = np.all(Z @ L.points.T >= 0.0, axis=1)
-    p = float(inside.mean())
-    scale = (2.0 * math.pi) ** (d / 2.0)
-    stderr = scale * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
-    return FunctionalEstimate(scale * p, stderr, "mc-direct", int(n_samples))
+    inside = sample_map(lambda X: np.all((X + m) @ L.points.T >= 0.0, axis=1),
+                        n_samples, d, seed)
+    return estimate(inside, (2.0 * math.pi) ** (d / 2.0))
 
 
 # rows within this hull-coordinate distance of a facet of conv(supp mu) go
@@ -390,19 +388,16 @@ def rbl_lhs(inst: BLInstance, n_samples: int = 50_000, seed: int = 0,
     L = inst.lifted
     d = L.dim
     solver = _NonnegTransportSolver(L, inst.s)
-    rng = make_rng(seed)
     m = solver.m
-    Z = rng.standard_normal((int(n_samples), d)) + m
+    # the solver sees all samples in one array
+    Z = sample_map(lambda X: X, n_samples, d, seed) + m
     q, _, kkt = solver.solve(Z, kkt_tol)
     worst_kkt = float(kkt.max())
     if worst_kkt > kkt_tol:
         raise RuntimeError(f"inner optimiser KKT residual {worst_kkt:.3g} > {kkt_tol:g}")
     sq_dist = np.einsum("ij,ij->i", Z - m, Z - m)
     weights = np.where(np.isnan(q), 0.0, np.exp(-0.5 * np.maximum(q - sq_dist, 0.0)))
-    scale = (2.0 * math.pi) ** (d / 2.0)
-    value = scale * float(weights.mean())
-    stderr = scale * float(np.std(weights, ddof=1) / math.sqrt(n_samples))
-    return FunctionalEstimate(value, stderr, "mc-direct", int(n_samples))
+    return estimate(weights, (2.0 * math.pi) ** (d / 2.0))
 
 
 @dataclass(frozen=True)
@@ -415,54 +410,46 @@ class IdentityReport:
     samples: int
 
 
-def _kernel_cdf_integral(a: np.ndarray, c: float):
-    """int_0^{a_j} e^{-r^2/2 + c r} dr in closed form, elementwise."""
-    amp = math.sqrt(2.0 * math.pi) * math.exp(0.5 * c * c)
-    return amp * (ndtr(a - c) - ndtr(-c))
+def _kernel_tail_integral(a: np.ndarray, c: float) -> np.ndarray:
+    """int_{a_j}^inf e^{-r^2/2 + c r} dr in closed form, elementwise."""
+    return math.sqrt(2.0 * math.pi) * math.exp(0.5 * c * c) * ndtr(c - a)
 
 
 def simplex_identity_check(n: int, s: float, n_samples: int = 1_000_000,
-                           seed: int = 0, quad_nodes: int = 2000,
+                           seed: int = 0,
                            variant: str = "inscribed") -> IdentityReport:
     """Verify the exact dilate-measure identity for the regular simplex.
 
     ``inscribed``: gamma_n(r sqrt(n) simplex) under the kernel
     e^{-r^2/2 + s r sqrt(n+1)} integrates to (int f)^{n+1} / ((2 pi)^{n/2}
     e^{-(n+1) s^2 / 2}).  ``polar``: same with gamma_n((r / sqrt(n)) polar).
-    The dilate measure comes from one Gaussian sample of size n_samples via
-    its empirical gauge distribution; the r-integral uses a trapezoid grid
-    of ``quad_nodes`` nodes (the grid tail beyond the largest gauge value
-    is integrated exactly).
+    A Gaussian sample X lies in the dilate of radius r exactly when r is at
+    least its gauge radius a(X), so the r-integral of gamma_n is the mean
+    over X of the kernel integrated from a(X) to infinity, which has a
+    closed form.  The left side is that sample mean, with its standard
+    error, over ``n_samples`` samples.
     """
     if variant not in ("inscribed", "polar"):
         raise ValueError("variant must be 'inscribed' or 'polar'")
     simplex = regular_simplex(n)
-    rng = make_rng(seed)
-    X = rng.standard_normal((int(n_samples), n))
-    if variant == "inscribed":
-        # gauge of r sqrt(n) simplex <= 1  <=>  gauge_simplex(X)/sqrt(n) <= r
-        a = gauge_many(simplex, X) / math.sqrt(n)
-    else:
-        # gauge of the polar at X is the support function of the simplex
-        a = math.sqrt(n) * np.max(X @ simplex.vertices.T, axis=1)
     c = s * math.sqrt(n + 1.0)
+
+    def tail(X):
+        if variant == "inscribed":
+            # gauge of r sqrt(n) simplex <= 1  <=>  gauge_simplex(X)/sqrt(n) <= r
+            a = gauge_many(simplex, X) / math.sqrt(n)
+        else:
+            # gauge of the polar at X is the support function of the simplex
+            a = math.sqrt(n) * np.max(X @ simplex.vertices.T, axis=1)
+        return _kernel_tail_integral(a, c)
+
     prefactor = (2.0 * math.pi) ** (n / 2.0) * math.exp(-0.5 * (n + 1.0) * s * s)
-    # int_0^inf kernel * gamma_hat(r) dr  =  int_0^inf kernel dr - mean_j int_0^{a_j} kernel
-    full = _kernel_cdf_integral(np.array([np.inf]), c)[0]
-    r_max = float(a.max())
-    grid = np.linspace(0.0, r_max, int(quad_nodes))
-    survival = 1.0 - np.searchsorted(np.sort(a), grid, side="right") / n_samples
-    kernel = np.exp(-0.5 * grid ** 2 + c * grid)
-    tail_part = float(np.trapezoid(kernel * survival, grid))
-    lhs = prefactor * (full - tail_part)
+    lhs = estimate(sample_map(tail, n_samples, n, seed), prefactor)
     rhs = gtilde_integral(s) ** (n + 1)
-    # per-sample closed form of the same functional gives the standard error
-    per_sample = prefactor * (full - _kernel_cdf_integral(a, c))
-    stderr = float(np.std(per_sample, ddof=1) / math.sqrt(n_samples))
-    gap = lhs - rhs
-    return IdentityReport(lhs=float(lhs), rhs=float(rhs), gap=float(gap),
-                          rel_gap=float(abs(gap) / rhs), stderr=stderr,
-                          samples=int(n_samples))
+    gap = lhs.value - rhs
+    return IdentityReport(lhs=lhs.value, rhs=float(rhs), gap=float(gap),
+                          rel_gap=float(abs(gap) / rhs), stderr=lhs.stderr,
+                          samples=lhs.samples)
 
 
 def smoothing_inequality_check(mu: DiscreteMeasure, tau_grid,
@@ -478,15 +465,16 @@ def smoothing_inequality_check(mu: DiscreteMeasure, tau_grid,
     n = mu.n
     simplex = regular_simplex(n)
     C = np.asarray(mu.points)
-    rng = make_rng(seed)
-    X = rng.standard_normal((int(n_samples), n))
     tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=float))
-
     hull = Polytope(vertices=C, check=False)
-    g_simplex = gauge_many(simplex, X)
-    g_hull = gauge_many(hull, X)
-    gp_simplex = np.max(X @ simplex.vertices.T, axis=1)     # gauge of the polar
-    gp_hull = np.max(X @ C.T, axis=1)
+
+    def gauges(X):
+        # gauges of the simplex, the hull and their polars (support functions)
+        return np.column_stack([gauge_many(simplex, X), gauge_many(hull, X),
+                                np.max(X @ simplex.vertices.T, axis=1),
+                                np.max(X @ C.T, axis=1)])
+
+    g_simplex, g_hull, gp_simplex, gp_hull = sample_map(gauges, n_samples, n, seed).T
 
     def smoothed(gauges, tau, rate):
         # int_0^{gauge} e^{-rate (t - tau)^2 / 2} dt, elementwise closed form
@@ -496,22 +484,14 @@ def smoothing_inequality_check(mu: DiscreteMeasure, tau_grid,
 
     rows = []
     for tau in tau_grid:
-        direct_s = smoothed(g_simplex, tau, 1.0 / n)
-        direct_c = smoothed(g_hull, tau, 1.0 / n)
-        diff = direct_s - direct_c
-        margin = float(diff.mean())
-        stderr = float(np.std(diff, ddof=1) / math.sqrt(n_samples))
-        polar_s = smoothed(gp_simplex, tau, float(n))
-        polar_c = smoothed(gp_hull, tau, float(n))
-        pdiff = polar_c - polar_s
-        pmargin = float(pdiff.mean())
-        pstderr = float(np.std(pdiff, ddof=1) / math.sqrt(n_samples))
+        direct = estimate(smoothed(g_simplex, tau, 1.0 / n) - smoothed(g_hull, tau, 1.0 / n))
+        polar = estimate(smoothed(gp_hull, tau, float(n)) - smoothed(gp_simplex, tau, float(n)))
         rows.append({
             "tau": float(tau),
-            "direct_margin": margin, "direct_stderr": stderr,
-            "direct_ok": margin >= -3.0 * stderr,
-            "polar_margin": pmargin, "polar_stderr": pstderr,
-            "polar_ok": pmargin >= -3.0 * pstderr,
+            "direct_margin": direct.value, "direct_stderr": direct.stderr,
+            "direct_ok": direct.value >= -3.0 * direct.stderr,
+            "polar_margin": polar.value, "polar_stderr": polar.stderr,
+            "polar_ok": polar.value >= -3.0 * polar.stderr,
         })
     return {"rows": rows,
             "ok": all(r["direct_ok"] and r["polar_ok"] for r in rows)}

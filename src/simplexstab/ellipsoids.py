@@ -33,17 +33,22 @@ class EllipsoidSolverError(GeometryError):
     """The ellipsoid solver failed to reach its certificate."""
 
 
+def _leverage(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Leverage scores kappa_i = q_i^T M^{-1} q_i of the rows of Q under the
+    design matrix M = sum_i p_i q_i q_i^T."""
+    M = (Q * p[:, None]).T @ Q
+    return np.einsum("ij,jk,ik->i", Q, np.linalg.inv(M), Q)
+
+
 def _khachiyan_weights(Q: np.ndarray, eps: float, max_iter: int) -> np.ndarray:
     """Away-step Frank-Wolfe on the lifted log-det design problem."""
     m, d = Q.shape
     p = np.full(m, 1.0 / m)
     for _ in range(int(max_iter)):
-        M = (Q * p[:, None]).T @ Q
         try:
-            Minv = np.linalg.inv(M)
+            kappa = _leverage(Q, p)
         except np.linalg.LinAlgError:
             raise DegenerateBodyError("point set does not span the space")
-        kappa = np.einsum("ij,jk,ik->i", Q, Minv, Q)
         i_up = int(np.argmax(kappa))
         eps_up = kappa[i_up] / d - 1.0
         kappa_act = np.where(p > 1e-300, kappa, np.inf)
@@ -68,10 +73,7 @@ def _khachiyan_weights(Q: np.ndarray, eps: float, max_iter: int) -> np.ndarray:
 
 
 def _design_certificate(Q: np.ndarray, p: np.ndarray) -> float:
-    d = Q.shape[1]
-    M = (Q * p[:, None]).T @ Q
-    kappa = np.einsum("ij,jk,ik->i", Q, np.linalg.inv(M), Q)
-    return float(kappa.max() / d - 1.0)
+    return float(_leverage(Q, p).max() / Q.shape[1] - 1.0)
 
 
 def _newton_polish(Q: np.ndarray, p: np.ndarray, rounds: int = 12,
@@ -91,12 +93,10 @@ def _newton_polish(Q: np.ndarray, p: np.ndarray, rounds: int = 12,
     except np.linalg.LinAlgError:
         return p
     for _ in range(rounds):
-        M = (Q * p[:, None]).T @ Q
         try:
-            Minv = np.linalg.inv(M)
+            kappa = _leverage(Q, p)
         except np.linalg.LinAlgError:
             break
-        kappa = np.einsum("ij,jk,ik->i", Q, Minv, Q)
         support = np.flatnonzero((kappa >= d * (1.0 - 1e-3)) | (p > 1e-6))
         if support.size < d:
             support = np.argsort(kappa)[-d:]
@@ -139,11 +139,7 @@ def _newton_polish(Q: np.ndarray, p: np.ndarray, rounds: int = 12,
 def mvee_support_residual(points: np.ndarray, p: np.ndarray) -> float:
     """Duality-gap style certificate max_i kappa_i/d - 1 for design weights p."""
     X = np.atleast_2d(points)
-    Q = np.hstack([X, np.ones((X.shape[0], 1))])
-    d = Q.shape[1]
-    M = (Q * p[:, None]).T @ Q
-    kappa = np.einsum("ij,jk,ik->i", Q, np.linalg.inv(M), Q)
-    return float(kappa.max() / d - 1.0)
+    return _design_certificate(np.hstack([X, np.ones((X.shape[0], 1))]), p)
 
 
 def mvee(points, eps: float = 1e-7, max_iter: int = 100_000):

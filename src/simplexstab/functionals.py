@@ -1,12 +1,15 @@
 """Gaussian functionals of convex bodies: measure of dilates, the Gaussian
 mean of the gauge, and the mean width.
 
-All Monte-Carlo estimates use the counter-based generator from
-:mod:`simplexstab.rng` and report a standard error.  The gauge sampler
-draws fixed-size chunks from disjoint sub-streams, so workers can share
-them out without changing any value; closed-form values carry a zero
-standard error.  The exact values for the ball and the regular simplex
-serve as independent oracles for the sampling paths.
+This module is also the package's one Monte-Carlo layer.  ``sample_map``
+is the only Gaussian sampler: it draws fixed-size chunks of standard
+normal samples, chunk i from the counter-based stream (seed, i) of
+:mod:`simplexstab.rng`, and maps each chunk to per-sample values, so
+workers can share the chunks out without changing any value.
+``estimate`` turns per-sample values into a mean with its standard error.
+Every sampling path of the package goes through the two; closed-form
+values carry a zero standard error.  The exact values for the ball and
+the regular simplex serve as independent oracles for the sampling paths.
 """
 from __future__ import annotations
 
@@ -19,19 +22,19 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from .geometry import gauge_many, polar, support_many
+from .geometry import Ball, gauge_many, polar, support_many
 from .rng import make_rng
 
 __all__ = [
     "FunctionalEstimate", "ell_ball", "gaussian_max_mean", "simplex_ell_oracle",
     "gaussian_mass", "ell_norm", "mean_width", "mean_ell_crosscheck",
-    "default_workers",
+    "default_workers", "sample_map", "estimate",
 ]
 
 DEFAULT_SAMPLES = 200_000
 LAYER_NODES = 400
 LAYER_TAIL_LEVEL = 1e-4
-# samples per counter-based stream of the gauge sampler
+# samples per counter-based stream of the Gaussian sampler
 CHUNK_SAMPLES = 1 << 16
 
 
@@ -90,27 +93,40 @@ def simplex_ell_oracle(n: int) -> float:
     return math.sqrt((n + 1.0) / n) * gaussian_max_mean(n + 1)
 
 
-def _gauge_chunks(body, n_samples: int, seed: int, workers: int):
-    """Gauge values of Gaussian samples drawn in fixed-size chunks.
+def sample_map(fn, n_samples: int, dim: int, seed: int, workers: int = 1) -> np.ndarray:
+    """Per-sample values of ``fn`` over standard Gaussian samples in R^dim.
 
-    Chunk i holds the samples [i CHUNK_SAMPLES, (i + 1) CHUNK_SAMPLES) from
-    stream (seed, i), so the values do not depend on ``workers``, which
-    only sets how many threads map over the chunks.
+    Chunk i holds the samples [i CHUNK_SAMPLES, (i + 1) CHUNK_SAMPLES),
+    drawn from stream (seed, i); ``fn`` maps each (rows, dim) chunk to one
+    value per row (a 1-D array, or 2-D with one column per paired
+    quantity), and the chunk values are concatenated in order.  So the
+    result does not depend on ``workers``, which only sets how many
+    threads map over the chunks, and the samples are never held all at
+    once unless ``fn`` returns them.
     """
-    gauges = np.empty(n_samples)
+    n_samples = int(n_samples)
 
     def one(stream):
-        part = gauges[stream * CHUNK_SAMPLES:(stream + 1) * CHUNK_SAMPLES]
-        part[:] = gauge_many(body, make_rng(seed, stream).standard_normal((part.size, body.n)))
+        rows = min(CHUNK_SAMPLES, n_samples - stream * CHUNK_SAMPLES)
+        return fn(make_rng(seed, stream).standard_normal((rows, dim)))
 
     streams = range(-(-n_samples // CHUNK_SAMPLES))
     if workers <= 1 or len(streams) <= 1:
-        for stream in streams:
-            one(stream)
+        parts = [one(stream) for stream in streams]
     else:
         with ThreadPoolExecutor(max_workers=min(workers, len(streams))) as ex:
-            list(ex.map(one, streams))
-    return gauges
+            parts = list(ex.map(one, streams))
+    return np.concatenate(parts)
+
+
+def estimate(values, scale: float = 1.0) -> FunctionalEstimate:
+    """Monte-Carlo mean of per-sample values times ``scale``, with the
+    standard error scale * s / sqrt(N) from the sample standard deviation s."""
+    values = np.asarray(values, dtype=float)
+    n_samples = values.size
+    stderr = float(np.std(values, ddof=1) / math.sqrt(n_samples))
+    return FunctionalEstimate(scale * float(values.mean()), scale * stderr,
+                              "mc-direct", n_samples)
 
 
 def gaussian_mass(body, t: float, n_samples: int = DEFAULT_SAMPLES,
@@ -120,10 +136,8 @@ def gaussian_mass(body, t: float, n_samples: int = DEFAULT_SAMPLES,
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return FunctionalEstimate(0.0, 0.0, "closed-form", 0)
-    gauges = _gauge_chunks(body, n_samples, seed, workers)
-    p = float(np.mean(gauges <= t))
-    stderr = math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
-    return FunctionalEstimate(p, stderr, "mc-direct", n_samples)
+    return estimate(sample_map(lambda X: gauge_many(body, X) <= t,
+                               n_samples, body.n, seed, workers))
 
 
 def ell_norm(body, n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
@@ -136,10 +150,10 @@ def ell_norm(body, n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
     empirical survival drops below 1e-4; the two methods agree within the
     joint Monte-Carlo and truncation error.
     """
-    gauges = _gauge_chunks(body, n_samples, seed, workers)
-    stderr = float(np.std(gauges, ddof=1) / math.sqrt(n_samples))
+    gauges = sample_map(lambda X: gauge_many(body, X), n_samples, body.n, seed, workers)
+    direct = estimate(gauges)
     if method == "mc-direct":
-        return FunctionalEstimate(float(np.mean(gauges)), stderr, method, n_samples)
+        return direct
     if method != "layer-quadrature":
         raise ValueError(f"unknown method {method!r}")
     sorted_g = np.sort(gauges)
@@ -148,25 +162,23 @@ def ell_norm(body, n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
     grid = np.linspace(0.0, float(t_max), LAYER_NODES)
     survival = 1.0 - np.searchsorted(sorted_g, grid, side="right") / n_samples
     value = float(np.trapezoid(survival, grid))
-    return FunctionalEstimate(value, stderr, method, n_samples)
+    return FunctionalEstimate(value, direct.stderr, method, n_samples)
 
 
 def mean_width(body, n_samples: int = DEFAULT_SAMPLES, seed: int = 0) -> FunctionalEstimate:
     """Mean width, normalised so the width of the unit ball is 2.
 
-    Uniform directions u on the sphere give W = E[h(u) + h(-u)]; balls are
-    evaluated in closed form.
+    Uniform directions u on the sphere (normalised Gaussian samples) give
+    W = E[h(u) + h(-u)]; balls are evaluated in closed form.
     """
-    from .geometry import Ball
     if isinstance(body, Ball):
         return FunctionalEstimate(2.0 * body.radius, 0.0, "closed-form", 0)
-    rng = make_rng(seed)
-    U = rng.standard_normal((n_samples, body.n))
-    U /= np.linalg.norm(U, axis=1)[:, None]
-    widths = support_many(body, U) + support_many(body, -U)
-    value = float(np.mean(widths))
-    stderr = float(np.std(widths, ddof=1) / math.sqrt(n_samples))
-    return FunctionalEstimate(value, stderr, "mc-direct", n_samples)
+
+    def widths(U):
+        U = U / np.linalg.norm(U, axis=1)[:, None]
+        return support_many(body, U) + support_many(body, -U)
+
+    return estimate(sample_map(widths, n_samples, body.n, seed))
 
 
 def mean_ell_crosscheck(body, n_samples: int = DEFAULT_SAMPLES, seed: int = 0) -> dict:

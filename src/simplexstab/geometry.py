@@ -3,7 +3,7 @@
 Bodies are immutable after construction.  Polytopes carry a vertex
 representation (V-rep), a halfspace representation (H-rep ``A x <= b``),
 or both; missing representations are derived on demand and cached
-(vertex enumeration from an H-rep is supported for n <= 4 only).
+(vertices from an H-rep by Qhull on the polar point set).
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 from scipy.optimize import linprog, nnls
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from .rng import as_rng
 
@@ -28,10 +28,6 @@ __all__ = [
     "point_polytope_distance", "vertex_enumeration",
     "unit_ball_volume",
 ]
-
-VERTEX_ENUM_MAX_DIM = 4
-VERTEX_ENUM_MAX_SUBSETS = 400_000
-
 
 class GeometryError(ValueError):
     """Base class for geometric failures."""
@@ -128,7 +124,7 @@ class Polytope:
 
     @property
     def vertices(self) -> np.ndarray:
-        """V-rep, derived by vertex enumeration (n <= 4) when absent."""
+        """V-rep, derived by vertex enumeration when absent."""
         if self._vertices is None:
             V = vertex_enumeration(self._A, self._b)
             if V.shape[0] < self._n + 1:
@@ -422,49 +418,43 @@ def polar(K):
     return Polytope(vertices=V, halfspaces=H, check=False)
 
 
-def _is_bounded(A: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff {x : A x <= b} is bounded, i.e. the recession cone is trivial."""
-    n = A.shape[1]
-    bounds = [(-1.0, 1.0)] * n
-    for i in range(n):
-        for sign in (1.0, -1.0):
-            c = np.zeros(n)
-            c[i] = -sign
-            res = linprog(c, A_ub=A, b_ub=np.zeros(A.shape[0]),
-                          bounds=bounds, method="highs")
-            if res.success and -res.fun > tol:
-                return False
-    return True
-
-
 def vertex_enumeration(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Vertices of {x : A x <= b} by enumerating n-subsets of facets (n <= 4)."""
+    """Vertices of the bounded body {x : A x <= b}, by polarity and Qhull.
+
+    One LP finds the Chebyshev centre c.  About c the body is
+    {y : <d_i, y> <= 1} with dual points d_i = a_i / (b_i - <a_i, c>), the
+    polar of conv{d_i}: each facet {z : <e, z> + off = 0} of that hull is
+    the vertex c - e / off, and the body is bounded exactly when the
+    origin is interior to the hull, i.e. every facet offset is negative.
+    Raises RepresentationError when the body is unbounded, empty or flat
+    (inradius at most ``tol`` times the offset scale).
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    m, n = A.shape
-    if n > VERTEX_ENUM_MAX_DIM:
-        raise RepresentationError(
-            f"vertex enumeration supports n <= {VERTEX_ENUM_MAX_DIM}, got n = {n}")
-    if math.comb(m, n) > VERTEX_ENUM_MAX_SUBSETS:
-        raise RepresentationError("too many facets for subset enumeration")
-    if not _is_bounded(A):
-        raise RepresentationError("halfspace intersection is unbounded")
+    n = A.shape[1]
     scale = max(1.0, float(np.abs(b).max()))
-    verts = []
-    seen = set()
-    for idx in itertools.combinations(range(m), n):
-        As = A[list(idx)]
-        if abs(np.linalg.det(As)) < 1e-12:
-            continue
-        x = np.linalg.solve(As, b[list(idx)])
-        if np.all(A @ x <= b + tol * scale):
-            key = tuple(np.round(x / scale, 9))
-            if key not in seen:
-                seen.add(key)
-                verts.append(x)
-    if not verts:
-        raise RepresentationError("no vertices found (empty or unbounded body)")
-    return np.array(verts)
+    norms = np.linalg.norm(A, axis=1)
+    res = linprog(np.r_[np.zeros(n), -1.0], A_ub=np.hstack([A, norms[:, None]]), b_ub=b,
+                  bounds=[(None, None)] * n + [(0.0, None)], method="highs")
+    if res.status == 3:
+        raise RepresentationError("halfspace intersection is unbounded")
+    if not res.success:
+        raise RepresentationError("halfspace intersection is empty")
+    center, radius = res.x[:n], res.x[n]
+    if radius <= tol * scale:
+        raise RepresentationError("halfspace intersection is flat")
+    try:
+        hull = ConvexHull(A / (b - A @ center)[:, None])
+    except QhullError:
+        # the dual points span no full-dimensional hull: the body holds a line
+        raise RepresentationError("halfspace intersection is unbounded") from None
+    offsets = hull.equations[:, -1]
+    if not np.all(offsets < 0.0):
+        raise RepresentationError("halfspace intersection is unbounded")
+    V = center - hull.equations[:, :-1] / offsets[:, None]
+    # coplanar facets of the triangulated hull share one vertex
+    _, idx = np.unique(np.round(V / scale, 9), axis=0, return_index=True)
+    return V[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +528,7 @@ def polytope_volume(K) -> float:
 
 
 def intersection(K: Polytope, C: Polytope) -> Polytope:
-    """Intersection of two H-rep bodies (V-rep derived on demand, n <= 4)."""
+    """Intersection of two H-rep bodies (V-rep derived on demand)."""
     AK, bK = K.halfspaces
     AC, bC = C.halfspaces
     return Polytope(halfspaces=(np.vstack([AK, AC]), np.concatenate([bK, bC])))
@@ -559,8 +549,7 @@ def symdiff_volume(K, C, sampler, n_samples: int):
     hi = np.maximum(VK.max(axis=0), VC.max(axis=0))
     box_volume = float(np.prod(hi - lo))
     X = rng.uniform(lo, hi, size=(int(n_samples), lo.size))
-    inside = contains_points(K, X) ^ contains_points(C, X)
-    p_hat = inside.mean()
-    estimate = p_hat * box_volume
-    stderr = box_volume * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_samples)
-    return float(estimate), float(stderr)
+    # functionals imports this module, so the estimator is imported late
+    from .functionals import estimate
+    est = estimate(contains_points(K, X) ^ contains_points(C, X), box_volume)
+    return est.value, est.stderr

@@ -328,12 +328,14 @@ def big_determinant_subset(mu: DiscreteMeasure):
     return tuple(int(i) for i in idx[best]), float(q[best])
 
 
-class LiftedMeasure:
+class LiftedMeasure(DiscreteMeasure):
     """A centered isotropic measure lifted one dimension up.
 
     The lifted atoms are sign * sqrt(n/(n+1)) u_i + (1/sqrt(n+1)) e with
     weights (n+1)/n c_i, where e is the added coordinate axis; both signs
     give an isotropic system in dimension n+1 with barycenter sqrt(n+1) e.
+    The atoms are unit vectors whenever the u_i are, so the base class's
+    checks apply unchanged.
     """
 
     def __init__(self, base: DiscreteMeasure, sign: int = +1, tol: float = 1e-8):
@@ -350,30 +352,14 @@ class LiftedMeasure:
         pole[-1] = 1.0
         P = np.hstack([sign * scale * base.points,
                        np.full((base.k, 1), 1.0 / math.sqrt(n + 1.0))])
+        super().__init__(P, (n + 1.0) / n * base.weights)
         self.base = base
         self.sign = sign
         self.pole = pole
-        self.points = P
-        self.weights = (n + 1.0) / n * base.weights
-        self.points.flags.writeable = False
-        self.weights.flags.writeable = False
-
-    @property
-    def k(self) -> int:
-        return self.points.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.points.shape[1]
-
-    def moment_matrix(self) -> np.ndarray:
-        return (self.points * self.weights[:, None]).T @ self.points
-
-    def barycenter(self) -> np.ndarray:
-        return self.weights @ self.points
-
-    def as_measure(self) -> DiscreteMeasure:
-        return DiscreteMeasure(self.points, self.weights)
+        return self.n
 
     def __repr__(self):
         return f"LiftedMeasure(n={self.base.n}, k={self.k}, sign={self.sign:+d})"

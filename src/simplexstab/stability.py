@@ -316,24 +316,18 @@ def measure_deficit(K, side: str, n_samples: int = fn.DEFAULT_SAMPLES,
             K, "lowner" if side == "lowner-width" else side, check_tol)
     n = K.n
     oracle_polar = fn.simplex_ell_oracle(n)
-    X = make_rng(seed).standard_normal((int(n_samples), n))
+    # the deficit is the mean of gauge(upper, X) - gauge(lower, X) over denom
     if side == "lowner":
-        ref = regular_simplex(n)
-        denom = n * oracle_polar
-        diff = gauge_many(ref, X) - gauge_many(K, X)
+        upper, lower, denom = regular_simplex(n), K, n * oracle_polar
     elif side == "john":
-        ref = regular_simplex_polar(n)
-        denom = oracle_polar
-        diff = gauge_many(K, X) - gauge_many(ref, X)
+        upper, lower, denom = K, regular_simplex_polar(n), oracle_polar
     elif side == "lowner-width":
-        ref = regular_simplex_polar(n)
-        denom = oracle_polar
-        diff = gauge_many(polar(K), X) - gauge_many(ref, X)
+        upper, lower, denom = polar(K), regular_simplex_polar(n), oracle_polar
     else:
         raise ValueError("side must be 'lowner', 'john' or 'lowner-width'")
-    deficit = float(diff.mean()) / denom
-    stderr = float(np.std(diff, ddof=1) / math.sqrt(n_samples)) / denom
-    return deficit, stderr
+    est = fn.estimate(fn.sample_map(lambda X: gauge_many(upper, X) - gauge_many(lower, X),
+                                    n_samples, n, seed), 1.0 / denom)
+    return est.value, est.stderr
 
 
 def stability_bound_log10(n: int, eps_measured: float, delta: float) -> float:
@@ -479,18 +473,20 @@ def extremality_check(mu_points: np.ndarray, n_samples: int = fn.DEFAULT_SAMPLES
     C = Polytope(vertices=P, check=False)
     simplex = regular_simplex(n)
     oracle_polar = fn.simplex_ell_oracle(n)
-    X = make_rng(seed).standard_normal((int(n_samples), n))
-    # paired differences against the simplex on one common sample
-    diff_hull = gauge_many(simplex, X) - gauge_many(C, X)
-    lowner_deficit = float(diff_hull.mean()) / (n * oracle_polar)
-    lowner_se = float(np.std(diff_hull, ddof=1) / math.sqrt(n_samples)) / (n * oracle_polar)
-    # the polar gauge is the support function, evaluated directly on both sides
-    diff_polar = np.max(X @ P.T, axis=1) - np.max(X @ simplex.vertices.T, axis=1)
-    john_deficit = float(diff_polar.mean()) / oracle_polar
-    john_se = float(np.std(diff_polar, ddof=1) / math.sqrt(n_samples)) / oracle_polar
+
+    def paired(X):
+        # differences against the simplex on one common sample; the polar
+        # gauge is the support function, evaluated directly on both sides
+        return np.column_stack([
+            gauge_many(simplex, X) - gauge_many(C, X),
+            np.max(X @ P.T, axis=1) - np.max(X @ simplex.vertices.T, axis=1)])
+
+    D = fn.sample_map(paired, n_samples, n, seed)
+    lowner = fn.estimate(D[:, 0], 1.0 / (n * oracle_polar))
+    john = fn.estimate(D[:, 1], 1.0 / oracle_polar)
     _, dist = align_points_to_simplex_vertices(P, n, seed=seed)
     return {
-        "lowner_deficit": lowner_deficit, "lowner_stderr": lowner_se,
-        "john_deficit": john_deficit, "john_stderr": john_se,
+        "lowner_deficit": lowner.value, "lowner_stderr": lowner.stderr,
+        "john_deficit": john.value, "john_stderr": john.stderr,
         "support_distance": dist,
     }

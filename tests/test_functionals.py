@@ -1,10 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.stats import chi
 
+from simplexstab import brascamp_lieb as bl
 from simplexstab import functionals as fn
 from simplexstab import geometry as g
+from simplexstab import isotropic as iso
+from simplexstab import stability as st
+from simplexstab.rng import make_rng
 
 
 class TestClosedForms:
@@ -159,3 +164,55 @@ class TestEstimateInvariants:
     def test_negative_stderr_rejected(self):
         with pytest.raises(ValueError):
             fn.FunctionalEstimate(1.0, -0.1, "mc-direct", 10)
+
+
+class TestSampler:
+    """Every sampling path draws chunk i of 2^16 samples from stream (seed, i)."""
+    N = fn.CHUNK_SAMPLES + 1000
+
+    def _chunks(self, seed, dim):
+        return [make_rng(seed, 0).standard_normal((fn.CHUNK_SAMPLES, dim)),
+                make_rng(seed, 1).standard_normal((1000, dim))]
+
+    def test_rows_come_from_one_stream_per_chunk(self):
+        X = fn.sample_map(lambda X: X, self.N, 3, seed=4)
+        assert np.array_equal(X, np.vstack(self._chunks(4, 3)))
+
+    def test_paired_columns_stay_paired(self):
+        V = fn.sample_map(lambda X: X[:, ::-1], self.N, 2, seed=4, workers=2)
+        assert V.shape == (self.N, 2)
+        assert np.array_equal(V, np.vstack(self._chunks(4, 2))[:, ::-1])
+
+    def test_estimate_is_scaled_mean_and_standard_error(self):
+        values = np.array([1.0, 2.0, 4.0, 7.0])
+        est = fn.estimate(values, scale=2.0)
+        assert est.value == 7.0
+        assert est.stderr == 2.0 * float(np.std(values, ddof=1) / 2.0)
+        assert (est.method, est.samples) == ("mc-direct", 4)
+
+    def test_measure_deficit_uses_the_chunks(self):
+        K = st.make_family("vertex-added", 2, [0.05]).bodies[0]
+        ref = g.regular_simplex(2)
+        values = np.concatenate([g.gauge_many(ref, X) - g.gauge_many(K, X)
+                                 for X in self._chunks(5, 2)])
+        want = fn.estimate(values, 1.0 / (2 * fn.simplex_ell_oracle(2)))
+        assert st.measure_deficit(K, "lowner", n_samples=self.N, seed=5) == (
+            want.value, want.stderr)
+
+    def test_bl_lhs_uses_the_chunks(self):
+        inst = bl.BLInstance(iso.lift(iso.simplex_measure(2), +1), 0.1)
+        L = inst.lifted
+        m = inst.s * math.sqrt(L.dim) * L.pole
+        inside = np.concatenate([np.all((X + m) @ L.points.T >= 0.0, axis=1)
+                                 for X in self._chunks(6, L.dim)])
+        assert bl.bl_lhs(inst, n_samples=self.N, seed=6) == fn.estimate(
+            inside, (2.0 * math.pi) ** 1.5)
+
+    def test_mean_width_uses_the_chunks(self):
+        body = g.regular_simplex(3)
+        widths = []
+        for X in self._chunks(7, 3):
+            U = X / np.linalg.norm(X, axis=1)[:, None]
+            widths.append(g.support_many(body, U) + g.support_many(body, -U))
+        assert fn.mean_width(body, n_samples=self.N, seed=7) == fn.estimate(
+            np.concatenate(widths))

@@ -235,6 +235,19 @@ class TestVertexEnumeration:
         with pytest.raises(g.RepresentationError):
             g.vertex_enumeration(np.array([[1.0, 0.0], [0.0, 1.0]]), np.ones(2))
 
+    @pytest.mark.parametrize("b", [[1.0, -2.0, 1.0, 1.0],     # empty: x <= 1 and x >= 2
+                                   [1.0, 1.0, 0.0, 0.0]])     # flat: the segment y = 0
+    def test_empty_and_flat_raise(self, b):
+        A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        with pytest.raises(g.RepresentationError):
+            g.vertex_enumeration(A, np.array(b))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_cube_vertices_beyond_dimension_four(self, n):
+        V = g.vertex_enumeration(*g.cube(n).halfspaces)
+        assert V.shape == (2 ** n, n)
+        assert np.abs(np.abs(V) - 1.0).max() < 1e-12
+
 
 class TestDegenerate:
     def test_flat_vertex_set_rejected(self):

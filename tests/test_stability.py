@@ -24,6 +24,15 @@ class TestMakeFamily:
         d = g.hausdorff_distance(fam.bodies[0], g.regular_simplex(2))
         assert d < 5e-4
 
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_corner_cut_vertex_count_in_high_dimension(self, n):
+        # each of the n + 1 cut corners leaves n vertices
+        fam = st.make_family("corner-cut", n, [1e-3, 0.05])
+        for K in fam.bodies:
+            assert K.vertices.shape == (n * (n + 1), n)
+            A, b = K.halfspaces
+            assert (K.vertices @ A.T - b).max() < 1e-9
+
     def test_corner_cut_overcut_rejected(self):
         with pytest.raises(st.FamilyError):
             # cut edge reaching half the full edge: cuts collide
@@ -163,6 +172,12 @@ class TestSandwich:
         contacts = _perturbed_contacts(n, 1e-3, seed=7)
         rep = st.sandwich_check(contacts, 1e-3)
         assert rep["hypothesis_ok"]
+        assert rep["ok"]
+
+    def test_perturbed_contacts_in_dimension_five(self):
+        contacts = _perturbed_contacts(5, 1e-3, seed=11)
+        rep = st.sandwich_check(contacts, 1e-3)
+        assert "error" not in rep
         assert rep["ok"]
 
     def test_far_atom_violates_hypothesis(self):
