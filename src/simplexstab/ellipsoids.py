@@ -18,7 +18,8 @@ from scipy.optimize import nnls
 
 from .geometry import (DegenerateBodyError, Ellipsoid, GeometryError,
                        Polytope, polar)
-from .isotropic import DiscreteMeasure, IsotropyReport, reduce_support, support_bound
+from .isotropic import (DiscreteMeasure, IsotropyReport, _constraint_matrix, reduce_support,
+                        support_bound)
 from .rng import make_rng
 
 __all__ = [
@@ -210,14 +211,8 @@ class JohnDecomposition:
 
 def _polish_weights(U: np.ndarray, n: int) -> np.ndarray:
     """Nonnegative least-squares fit of weights to the exact contact conditions."""
-    k = U.shape[0]
-    rows = np.empty((n * n + n + 1, k))
-    for j in range(k):
-        rows[:n * n, j] = np.outer(U[j], U[j]).ravel()
-        rows[n * n:-1, j] = U[j]
-        rows[-1, j] = 1.0
     target = np.concatenate([np.eye(n).ravel(), np.zeros(n), [float(n)]])
-    w, _ = nnls(rows, target)
+    w, _ = nnls(_constraint_matrix(U), target)
     return w
 
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import as_rng
-
 __all__ = [
     "MeasureError", "SingularMomentError", "NotIsotropicError", "NoFrameError",
     "IsotropyReport", "DiscreteMeasure", "LiftedMeasure",
@@ -29,8 +27,7 @@ __all__ = [
 ]
 
 UNIT_NORM_TOL = 1e-12
-THETA_STAR_ENUM_CAP = 2_000_000
-THETA_STAR_SAMPLES = 100_000
+SUBSET_ENUM_CAP = 2_000_000
 
 
 class MeasureError(ValueError):
@@ -162,6 +159,13 @@ def isotropize(points, weights) -> DiscreteMeasure:
     return DiscreteMeasure(Q / norms[:, None], w * norms ** 2)
 
 
+def _constraint_matrix(P: np.ndarray) -> np.ndarray:
+    """Moment, barycenter and mass conditions, linear in the weights: column j
+    of the (n*n + n + 1, k) result is (vec(u_j u_j^T), u_j, 1)."""
+    k, n = P.shape
+    return np.vstack([np.einsum("ki,kj->ijk", P, P).reshape(n * n, k), P.T, np.ones((1, k))])
+
+
 def support_bound(n: int) -> int:
     """Caratheodory bound on the support size: n(n+3)/2 + 1 (at most 2 n^2)."""
     return n * (n + 3) // 2 + 1
@@ -185,19 +189,15 @@ def reduce_support(mu: DiscreteMeasure, tol: float = 1e-8) -> DiscreteMeasure:
     target_k = support_bound(n)
     P = mu.points.copy()
     w = mu.weights.copy()
-    iu = np.triu_indices(n)
+    # the moment conditions are symmetric: keep the upper triangle of vec(u u^T)
+    rows = np.r_[np.ravel_multi_index(np.triu_indices(n), (n, n)), n * n:n * n + n + 1]
+    B = _constraint_matrix(P)[rows]
     while True:
         k = w.size
         if k <= target_k:
             # a kernel may still exist for special configurations; stop once
             # the guaranteed bound is met to keep the operation deterministic
             break
-        B = np.empty((iu[0].size + n + 1, k))
-        for j in range(k):
-            outer = np.outer(P[j], P[j])
-            B[:iu[0].size, j] = outer[iu]
-            B[iu[0].size:-1, j] = P[j]
-            B[-1, j] = 1.0
         _, svals, Vt = np.linalg.svd(B)
         sigma_min = svals[min(B.shape) - 1] if k <= B.shape[0] else 0.0
         if k > B.shape[0]:
@@ -220,21 +220,19 @@ def reduce_support(mu: DiscreteMeasure, tol: float = 1e-8) -> DiscreteMeasure:
         w[drop] = 0.0
         keep = w > 1e-13 * w.max()
         keep[drop] = False
-        P, w = P[keep], w[keep]
+        P, w, B = P[keep], w[keep], B[:, keep]
     return DiscreteMeasure(P, w)
 
 
-def _subset_indices(k: int, n: int, enum_cap: int, n_samples: int, seed: int):
-    """All n-subsets of range(k), or a deduplicated uniform sample of them."""
+def _subset_indices(k: int, n: int) -> np.ndarray:
+    """All n-subsets of range(k) as rows, in lexicographic order."""
     total = math.comb(k, n)
-    if total <= enum_cap:
-        idx = np.fromiter(itertools.chain.from_iterable(
-            itertools.combinations(range(k), n)), dtype=np.intp)
-        return idx.reshape(-1, n), True
-    rng = as_rng(seed)
-    picks = {tuple(np.sort(rng.choice(k, size=n, replace=False)))
-             for _ in range(n_samples)}
-    return np.array(sorted(picks), dtype=np.intp), False
+    if total > SUBSET_ENUM_CAP:
+        raise MeasureError(f"C({k}, {n}) = {total} subsets exceed the enumeration "
+                           f"cap {SUBSET_ENUM_CAP}")
+    idx = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(k), n)), dtype=np.intp)
+    return idx.reshape(-1, n)
 
 
 def _subset_products(mu: DiscreteMeasure, idx: np.ndarray) -> np.ndarray:
@@ -248,8 +246,8 @@ def _subset_products(mu: DiscreteMeasure, idx: np.ndarray) -> np.ndarray:
 class BallBartheReport:
     """Both sides of the weighted-determinant inequality plus its stability factor.
 
-    ``exact`` is False when the subset enumeration was downgraded to uniform
-    sampling; theta_star is then a lower bound.
+    ``exact`` is always True: theta_star sums all ``subset_count`` = C(k, n)
+    subsets via the identity in ball_barthe_check, to about 1e-15 absolute.
     """
     lhs: float
     rhs: float
@@ -258,15 +256,16 @@ class BallBartheReport:
     subset_count: int
 
 
-def ball_barthe_check(mu: DiscreteMeasure, t, *,
-                      enum_cap: int = THETA_STAR_ENUM_CAP,
-                      n_subset_samples: int = THETA_STAR_SAMPLES,
-                      seed: int = 0) -> BallBartheReport:
+def ball_barthe_check(mu: DiscreteMeasure, t, *, seed: int = 0) -> BallBartheReport:
     """Evaluate det(sum t_i c_i u_i u_i^T), prod t_i^{c_i} and the factor theta*.
 
     theta* = 1 + (1/2) sum over n-subsets S of q_S (sqrt(prod_{i in S} t_i)/t0 - 1)^2
-    with q_S the weight-determinant products and t0^2 = lhs (Cauchy-Binet),
-    and the guarantee is lhs >= theta* * rhs >= rhs for isotropic measures.
+    with q_S the weight-determinant products and t0^2 = lhs, and the guarantee
+    is lhs >= theta* * rhs >= rhs for isotropic measures.  Cauchy-Binet gives
+    sum_S q_S prod_{i in S} s_i = D(s) = det(sum s_i c_i u_i u_i^T), so
+    theta* = 1 + (1 + D(1))/2 - D(sqrt t)/sqrt(lhs) exactly, up to an absolute
+    rounding error of about 1e-15 (none relative to theta* - 1).  lhs <= 0 (a
+    support not spanning R^n) raises SingularMomentError; ``seed`` has no effect.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape[0] != mu.k:
@@ -274,16 +273,14 @@ def ball_barthe_check(mu: DiscreteMeasure, t, *,
     if np.any(t <= 0):
         raise MeasureError("t entries must be positive")
     c = mu.weights
-    M = (mu.points * (t * c)[:, None]).T @ mu.points
-    lhs = float(np.linalg.det(M))
+    lhs, d_sqrt, d_one = (float(np.linalg.det((mu.points * (s * c)[:, None]).T @ mu.points))
+                          for s in (t, np.sqrt(t), 1.0))
+    if lhs <= 0.0:
+        raise SingularMomentError(f"the support does not span R^n (lhs = {lhs:.3g})")
     rhs = float(np.exp(np.dot(c, np.log(t))))
-    idx, exact = _subset_indices(mu.k, mu.n, enum_cap, n_subset_samples, seed)
-    q = _subset_products(mu, idx)
-    t_prod = np.prod(t[idx], axis=1)
-    t0 = math.sqrt(lhs)
-    theta_star = 1.0 + 0.5 * float(q @ (np.sqrt(t_prod) / t0 - 1.0) ** 2)
+    theta_star = 1.0 + 0.5 * (1.0 + d_one) - d_sqrt / math.sqrt(lhs)
     return BallBartheReport(lhs=lhs, rhs=rhs, theta_star=theta_star,
-                            exact=exact, subset_count=idx.shape[0])
+                            exact=True, subset_count=math.comb(mu.k, mu.n))
 
 
 def scalar_split_bound(a, b, x):
@@ -318,11 +315,13 @@ def ball_barthe_stability_factor(mu: DiscreteMeasure, t, indices) -> dict:
 
 
 def big_determinant_subset(mu: DiscreteMeasure):
-    """The n-subset maximising c_{i1}...c_{in} det^2; its value is >= 1/C(k,n)."""
+    """The n-subset maximising c_{i1}...c_{in} det^2; its value is >= 1/C(k,n).
+
+    Enumerates all C(k, n) subsets; above SUBSET_ENUM_CAP it raises MeasureError."""
     k, n = mu.k, mu.n
     if k > 2 * n * n:
         raise MeasureError(f"support {k} exceeds the enumeration bound 2n^2 = {2*n*n}")
-    idx, _ = _subset_indices(k, n, THETA_STAR_ENUM_CAP, 0, 0)
+    idx = _subset_indices(k, n)
     q = _subset_products(mu, idx)
     best = int(np.argmax(q))
     return tuple(int(i) for i in idx[best]), float(q[best])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,16 @@ def random_centered_isotropic(n, k_half, seed):
     P /= np.linalg.norm(P, axis=1)[:, None]
     w = rng.uniform(0.5, 2.0, k_half)
     return iso.isotropize(np.vstack([P, -P]), np.tile(w, 2))
+
+
+def theta_star_partial_sum(mu, t, lhs, subsets=None):
+    """1 + (1/2) sum_S q_S (sqrt(t_S)/t0 - 1)^2 over the given subset rows
+    (all n-subsets by default), term by term."""
+    if subsets is None:
+        subsets = np.array(list(itertools.combinations(range(mu.k), mu.n)))
+    q = iso._subset_products(mu, subsets)
+    t_sub = np.sqrt(np.prod(t[subsets], axis=1)) / math.sqrt(lhs)
+    return 1.0 + 0.5 * float(q @ (t_sub - 1.0) ** 2)
 
 
 class TestValidate:
@@ -143,14 +154,48 @@ class TestBallBarthe:
             assert rep.lhs >= rep.theta_star * rep.rhs * (1.0 - 1e-9)
             assert rep.theta_star >= 1.0 - 1e-12
 
-    def test_subset_sampling_downgrade(self):
-        # force the sampling path with a tiny cap; theta* stays a lower bound
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_closed_form_matches_enumeration(self, n):
+        rng = make_rng(200 + n)
+        for trial in range(20):
+            mu = random_centered_isotropic(n, n + trial % 4, seed=700 * n + trial)
+            t = np.exp(rng.uniform(math.log(0.1), math.log(10.0), mu.k))
+            rep = iso.ball_barthe_check(mu, t)
+            assert rep.subset_count == math.comb(mu.k, n)
+            assert abs(rep.theta_star - theta_star_partial_sum(mu, t, rep.lhs)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_exact_at_the_support_bound(self, n):
+        # up to C(66, 10) ~ 2e11 subsets at n = 10, far beyond any enumeration
+        k = iso.support_bound(n)
+        rng = make_rng(300 + n)
+        P = rng.standard_normal((k, n))
+        P /= np.linalg.norm(P, axis=1)[:, None]
+        mu = iso.isotropize(P, rng.uniform(0.5, 2.0, k))
+        t = np.exp(rng.uniform(math.log(0.1), math.log(10.0), k))
+        rep = iso.ball_barthe_check(mu, t)
+        assert rep.exact
+        assert rep.subset_count == math.comb(k, n)
+        assert rep.lhs >= rep.theta_star * rep.rhs * (1.0 - 1e-9)
+        assert rep.theta_star >= 1.0 - 1e-12
+
+    def test_partial_subset_sum_is_lower_bound(self):
+        # every subset term is nonnegative, so 50 of the C(20, 3) terms give
+        # a lower bound on theta*
         mu = random_centered_isotropic(3, 10, seed=1)
-        full = iso.ball_barthe_check(mu, np.full(mu.k, 1.7))
-        sampled = iso.ball_barthe_check(mu, np.full(mu.k, 1.7), enum_cap=10,
-                                        n_subset_samples=50, seed=2)
-        assert not sampled.exact
-        assert sampled.theta_star <= full.theta_star + 1e-12
+        rng = make_rng(2)
+        t = np.exp(rng.uniform(math.log(0.1), math.log(10.0), mu.k))
+        rep = iso.ball_barthe_check(mu, t)
+        subsets = np.array(list(itertools.combinations(range(mu.k), 3)))
+        picks = subsets[np.sort(rng.choice(len(subsets), size=50, replace=False))]
+        partial = theta_star_partial_sum(mu, t, rep.lhs, picks)
+        assert 1.0 < partial <= rep.theta_star + 1e-12
+
+    def test_non_spanning_support_raises(self):
+        P = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]])
+        mu = iso.DiscreteMeasure(P, np.full(4, 0.5))
+        with pytest.raises(iso.SingularMomentError):
+            iso.ball_barthe_check(mu, np.array([1.0, 2.0, 3.0, 4.0]))
 
 
 class TestQuadraticBound:
@@ -205,6 +250,11 @@ class TestBigDeterminantSubset:
         idx, value = iso.big_determinant_subset(iso.orthonormal_measure(n))
         assert abs(value - 0.5 ** n) < 1e-12
         assert value >= 1.0 / math.comb(2 * n, n) - 1e-12
+
+    def test_enumeration_cap_raises_measure_error(self):
+        mu = random_centered_isotropic(5, 25, seed=4)  # k = 50 <= 2 n^2, C(50, 5) > cap
+        with pytest.raises(iso.MeasureError, match=r"C\(50, 5\) = 2118760 .* cap 2000000"):
+            iso.big_determinant_subset(mu)
 
     def test_oversized_support_rejected(self):
         mu = random_centered_isotropic(2, 5, seed=3)  # k = 10 > 2 n^2 = 8
