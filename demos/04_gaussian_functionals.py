@@ -20,10 +20,6 @@ est = fn.ell_norm(g.regular_simplex_polar(n), n_samples=400_000, seed=1)
 print(f"\nMonte-Carlo estimate: {est.value:.6f} +- {est.stderr:.6f} "
       f"({abs(est.value - oracle) / est.stderr:.2f} standard errors off)")
 
-layer = fn.ell_norm(g.regular_simplex_polar(n), n_samples=400_000, seed=1,
-                    method="layer-quadrature")
-print(f"layer-quadrature route:  {layer.value:.6f} (same sample set)")
-
 mass = fn.gaussian_mass(g.regular_simplex(n), 1.5, n_samples=200_000, seed=2)
 print(f"\nGaussian measure of 1.5x the inscribed simplex: "
       f"{mass.value:.4f} +- {mass.stderr:.4f}")

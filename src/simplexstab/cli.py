@@ -169,9 +169,8 @@ def cmd_ellipsoid_john(args):
 
 def cmd_functional_ell(args):
     body = _load_body(args.body)
-    method = {"mc": "mc-direct", "layer": "layer-quadrature"}.get(args.method, args.method)
     est = fn.ell_norm(body, n_samples=args.n_samples, seed=args.seed,
-                      method=method, workers=_workers(args))
+                      workers=_workers(args))
     _emit_json({"value": est.value, "stderr": est.stderr, "method": est.method,
                 "samples": est.samples}, args, args.out)
     return EXIT_OK
@@ -426,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     fe = fsub.add_parser("ell")
     fe.add_argument("--body", required=True)
     fe.add_argument("--n-samples", type=int, default=fn.DEFAULT_SAMPLES)
-    fe.add_argument("--method", default="mc", choices=["mc", "layer"])
     fe.add_argument("--workers", type=int)
     add_common(fe)
     fe.set_defaults(func=cmd_functional_ell)

@@ -2,14 +2,15 @@
 mean of the gauge, and the mean width.
 
 This module is also the package's one Monte-Carlo layer.  ``sample_map``
-is the only Gaussian sampler: it draws fixed-size chunks of standard
-normal samples, chunk i from the counter-based stream (seed, i) of
-:mod:`simplexstab.rng`, and maps each chunk to per-sample values, so
+is the package's only Monte-Carlo sampler: it draws fixed-size chunks of
+standard normal samples, chunk i from the counter-based stream (seed, i)
+of :mod:`simplexstab.rng`, and maps each chunk to per-sample values, so
 workers can share the chunks out without changing any value.
 ``estimate`` turns per-sample values into a mean with its standard error.
-Every sampling path of the package goes through the two; closed-form
-values carry a zero standard error.  The exact values for the ball and
-the regular simplex serve as independent oracles for the sampling paths.
+Every Monte-Carlo estimate of the package goes through the two, one route
+per functional; closed-form values carry a zero standard error.  The
+exact values for the ball and the regular simplex serve as independent
+oracles for the sampling paths.
 """
 from __future__ import annotations
 
@@ -32,8 +33,6 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES = 200_000
-LAYER_NODES = 400
-LAYER_TAIL_LEVEL = 1e-4
 # samples per counter-based stream of the Gaussian sampler
 CHUNK_SAMPLES = 1 << 16
 
@@ -51,7 +50,7 @@ class FunctionalEstimate:
     """A functional value with its standard error and provenance."""
     value: float
     stderr: float
-    method: str        # "mc-direct" | "layer-quadrature" | "closed-form"
+    method: str        # "mc-direct" | "closed-form"
     samples: int
 
     def __post_init__(self):
@@ -141,28 +140,11 @@ def gaussian_mass(body, t: float, n_samples: int = DEFAULT_SAMPLES,
 
 
 def ell_norm(body, n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
-             method: str = "mc-direct", workers: int = 1) -> FunctionalEstimate:
-    """Gaussian mean of the gauge of the body (origin must be interior).
-
-    ``mc-direct`` averages the gauge over Gaussian samples.
-    ``layer-quadrature`` integrates the empirical survival function of the
-    same sample set over a trapezoid grid up to the level where the
-    empirical survival drops below 1e-4; the two methods agree within the
-    joint Monte-Carlo and truncation error.
-    """
-    gauges = sample_map(lambda X: gauge_many(body, X), n_samples, body.n, seed, workers)
-    direct = estimate(gauges)
-    if method == "mc-direct":
-        return direct
-    if method != "layer-quadrature":
-        raise ValueError(f"unknown method {method!r}")
-    sorted_g = np.sort(gauges)
-    t_max = sorted_g[min(n_samples - 1,
-                         int(math.ceil((1.0 - LAYER_TAIL_LEVEL) * n_samples)))]
-    grid = np.linspace(0.0, float(t_max), LAYER_NODES)
-    survival = 1.0 - np.searchsorted(sorted_g, grid, side="right") / n_samples
-    value = float(np.trapezoid(survival, grid))
-    return FunctionalEstimate(value, direct.stderr, method, n_samples)
+             workers: int = 1) -> FunctionalEstimate:
+    """Gaussian mean of the gauge of the body (origin must be interior),
+    averaged over Gaussian samples."""
+    return estimate(sample_map(lambda X: gauge_many(body, X), n_samples, body.n,
+                               seed, workers))
 
 
 def mean_width(body, n_samples: int = DEFAULT_SAMPLES, seed: int = 0) -> FunctionalEstimate:

@@ -28,6 +28,8 @@ __all__ = [
 
 UNIT_NORM_TOL = 1e-12
 SUBSET_ENUM_CAP = 2_000_000
+# rows per block of the subset enumeration in big_determinant_subset
+SUBSET_BLOCK = 1 << 12
 
 
 class MeasureError(ValueError):
@@ -224,15 +226,16 @@ def reduce_support(mu: DiscreteMeasure, tol: float = 1e-8) -> DiscreteMeasure:
     return DiscreteMeasure(P, w)
 
 
-def _subset_indices(k: int, n: int) -> np.ndarray:
-    """All n-subsets of range(k) as rows, in lexicographic order."""
+def _subset_blocks(k: int, n: int):
+    """All n-subsets of range(k) in lexicographic order, as (rows, n) index
+    blocks of at most SUBSET_BLOCK rows each."""
     total = math.comb(k, n)
     if total > SUBSET_ENUM_CAP:
         raise MeasureError(f"C({k}, {n}) = {total} subsets exceed the enumeration "
                            f"cap {SUBSET_ENUM_CAP}")
-    idx = np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations(range(k), n)), dtype=np.intp)
-    return idx.reshape(-1, n)
+    combos = itertools.combinations(range(k), n)
+    while block := list(itertools.islice(combos, SUBSET_BLOCK)):
+        yield np.array(block, dtype=np.intp)
 
 
 def _subset_products(mu: DiscreteMeasure, idx: np.ndarray) -> np.ndarray:
@@ -317,14 +320,19 @@ def ball_barthe_stability_factor(mu: DiscreteMeasure, t, indices) -> dict:
 def big_determinant_subset(mu: DiscreteMeasure):
     """The n-subset maximising c_{i1}...c_{in} det^2; its value is >= 1/C(k,n).
 
-    Enumerates all C(k, n) subsets; above SUBSET_ENUM_CAP it raises MeasureError."""
+    Enumerates all C(k, n) subsets in blocks, so memory stays bounded, and
+    returns the first maximum in lexicographic order; above SUBSET_ENUM_CAP
+    it raises MeasureError."""
     k, n = mu.k, mu.n
     if k > 2 * n * n:
         raise MeasureError(f"support {k} exceeds the enumeration bound 2n^2 = {2*n*n}")
-    idx = _subset_indices(k, n)
-    q = _subset_products(mu, idx)
-    best = int(np.argmax(q))
-    return tuple(int(i) for i in idx[best]), float(q[best])
+    best_idx, best = None, -math.inf
+    for idx in _subset_blocks(k, n):
+        q = _subset_products(mu, idx)
+        j = int(np.argmax(q))
+        if q[j] > best:
+            best_idx, best = idx[j], float(q[j])
+    return tuple(int(i) for i in best_idx), best
 
 
 class LiftedMeasure(DiscreteMeasure):

@@ -1,15 +1,13 @@
 """Deterministic counter-based random number generation.
 
-All stochastic routines in this package take an explicit seed (or an
-already-built generator) and use the Philox counter-based bit generator,
-so identical seeds give identical streams regardless of scheduling, and
-parallel callers can partition the stream space via ``stream``.
+All stochastic routines in this package take an explicit integer seed and
+use the Philox counter-based bit generator, so identical seeds give
+identical streams regardless of scheduling, and parallel callers can
+partition the stream space via ``stream``.
 """
 from __future__ import annotations
 
 import numpy as np
-
-RandomSource = np.random.Generator
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -23,11 +21,3 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
                     np.uint64(stream & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
-
-def as_rng(source, stream: int = 0) -> np.random.Generator:
-    """Coerce an int seed or an existing Generator into a Generator."""
-    if isinstance(source, np.random.Generator):
-        return source
-    if isinstance(source, (int, np.integer)):
-        return make_rng(int(source), stream)
-    raise TypeError(f"expected int seed or numpy Generator, got {type(source)!r}")

@@ -69,7 +69,6 @@ class ExperimentRow:
     eps_stderr: float
     delta_H: float
     delta_vol: float
-    delta_vol_stderr: float
     bound_margin_log10: float
 
 
@@ -154,8 +153,6 @@ def make_family(kind: str, n: int, eps_grid, cut_scale: float = 2.0) -> Extremal
 class AlignmentResult:
     rotation: np.ndarray
     delta_H: float
-    delta_vol: float | None = None
-    delta_vol_stderr: float | None = None
 
 
 def _plane_rotation(n: int, i: int, j: int, angle: float) -> np.ndarray:
@@ -223,16 +220,12 @@ def _align(directions: np.ndarray, targets: np.ndarray, objective,
 
 
 def align_to_simplex(K: Polytope, target: Polytope, n_restarts: int = 20,
-                     seed: int = 0, n_samples: int = 0,
-                     refine_sweeps: int = 2) -> AlignmentResult:
+                     seed: int = 0, refine_sweeps: int = 2) -> AlignmentResult:
     """Best rotation T minimising the Hausdorff distance of K to T target.
 
     The search seeds orthogonal Procrustes fits from a Hungarian matching
     of the extreme directions plus random restarts, then refines the best
-    candidate by monotone coordinate-plane rotations.  When ``n_samples``
-    is positive the symmetric-difference volume at the winning rotation is
-    estimated as well, from stream (seed, 1) so that it does not reuse the
-    random bits of the restarts.
+    candidate by monotone coordinate-plane rotations.
     """
     VK = K.vertices
     VT = target.vertices
@@ -243,11 +236,7 @@ def align_to_simplex(K: Polytope, target: Polytope, n_restarts: int = 20,
     best_R, best_d = _align(VK / np.linalg.norm(VK, axis=1)[:, None],
                             VT / np.linalg.norm(VT, axis=1)[:, None], dist_for,
                             n_restarts, seed, sweeps=refine_sweeps, min_step=1e-4)
-    result = AlignmentResult(rotation=best_R, delta_H=float(best_d))
-    if n_samples > 0:
-        result.delta_vol, result.delta_vol_stderr = symdiff_volume(
-            K, Polytope(vertices=VT @ best_R.T, check=False), make_rng(seed, 1), n_samples)
-    return result
+    return AlignmentResult(rotation=best_R, delta_H=float(best_d))
 
 
 def align_points_to_simplex_vertices(points: np.ndarray, n: int,
@@ -344,11 +333,13 @@ def fit_exponent(family: ExtremalFamily, n_samples: int = fn.DEFAULT_SAMPLES,
     log(measured deficit).
 
     Deficits across the grid share one sample stream (common random
-    numbers), distances come from the alignment search, and rows whose
+    numbers), the rotation comes from the alignment search, and rows whose
     deficit is below three standard errors are discarded; at least five
     rows spanning 1.5 decades of measured deficit are required.
-    Vertex-added families regress the symmetric-difference distance,
-    corner-cut and stretched-vertex families the Hausdorff distance.
+    Vertex-added families regress the exact symmetric-difference volume
+    between the body and the aligned target; corner-cut and
+    stretched-vertex families regress the Hausdorff distance and report
+    ``delta_vol`` as NaN.
     """
     n = family.n
     inscribed_side = family.side in ("lowner", "lowner-width")
@@ -357,15 +348,15 @@ def fit_exponent(family: ExtremalFamily, n_samples: int = fn.DEFAULT_SAMPLES,
     rows = []
     for eps, K in zip(family.eps_grid, family.bodies):
         deficit, d_stderr = measure_deficit(K, family.side, n_samples=n_samples, seed=seed)
-        res = align_to_simplex(K, target, n_restarts=align_restarts, seed=seed + 1,
-                               n_samples=n_samples if use_vol else 0)
-        dvol = res.delta_vol if res.delta_vol is not None else float("nan")
-        dvol_se = res.delta_vol_stderr if res.delta_vol_stderr is not None else float("nan")
+        res = align_to_simplex(K, target, n_restarts=align_restarts, seed=seed + 1)
+        dvol = (symdiff_volume(K, Polytope(vertices=target.vertices @ res.rotation.T,
+                                           check=False))
+                if use_vol else float("nan"))
         delta = dvol if use_vol else res.delta_H
         rows.append(ExperimentRow(
             eps_nominal=float(eps), eps_measured=float(deficit),
             eps_stderr=float(d_stderr), delta_H=float(res.delta_H),
-            delta_vol=float(dvol), delta_vol_stderr=float(dvol_se),
+            delta_vol=float(dvol),
             bound_margin_log10=stability_bound_log10(n, deficit, delta)
             if delta > 0 else math.inf,
         ))

@@ -99,11 +99,10 @@ class TestFunctionalCommands:
         body = tmp_path / "b.json"
         body.write_text(json.dumps(g.regular_simplex_polar(2).to_json()))
         assert run_cli(["functional", "ell", "--body", str(body),
-                        "--n-samples", "20000", "--method", "layer",
-                        "--seed", "1"]) == 0
+                        "--n-samples", "20000", "--seed", "1"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert set(data) >= {"value", "stderr", "method", "samples", "seed"}
-        assert data["method"] == "layer-quadrature"
+        assert data["method"] == "mc-direct"
 
     def test_ball_body_and_crosscheck(self, tmp_path):
         body = tmp_path / "ball.json"

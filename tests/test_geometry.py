@@ -180,17 +180,23 @@ class TestPolarHausdorffComparison:
 
 class TestSymdiffVolume:
     def test_identical_bodies_zero(self):
-        s = g.regular_simplex(2)
-        est, se = g.symdiff_volume(s, s, 3, 20_000)
-        assert est == 0.0 and se == 0.0
+        for n in range(2, 6):
+            s = g.regular_simplex(n)
+            assert abs(g.symdiff_volume(s, s)) <= 1e-12
+
+    @staticmethod
+    def _check_dilate(n, t=0.25):
+        s = g.regular_simplex(n)
+        big = g.Polytope(vertices=(1.0 + t) * s.vertices)
+        exact = ((1.0 + t) ** n - 1.0) * g.simplex_volume(n)
+        assert abs(g.symdiff_volume(s, big) - exact) <= 1e-12 * exact
 
     def test_dilated_triangle_scaling(self):
-        t = 0.25
-        s = g.regular_simplex(2)
-        big = g.Polytope(vertices=(1.0 + t) * s.vertices)
-        est, se = g.symdiff_volume(s, big, 7, 200_000)
-        exact = ((1.0 + t) ** 2 - 1.0) * g.simplex_volume(2)
-        assert abs(est - exact) <= 3.0 * se
+        self._check_dilate(2)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_dilated_simplex_scaling(self, n):
+        self._check_dilate(n)
 
     def test_reflected_tetrahedron_vs_clipping_oracle(self):
         s = g.regular_simplex(3)
@@ -199,15 +205,15 @@ class TestSymdiffVolume:
         common = g.polytope_volume(g.Polytope(vertices=inter.vertices, check=False))
         exact = 2.0 * (g.simplex_volume(3) - common)
         assert exact > 0
-        est, se = g.symdiff_volume(s, refl, 11, 400_000)
-        assert abs(est - exact) <= 3.0 * se
+        assert abs(g.symdiff_volume(s, refl) - exact) <= 1e-12
 
-    def test_deterministic_given_seed(self):
-        s = g.regular_simplex(2)
-        big = g.Polytope(vertices=1.3 * s.vertices)
-        a = g.symdiff_volume(s, big, 5, 50_000)
-        b = g.symdiff_volume(s, big, 5, 50_000)
-        assert a == b
+    @pytest.mark.parametrize("shift", [3.0, 1.0], ids=["disjoint", "face-touching"])
+    def test_no_common_volume(self, shift):
+        # unit squares side by side: apart, or sharing the edge x = 1
+        K = g.cube(2, 0.5)
+        C = g.Polytope(vertices=K.vertices + [shift, 0.0])
+        assert g.symdiff_volume(K, C) == pytest.approx(
+            g.polytope_volume(K) + g.polytope_volume(C), rel=1e-12)
 
 
 class TestContains:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,20 @@ class TestBigDeterminantSubset:
         idx, value = iso.big_determinant_subset(iso.orthonormal_measure(n))
         assert abs(value - 0.5 ** n) < 1e-12
         assert value >= 1.0 / math.comb(2 * n, n) - 1e-12
+
+    def test_blocked_enumeration_memory_and_argmax(self):
+        mu = random_centered_isotropic(8, 10, seed=8)  # k = 20, C(20, 8) = 125970
+        tracemalloc.start()
+        try:
+            idx, value = iso.big_determinant_subset(mu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        rows = np.array(list(itertools.combinations(range(mu.k), mu.n)))
+        q = np.prod(mu.weights[rows], axis=1) * np.linalg.det(mu.points[rows]) ** 2
+        best = int(np.argmax(q))
+        assert (idx, value) == (tuple(int(i) for i in rows[best]), float(q[best]))
 
     def test_enumeration_cap_raises_measure_error(self):
         mu = random_centered_isotropic(5, 25, seed=4)  # k = 50 <= 2 n^2, C(50, 5) > cap
