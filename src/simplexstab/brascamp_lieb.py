@@ -37,7 +37,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .functionals import FunctionalEstimate, estimate, sample_map
-from .geometry import Polytope, contains_points, gauge_many, regular_simplex
+from .geometry import (Polytope, _all_rows, contains_points, gauge_many,
+                       regular_simplex, support_many)
 from .isotropic import DiscreteMeasure, LiftedMeasure
 from .transport import gtilde_integral
 
@@ -74,8 +75,9 @@ def bl_lhs(inst: BLInstance, n_samples: int = 200_000, seed: int = 0) -> Functio
     L = inst.lifted
     d = L.dim
     m = inst.s * math.sqrt(d) * L.pole
-    inside = sample_map(lambda X: np.all((X + m) @ L.points.T >= 0.0, axis=1),
-                        n_samples, d, seed)
+    # X + m lies in the cone iff <p, X + m> >= 0 for every atom p
+    inward, zeros = -L.points, np.zeros(len(L.points))
+    inside = sample_map(lambda X: _all_rows(X + m, inward, zeros), n_samples, d, seed)
     return estimate(inside, (2.0 * math.pi) ** (d / 2.0))
 
 
@@ -440,7 +442,7 @@ def simplex_identity_check(n: int, s: float, n_samples: int = 1_000_000,
             a = gauge_many(simplex, X) / math.sqrt(n)
         else:
             # gauge of the polar at X is the support function of the simplex
-            a = math.sqrt(n) * np.max(X @ simplex.vertices.T, axis=1)
+            a = math.sqrt(n) * support_many(simplex, X)
         return _kernel_tail_integral(a, c)
 
     prefactor = (2.0 * math.pi) ** (n / 2.0) * math.exp(-0.5 * (n + 1.0) * s * s)
@@ -464,15 +466,13 @@ def smoothing_inequality_check(mu: DiscreteMeasure, tau_grid,
     """
     n = mu.n
     simplex = regular_simplex(n)
-    C = np.asarray(mu.points)
     tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=float))
-    hull = Polytope(vertices=C, check=False)
+    hull = Polytope(vertices=mu.points, check=False)
 
     def gauges(X):
         # gauges of the simplex, the hull and their polars (support functions)
         return np.column_stack([gauge_many(simplex, X), gauge_many(hull, X),
-                                np.max(X @ simplex.vertices.T, axis=1),
-                                np.max(X @ C.T, axis=1)])
+                                support_many(simplex, X), support_many(hull, X)])
 
     g_simplex, g_hull, gp_simplex, gp_hull = sample_map(gauges, n_samples, n, seed).T
 

@@ -191,6 +191,29 @@ class TestSampler:
         assert st.measure_deficit(K, "lowner", n_samples=self.N, seed=5) == (
             want.value, want.stderr)
 
+    def test_extremality_check_uses_the_chunks(self):
+        P = iso.orthonormal_measure(3).points
+        simplex = g.regular_simplex(3)
+        A, b = g.Polytope(vertices=P).halfspaces
+        M = A / b[:, None]
+        As, bs = simplex.halfspaces
+        Ms = As / bs[:, None]
+        W = simplex.vertices
+        lowner, john = [], []
+        for X in self._chunks(8, 3):
+            # the row-major expressions of the gauges and support functions
+            lowner.append(np.maximum(np.max(X @ Ms.T, axis=1), 0.0)
+                          - np.maximum(np.max(X @ M.T, axis=1), 0.0))
+            john.append(np.max(X @ P.T, axis=1) - np.max(X @ W.T, axis=1))
+        oracle = fn.simplex_ell_oracle(3)
+        want_lowner = fn.estimate(np.concatenate(lowner), 1.0 / (3 * oracle))
+        want_john = fn.estimate(np.concatenate(john), 1.0 / oracle)
+        rep = st.extremality_check(P, n_samples=self.N, seed=8)
+        assert (rep["lowner_deficit"], rep["lowner_stderr"]) == (want_lowner.value,
+                                                                 want_lowner.stderr)
+        assert (rep["john_deficit"], rep["john_stderr"]) == (want_john.value,
+                                                             want_john.stderr)
+
     def test_bl_lhs_uses_the_chunks(self):
         inst = bl.BLInstance(iso.lift(iso.simplex_measure(2), +1), 0.1)
         L = inst.lifted

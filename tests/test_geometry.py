@@ -111,6 +111,60 @@ class TestSupportAndGauge:
             assert np.abs(gauges - supports).max() < 1e-10
 
 
+class TestFacetMajorKernel:
+    """gauge_many, support_many and contains_points against the row-major
+    expressions max_j <x, a_j> = np.max(X @ M.T, axis=1) they replaced.
+
+    Max and all are exact, so a row agrees bit for bit wherever the BLAS
+    rounds its dot products alike in both layouts.  Where it does not (its
+    remainder kernels past about 192 facets or rows, at sizes that are not
+    a multiple of its unroll), the two differ by that rounding only.
+    """
+    # FACET_BLOCK // ROWS = 1024 facets fill one block of products: m = 1024
+    # is one block, m = 1025 two
+    ROWS = 2047
+
+    def _sample(self, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        return (rng.standard_normal((self.ROWS, n)), rng.standard_normal((m, n)),
+                rng.uniform(0.5, 2.0, m))
+
+    def _check(self, got, ref, X, M):
+        products = np.vstack([block for _, block in g._facet_products(X, M)]).T
+        same = np.all(products == X @ M.T, axis=1)
+        assert np.array_equal(got[same], ref[same])
+        # dot products of n terms differ by at most 2 n eps sum_k |x_k a_jk|
+        bound = 2 * X.shape[1] * np.finfo(float).eps * (np.abs(X) @ np.abs(M).T).max(axis=1)
+        assert np.all(np.abs(got - ref) <= bound)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("m", [None, 12, 64, 193, 1024, 1025, 2000])
+    def test_matches_row_major_reference(self, n, m):
+        m = n + 1 if m is None else m
+        X, A, b = self._sample(n, m)
+        M = A / b[:, None]
+        gauges = np.maximum(np.max(X @ M.T, axis=1), 0.0)
+        self._check(g.gauge_many(g.Polytope(halfspaces=(A, b)), X), gauges, X, M)
+        self._check(g.support_many(g.Polytope(vertices=A, check=False), X),
+                    np.max(X @ A.T, axis=1), X, A)
+        # half the rows inside; a membership flips only for a product within
+        # rounding of its offset
+        Y = X / np.median(gauges)
+        c = b + 1e-9 * np.maximum(1.0, np.abs(b))
+        inside = g.contains_points(g.Polytope(halfspaces=(A, b)), Y)
+        assert np.array_equal(inside, np.all(Y @ A.T <= c, axis=1))
+        assert 0 < inside.sum() < self.ROWS
+
+    @pytest.mark.parametrize("m", [1024, 1025, 4097])
+    def test_blocks_cover_the_facets_within_budget(self, m):
+        X, A, _ = self._sample(3, m)
+        blocks = list(g._facet_products(X, A))
+        sizes = [block.shape[0] for _, block in blocks]
+        assert sum(sizes) == m and max(sizes) - min(sizes) <= 1
+        assert all(block.size <= g.FACET_BLOCK for _, block in blocks)
+        assert len(blocks) == -(-m // (g.FACET_BLOCK // self.ROWS))
+
+
 class TestPolarity:
     def test_cube_cross_duality(self):
         pc = g.polar(g.cube(3))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,20 @@ class TestExtremality:
             rep = st.extremality_check(mu.points, n_samples=100_000, seed=10)
             assert rep["lowner_deficit"] >= -3.0 * rep["lowner_stderr"]
             assert rep["john_deficit"] >= -3.0 * rep["john_stderr"]
+
+    def test_dimension_ten_memory_is_bounded(self):
+        # 38 support points, 44,480 hull facets: one 4096-row product of all
+        # facets would take about 1.5 GB
+        mu = el.random_isotropic_measure(10, 200, seed=1)
+        tracemalloc.start()
+        try:
+            rep = st.extremality_check(mu.points, n_samples=4096, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert rep["lowner_deficit"] >= -3.0 * rep["lowner_stderr"]
+        assert rep["john_deficit"] >= -3.0 * rep["john_stderr"]
 
     def test_support_distance_bound_is_vacuous(self):
         # the distance bound with constant n^(28 n) is astronomically slack
