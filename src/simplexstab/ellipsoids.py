@@ -1,12 +1,14 @@
 """Loewner ellipsoids, John ellipsoids via polarity, and contact measures.
 
 The minimum-volume enclosing ellipsoid (MVEE) is computed on the lifted
-point set by first-order Khachiyan iterations with away steps, then the
-identified contact set is polished by Newton iterations on the optimality
-system, which drives the duality gap to machine precision.  Contact points
-and dual weights are converted into a centered isotropic measure on the
-sphere certifying that the unit ball is the Loewner (equivalently, on the
-polar side, the John) ellipsoid of the normalised body.
+point set by first-order Khachiyan iterations with away steps, which carry
+the inverse design matrix and the leverage scores by rank-one updates, with
+a fresh check at the stop; then the identified contact set is polished by
+Newton iterations on the optimality system, which drives the duality gap
+to machine precision.  Contact points and dual weights are converted into
+a centered isotropic measure on the sphere certifying that the unit ball
+is the Loewner (equivalently, on the polar side, the John) ellipsoid of
+the normalised body.
 """
 from __future__ import annotations
 
@@ -34,47 +36,73 @@ class EllipsoidSolverError(GeometryError):
     """The ellipsoid solver failed to reach its certificate."""
 
 
-def _leverage(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _leverage(Q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Leverage scores kappa_i = q_i^T M^{-1} q_i of the rows of Q under the
-    design matrix M = sum_i p_i q_i q_i^T."""
+    design matrix M = sum_i p_i q_i q_i^T, and M^{-1}, from scratch."""
     M = (Q * p[:, None]).T @ Q
-    return np.einsum("ij,jk,ik->i", Q, np.linalg.inv(M), Q)
+    Minv = np.linalg.inv(M)
+    return np.einsum("ij,jk,ik->i", Q, Minv, Q), Minv
 
 
 def _khachiyan_weights(Q: np.ndarray, eps: float, max_iter: int) -> np.ndarray:
-    """Away-step Frank-Wolfe on the lifted log-det design problem."""
+    """Away-step Frank-Wolfe on the lifted log-det design problem.
+
+    Each step p <- a p + b e_j changes M by a rank-one term, so M^{-1} and
+    the leverage scores are carried by Sherman-Morrison: with u = M^{-1} q_j,
+    g = Q u and c = b / (a + b kappa_j), kappa <- (kappa - c g^2) / a and
+    M^{-1} <- (M^{-1} - c u u^T) / a, O(m d) per step.  When the carried
+    scores pass the stop test they are recomputed from scratch and tested
+    again, so rounding drift never ends the loop early.  At most
+    ``max_iter`` steps are taken.
+    """
     m, d = Q.shape
     p = np.full(m, 1.0 / m)
-    for _ in range(int(max_iter)):
-        try:
-            kappa = _leverage(Q, p)
-        except np.linalg.LinAlgError:
-            raise DegenerateBodyError("point set does not span the space")
+    kappa, steps = None, 0
+    while True:
+        fresh = kappa is None
+        if fresh:
+            try:
+                kappa, Minv = _leverage(Q, p)
+            except np.linalg.LinAlgError:
+                raise DegenerateBodyError("point set does not span the space")
         i_up = int(np.argmax(kappa))
         eps_up = kappa[i_up] / d - 1.0
         kappa_act = np.where(p > 1e-300, kappa, np.inf)
         i_dn = int(np.argmin(kappa_act))
         eps_dn = 1.0 - kappa[i_dn] / d
         if max(eps_up, eps_dn) <= eps:
+            if fresh:
+                break
+            kappa = None
+            continue
+        if steps >= max_iter:
             break
+        steps += 1
         if eps_up >= eps_dn:
-            kap = kappa[i_up]
+            j, kap = i_up, kappa[i_up]
             step = (kap - d) / (d * (kap - 1.0))
-            p = (1.0 - step) * p
-            p[i_up] += step
+            a, b = 1.0 - step, step
+            p = a * p
+            p[j] += b
         else:
-            kap = kappa[i_dn]
-            step_cap = p[i_dn] / (1.0 - p[i_dn]) if p[i_dn] < 1.0 else np.inf
+            j, kap = i_dn, kappa[i_dn]
+            step_cap = p[j] / (1.0 - p[j]) if p[j] < 1.0 else np.inf
             step = min((d - kap) / (d * (kap - 1.0)), step_cap)
-            p = (1.0 + step) * p
-            p[i_dn] -= step
+            a, b = 1.0 + step, -step
+            p = a * p
+            p[j] += b
             p = np.maximum(p, 0.0)
             p /= p.sum()
+        u = Minv @ Q[j]
+        g = Q @ u
+        c = b / (a + b * kap)
+        kappa = (kappa - c * g * g) / a
+        Minv = (Minv - c * np.outer(u, u)) / a
     return p
 
 
 def _design_certificate(Q: np.ndarray, p: np.ndarray) -> float:
-    return float(_leverage(Q, p).max() / Q.shape[1] - 1.0)
+    return float(_leverage(Q, p)[0].max() / Q.shape[1] - 1.0)
 
 
 def _newton_polish(Q: np.ndarray, p: np.ndarray, rounds: int = 12,
@@ -95,7 +123,7 @@ def _newton_polish(Q: np.ndarray, p: np.ndarray, rounds: int = 12,
         return p
     for _ in range(rounds):
         try:
-            kappa = _leverage(Q, p)
+            kappa, _ = _leverage(Q, p)
         except np.linalg.LinAlgError:
             break
         support = np.flatnonzero((kappa >= d * (1.0 - 1e-3)) | (p > 1e-6))

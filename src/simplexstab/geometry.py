@@ -47,6 +47,11 @@ class GaugeUndefinedError(GeometryError):
     """The gauge requires the origin in the interior of the body."""
 
 
+class _UnboundedBodyError(RepresentationError, UnboundedSupportError):
+    """A halfspace intersection is unbounded: it has no vertex set, and its
+    support function is infinite in some direction."""
+
+
 def unit_ball_volume(n: int) -> float:
     """Volume of the Euclidean unit ball in dimension n."""
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
@@ -391,17 +396,17 @@ def _all_rows(X: np.ndarray, M: np.ndarray, c: np.ndarray) -> np.ndarray:
 def support_many(K, U: np.ndarray) -> np.ndarray:
     """Vectorised support function over the rows of U.
 
-    V-rep polytopes take the vertex maximum in the facet-major layout of
+    Polytopes take the vertex maximum in the facet-major layout of
     ``_facet_products``: (vertices, rows) products reduced over the short
     vertex axis, which numpy does several times faster than a reduce along
-    rows of a few values, in blocks that bound the temporary.
+    rows of a few values, in blocks that bound the temporary.  An H-rep-only
+    polytope derives its vertices once (cached on the body); an unbounded
+    one raises UnboundedSupportError.
     """
     U = np.atleast_2d(U)
     if isinstance(K, (Ball, Ellipsoid)):
         return K.support_many(U)
-    if K.has_vertices:
-        return _max_rows(U, K.vertices)
-    return np.array([support_function(K, u) for u in U])
+    return _max_rows(U, K.vertices)
 
 
 def _halfspaces_for_gauge(K: Polytope):
@@ -477,8 +482,9 @@ def vertex_enumeration(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.nd
     polar of conv{d_i}: each facet {z : <e, z> + off = 0} of that hull is
     the vertex c - e / off, and the body is bounded exactly when the
     origin is interior to the hull, i.e. every facet offset is negative.
-    Raises RepresentationError when the body is unbounded, empty or flat
-    (inradius at most ``tol`` times the offset scale).
+    Raises RepresentationError when the body is unbounded (an error that is
+    also an UnboundedSupportError), empty or flat (inradius at most ``tol``
+    times the offset scale).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -488,7 +494,7 @@ def vertex_enumeration(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.nd
     res = linprog(np.r_[np.zeros(n), -1.0], A_ub=np.hstack([A, norms[:, None]]), b_ub=b,
                   bounds=[(None, None)] * n + [(0.0, None)], method="highs")
     if res.status == 3:
-        raise RepresentationError("halfspace intersection is unbounded")
+        raise _UnboundedBodyError("halfspace intersection is unbounded")
     if not res.success:
         raise RepresentationError("halfspace intersection is empty")
     center, radius = res.x[:n], res.x[n]
@@ -498,10 +504,10 @@ def vertex_enumeration(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.nd
         hull = ConvexHull(A / (b - A @ center)[:, None])
     except QhullError:
         # the dual points span no full-dimensional hull: the body holds a line
-        raise RepresentationError("halfspace intersection is unbounded") from None
+        raise _UnboundedBodyError("halfspace intersection is unbounded") from None
     offsets = hull.equations[:, -1]
     if not np.all(offsets < 0.0):
-        raise RepresentationError("halfspace intersection is unbounded")
+        raise _UnboundedBodyError("halfspace intersection is unbounded")
     V = center - hull.equations[:, :-1] / offsets[:, None]
     # coplanar facets of the triangulated hull share one vertex
     _, idx = np.unique(np.round(V / scale, 9), axis=0, return_index=True)

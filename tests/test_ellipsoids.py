@@ -153,3 +153,93 @@ class TestRandomIsotropicMeasure:
     def test_requires_enough_points(self):
         with pytest.raises(g.GeometryError):
             el.random_isotropic_measure(3, 3, seed=0)
+
+
+def _khachiyan_from_scratch(Q, eps, max_iter):
+    """Reference: the Khachiyan loop that rebuilds M, its inverse and every
+    leverage score at each iteration."""
+    m, d = Q.shape
+    p = np.full(m, 1.0 / m)
+    for _ in range(int(max_iter)):
+        M = (Q * p[:, None]).T @ Q
+        kappa = np.einsum("ij,jk,ik->i", Q, np.linalg.inv(M), Q)
+        i_up = int(np.argmax(kappa))
+        eps_up = kappa[i_up] / d - 1.0
+        i_dn = int(np.argmin(np.where(p > 1e-300, kappa, np.inf)))
+        eps_dn = 1.0 - kappa[i_dn] / d
+        if max(eps_up, eps_dn) <= eps:
+            break
+        if eps_up >= eps_dn:
+            kap = kappa[i_up]
+            step = (kap - d) / (d * (kap - 1.0))
+            p = (1.0 - step) * p
+            p[i_up] += step
+        else:
+            kap = kappa[i_dn]
+            step_cap = p[i_dn] / (1.0 - p[i_dn]) if p[i_dn] < 1.0 else np.inf
+            step = min((d - kap) / (d * (kap - 1.0)), step_cap)
+            p = (1.0 + step) * p
+            p[i_dn] -= step
+            p = np.maximum(p, 0.0)
+            p /= p.sum()
+    return p
+
+
+def _cross_polytope_cloud(n, seed):
+    """A random affine image of the cross-polytope with 23 n interior points."""
+    rng = make_rng(seed)
+    inner = rng.standard_normal((23 * n, n))
+    inner *= 0.6 * rng.uniform(0.0, 1.0, (23 * n, 1)) ** (1.0 / n) / np.linalg.norm(
+        inner, axis=1)[:, None]
+    R, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    points = np.vstack([np.eye(n), -np.eye(n), inner])
+    return (points * rng.uniform(0.5, 2.0, n)) @ R.T + rng.standard_normal(n)
+
+
+def _sphere_cloud(n, m, seed):
+    U = make_rng(seed).standard_normal((m, n))
+    return U / np.linalg.norm(U, axis=1)[:, None]
+
+
+_ANGLES = 2.0 * np.pi * np.arange(12) / 12.0
+_CLOUDS = {
+    **{f"cross{n}": (lambda n=n: _cross_polytope_cloud(n, 40 + n)) for n in range(2, 9)},
+    **{f"gauss{m}x{n}": (lambda m=m, n=n: make_rng(m + n).standard_normal((m, n)))
+       for m, n in [(30, 2), (200, 3), (400, 5), (1000, 4), (1000, 8)]},
+    **{f"circle{s}": (lambda s=s: _sphere_cloud(2, 40, s)) for s in range(3)},
+    **{f"sphere{s}": (lambda s=s: _sphere_cloud(3, 40, s)) for s in range(3)},
+    "12-gon": lambda: np.c_[np.cos(_ANGLES), np.sin(_ANGLES)],
+    "cube3": lambda: g.cube(3).vertices,
+    "cube5": lambda: g.cube(5).vertices,
+}
+
+
+class TestKhachiyanRankOneUpdates:
+    @pytest.mark.parametrize("name", list(_CLOUDS))
+    def test_weights_follow_the_from_scratch_loop(self, name):
+        X = _CLOUDS[name]()
+        Q = np.hstack([X, np.ones((X.shape[0], 1))])
+        expected = _khachiyan_from_scratch(Q, 1e-7, 100_000)
+        assert np.abs(el._khachiyan_weights(Q, 1e-7, 100_000) - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", ["cross4", "gauss200x3", "sphere0", "cube3"])
+    def test_mvee_matches_the_from_scratch_route(self, name, monkeypatch):
+        X = _CLOUDS[name]()
+        E, w = el.mvee(X)
+        monkeypatch.setattr(el, "_khachiyan_weights", _khachiyan_from_scratch)
+        E_ref, w_ref = el.mvee(X)
+        assert np.abs(w - w_ref).max() <= 1e-12
+        assert np.abs(E.shape - E_ref.shape).max() <= 1e-12 * np.abs(E_ref.shape).max()
+        assert np.abs(E.center - E_ref.center).max() <= 1e-12
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 5])
+    def test_exhausted_iterations_raise(self, max_iter):
+        X = _CLOUDS["gauss30x2"]()
+        with pytest.raises(el.EllipsoidSolverError):
+            el.mvee(X, max_iter=max_iter)
+
+    def test_rank_deficient_lift_raises(self):
+        flat = np.hstack([make_rng(0).standard_normal((6, 2)), np.zeros((6, 1))])
+        Q = np.hstack([flat, np.ones((6, 1))])
+        with pytest.raises(g.DegenerateBodyError):
+            el._khachiyan_weights(Q, 1e-7, 10)

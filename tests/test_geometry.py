@@ -110,6 +110,19 @@ class TestSupportAndGauge:
             supports = g.support_many(Kp, X)
             assert np.abs(gauges - supports).max() < 1e-10
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_hrep_support_many_matches_lp(self, rng, n):
+        A = np.vstack([rng.standard_normal((3 * n, n)), np.eye(n), -np.eye(n)])
+        K = g.Polytope(halfspaces=(A, rng.uniform(0.5, 2.0, A.shape[0])))
+        U = rng.standard_normal((200, n))
+        lp = np.array([g.support_function(K, u) for u in U])
+        assert np.abs(g.support_many(K, U) - lp).max() <= 1e-9
+
+    def test_hrep_support_many_unbounded_raises(self):
+        K = g.Polytope(halfspaces=(np.array([[1.0, 0.0]]), np.array([1.0])))
+        with pytest.raises(g.UnboundedSupportError):
+            g.support_many(K, np.array([[1.0, 0.0], [-1.0, 0.0]]))
+
 
 class TestFacetMajorKernel:
     """gauge_many, support_many and contains_points against the row-major
