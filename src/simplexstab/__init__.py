@@ -29,6 +29,6 @@ from .brascamp_lieb import (BLInstance, bl_bound, bl_lhs, rbl_lhs,
 from .stability import (ExtremalFamily, align_to_simplex,
                         centroid_bound_check, extremality_check,
                         fit_exponent, make_family, measure_deficit,
-                        sandwich_check)
+                        measure_deficits, sandwich_check)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

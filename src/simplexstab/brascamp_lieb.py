@@ -25,8 +25,12 @@ inscribed regular simplex (and its polar on the reversed lifting),
 which this module verifies by Monte-Carlo: the r-integral has a closed
 form for each Gaussian sample (the kernel integrated from the sample's
 gauge radius to infinity), and its sample mean estimates the left side.
-All sampling goes through the chunked Gaussian sampler
-``functionals.sample_map`` and all means through ``functionals.estimate``.
+Every mean is streamed through ``functionals.sample_mean``, which reduces
+each Gaussian chunk to its moments as it is drawn, so memory stays at one
+chunk whatever the sample count.  Only the reverse integral, whose solver
+takes all samples in one array, draws them through
+``functionals.sample_map`` and averages them with ``functionals.estimate``,
+the same chunk-merged estimator.
 """
 from __future__ import annotations
 
@@ -34,9 +38,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 from scipy.special import ndtr
 
-from .functionals import FunctionalEstimate, estimate, sample_map
+from .functionals import FunctionalEstimate, estimate, sample_map, sample_mean
 from .geometry import (Polytope, _all_rows, contains_points, gauge_many,
                        regular_simplex, support_many)
 from .isotropic import DiscreteMeasure, LiftedMeasure
@@ -77,8 +82,8 @@ def bl_lhs(inst: BLInstance, n_samples: int = 200_000, seed: int = 0) -> Functio
     m = inst.s * math.sqrt(d) * L.pole
     # X + m lies in the cone iff <p, X + m> >= 0 for every atom p
     inward, zeros = -L.points, np.zeros(len(L.points))
-    inside = sample_map(lambda X: _all_rows(X + m, inward, zeros), n_samples, d, seed)
-    return estimate(inside, (2.0 * math.pi) ** (d / 2.0))
+    return sample_mean(lambda X: _all_rows(X + m, inward, zeros), n_samples, d, seed,
+                       (2.0 * math.pi) ** (d / 2.0))
 
 
 # rows within this hull-coordinate distance of a facet of conv(supp mu) go
@@ -86,6 +91,9 @@ def bl_lhs(inst: BLInstance, n_samples: int = 200_000, seed: int = 0) -> Functio
 _SCREEN_TOL = 1e-9
 # smallest NNLS gradient component that lets a variable enter the passive set
 _ENTER_TOL = 1e-12
+# a maximiser's coefficient counts as free above this multiple of max(1, |x|),
+# the scale of the rounding left in a decomposition of x
+_FREE_TOL = 1e-12
 
 
 def _normal_solve(M: np.ndarray, rhs: np.ndarray, lstsq_rows) -> np.ndarray:
@@ -343,26 +351,51 @@ class _NonnegTransportSolver:
     def kkt_residual(self, X: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Worst KKT violation of proposed maximisers, one per row
         (feasibility, stationarity on the free set, dual feasibility on the
-        active set)."""
+        active set).
+
+        A coefficient is free above ``_FREE_TOL`` max(1, |x|).  The
+        multiplier comes from least squares on the free rows.  Where the
+        free atoms do not determine it (x on a face of the cone), the best
+        multipliers are found by ``_face_stationarity`` instead.
+        """
         L, s = self.L, self.s
         X, theta = np.atleast_2d(X), np.atleast_2d(theta)
         primal = np.linalg.norm(theta @ self.A.T - X, axis=1)
         grad = 2.0 * L.weights * (theta - s)
-        free = theta > 1e-10
+        x_scale = np.maximum(1.0, np.linalg.norm(X, axis=1))
+        free = theta > _FREE_TOL * x_scale[:, None]
         # multiplier: least squares of A^T lambda = grad on the free rows
         At = self.A.T
         gram = np.einsum("rk,ki,kj->rij", free.astype(float), At, At)
         grad_free = np.where(free, grad, 0.0)
+        # too few free atoms, or a singular free Gram matrix, leave the
+        # multiplier undetermined
+        undetermined = free.sum(axis=1) < L.dim
 
         def lstsq_rows(rows):
-            Af = np.where(free[rows, :, None], At, 0.0)
-            return (np.linalg.pinv(Af) @ grad_free[rows, :, None])[..., 0]
+            undetermined[rows] = True
+            return np.zeros((rows.size, L.dim))
 
         lam = _normal_solve(gram, grad_free @ At, lstsq_rows)
         mult = grad - lam @ self.A
         stationarity = np.where(free, np.abs(mult), 0.0).max(axis=1, initial=0.0)
         dual = np.where(free, 0.0, -mult).max(axis=1, initial=0.0)
-        return np.maximum(primal, np.maximum(stationarity, dual))
+        resid = np.maximum(primal, np.maximum(stationarity, dual))
+        for r in np.flatnonzero(undetermined):
+            resid[r] = max(primal[r], self._face_stationarity(grad[r], free[r]))
+        return resid
+
+    def _face_stationarity(self, grad: np.ndarray, free: np.ndarray) -> float:
+        """Stationarity violation |grad - A^T lambda - mu| (max norm) with
+        the best multipliers: mu >= 0 on the active coefficients and 0 on
+        the free ones, so dual feasibility holds exactly.  mu solves the NNLS
+        problem for grad - mu in the range of A^T, written in the null-space
+        basis N of A; lambda is then the least-squares fit."""
+        mu = np.zeros_like(grad)
+        if self.N.shape[1] and not free.all():
+            mu[~free], _ = nnls(self.N[~free].T, self.N.T @ grad)
+        lam, *_ = np.linalg.lstsq(self.A.T, grad - mu, rcond=None)
+        return float(np.abs(grad - mu - self.A.T @ lam).max())
 
 
 def nonneg_transport_sup(inst: BLInstance, x: np.ndarray):
@@ -446,7 +479,7 @@ def simplex_identity_check(n: int, s: float, n_samples: int = 1_000_000,
         return _kernel_tail_integral(a, c)
 
     prefactor = (2.0 * math.pi) ** (n / 2.0) * math.exp(-0.5 * (n + 1.0) * s * s)
-    lhs = estimate(sample_map(tail, n_samples, n, seed), prefactor)
+    lhs = sample_mean(tail, n_samples, n, seed, prefactor)
     rhs = gtilde_integral(s) ** (n + 1)
     gap = lhs.value - rhs
     return IdentityReport(lhs=lhs.value, rhs=float(rhs), gap=float(gap),
@@ -469,23 +502,26 @@ def smoothing_inequality_check(mu: DiscreteMeasure, tau_grid,
     tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=float))
     hull = Polytope(vertices=mu.points, check=False)
 
-    def gauges(X):
-        # gauges of the simplex, the hull and their polars (support functions)
-        return np.column_stack([gauge_many(simplex, X), gauge_many(hull, X),
-                                support_many(simplex, X), support_many(hull, X)])
-
-    g_simplex, g_hull, gp_simplex, gp_hull = sample_map(gauges, n_samples, n, seed).T
-
     def smoothed(gauges, tau, rate):
         # int_0^{gauge} e^{-rate (t - tau)^2 / 2} dt, elementwise closed form
         amp = math.sqrt(2.0 * math.pi / rate)
         root = math.sqrt(rate)
         return amp * (ndtr((gauges - tau) * root) - ndtr(-tau * root))
 
+    def margins(X):
+        # gauges of the simplex and the hull, and of their polars (support
+        # functions); one direct and one polar margin column per tau
+        g_simplex, g_hull = gauge_many(simplex, X), gauge_many(hull, X)
+        gp_simplex, gp_hull = support_many(simplex, X), support_many(hull, X)
+        cols = []
+        for tau in tau_grid:
+            cols.append(smoothed(g_simplex, tau, 1.0 / n) - smoothed(g_hull, tau, 1.0 / n))
+            cols.append(smoothed(gp_hull, tau, float(n)) - smoothed(gp_simplex, tau, float(n)))
+        return np.column_stack(cols)
+
+    ests = sample_mean(margins, n_samples, n, seed)
     rows = []
-    for tau in tau_grid:
-        direct = estimate(smoothed(g_simplex, tau, 1.0 / n) - smoothed(g_hull, tau, 1.0 / n))
-        polar = estimate(smoothed(gp_hull, tau, float(n)) - smoothed(gp_simplex, tau, float(n)))
+    for tau, direct, polar in zip(tau_grid, ests[0::2], ests[1::2]):
         rows.append({
             "tau": float(tau),
             "direct_margin": direct.value, "direct_stderr": direct.stderr,

@@ -1,19 +1,25 @@
 """Gaussian functionals of convex bodies: measure of dilates, the Gaussian
 mean of the gauge, and the mean width.
 
-This module is also the package's one Monte-Carlo layer.  ``sample_map``
-is the package's only Monte-Carlo sampler: it draws fixed-size chunks of
-standard normal samples, chunk i from the counter-based stream (seed, i)
-of :mod:`simplexstab.rng`, and maps each chunk to per-sample values, so
-workers can share the chunks out without changing any value.
-``estimate`` turns per-sample values into a mean with its standard error.
-Every Monte-Carlo estimate of the package goes through the two, one route
-per functional; closed-form values carry a zero standard error.  The
-exact values for the ball and the regular simplex serve as independent
-oracles for the sampling paths.
+This module is also the package's one Monte-Carlo layer.  Every sampling
+path draws fixed-size chunks of standard normal samples, chunk i from the
+counter-based stream (seed, i) of :mod:`simplexstab.rng`, in one chunk
+loop, so workers can share the chunks out without changing any value.
+``sample_mean`` reduces each chunk's per-sample values to per-column
+moments (rows, mean, sum of squared deviations) as it is drawn and merges
+them in chunk order by the pairwise update of Chan, Golub and LeVeque
+(1979), so its memory is one chunk per worker whatever the sample count.
+``estimate`` is the same merge over ``CHUNK_SAMPLES`` slices of values
+already in hand, so the two give the same bits on the same values.
+``sample_map``, which keeps every per-sample value, serves only callers
+that need them all at once.  Every Monte-Carlo estimate of the package
+is a mean with its standard error from these; closed-form values carry a
+zero standard error.  The exact values for the ball and the regular
+simplex serve as independent oracles for the sampling paths.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +35,7 @@ from .rng import make_rng
 __all__ = [
     "FunctionalEstimate", "ell_ball", "gaussian_max_mean", "simplex_ell_oracle",
     "gaussian_mass", "ell_norm", "mean_width", "mean_ell_crosscheck",
-    "default_workers", "sample_map", "estimate",
+    "default_workers", "sample_map", "sample_mean", "estimate",
 ]
 
 DEFAULT_SAMPLES = 200_000
@@ -92,16 +98,12 @@ def simplex_ell_oracle(n: int) -> float:
     return math.sqrt((n + 1.0) / n) * gaussian_max_mean(n + 1)
 
 
-def sample_map(fn, n_samples: int, dim: int, seed: int, workers: int = 1) -> np.ndarray:
-    """Per-sample values of ``fn`` over standard Gaussian samples in R^dim.
+def _map_chunks(fn, n_samples: int, dim: int, seed: int, workers: int) -> list:
+    """``fn`` of each Gaussian chunk, listed by chunk index.
 
     Chunk i holds the samples [i CHUNK_SAMPLES, (i + 1) CHUNK_SAMPLES),
-    drawn from stream (seed, i); ``fn`` maps each (rows, dim) chunk to one
-    value per row (a 1-D array, or 2-D with one column per paired
-    quantity), and the chunk values are concatenated in order.  So the
-    result does not depend on ``workers``, which only sets how many
-    threads map over the chunks, and the samples are never held all at
-    once unless ``fn`` returns them.
+    drawn from stream (seed, i).  ``workers`` only sets how many threads
+    map over the chunks, so the list does not depend on it.
     """
     n_samples = int(n_samples)
 
@@ -111,21 +113,84 @@ def sample_map(fn, n_samples: int, dim: int, seed: int, workers: int = 1) -> np.
 
     streams = range(-(-n_samples // CHUNK_SAMPLES))
     if workers <= 1 or len(streams) <= 1:
-        parts = [one(stream) for stream in streams]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(streams))) as ex:
-            parts = list(ex.map(one, streams))
-    return np.concatenate(parts)
+        return [one(stream) for stream in streams]
+    with ThreadPoolExecutor(max_workers=min(workers, len(streams))) as ex:
+        return list(ex.map(one, streams))
 
 
-def estimate(values, scale: float = 1.0) -> FunctionalEstimate:
-    """Monte-Carlo mean of per-sample values times ``scale``, with the
-    standard error scale * s / sqrt(N) from the sample standard deviation s."""
+def sample_map(fn, n_samples: int, dim: int, seed: int, workers: int = 1) -> np.ndarray:
+    """Per-sample values of ``fn`` over standard Gaussian samples in R^dim.
+
+    ``fn`` maps each (rows, dim) chunk to one value per row (a 1-D array,
+    or 2-D with one column per paired quantity), and the chunk values are
+    concatenated in chunk order, so every value is held at once; callers
+    that only need means use ``sample_mean``.
+    """
+    return np.concatenate(_map_chunks(fn, n_samples, dim, seed, workers))
+
+
+def _moments(values):
+    """(rows, means, sums of squared deviations) of one chunk of per-sample
+    values, per column for 2-D values.  Each column is reduced as a 1-D
+    view, whose summation order does not depend on the column count."""
     values = np.asarray(values, dtype=float)
-    n_samples = values.size
-    stderr = float(np.std(values, ddof=1) / math.sqrt(n_samples))
-    return FunctionalEstimate(scale * float(values.mean()), scale * stderr,
-                              "mc-direct", n_samples)
+    cols = values.reshape(len(values), -1).T
+    means = np.array([col.mean() for col in cols])
+    m2 = np.empty_like(means)
+    for j, (col, mean) in enumerate(zip(cols, means)):
+        dev = col - mean
+        m2[j] = np.square(dev, out=dev).sum()
+    shape = values.shape[1:]
+    return len(values), means.reshape(shape), m2.reshape(shape)
+
+
+def _merge(a, b):
+    """Moments of two sample blocks combined (Chan, Golub and LeVeque 1979)."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (nb / n), m2_a + m2_b + delta * delta * (na * nb / n)
+
+
+def _estimates(chunk_moments, scale):
+    """Chunk moments merged in chunk order into a mean with the standard
+    error scale * s / sqrt(N) (s the sample standard deviation); one
+    estimate per column for 2-D values, ``scale`` a scalar or per column."""
+    n, means, m2 = functools.reduce(_merge, chunk_moments)
+    stderr = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    scales = np.broadcast_to(np.asarray(scale, dtype=float), means.shape)
+    out = [FunctionalEstimate(float(c * m), float(c * e), "mc-direct", n)
+           for m, e, c in zip(means.ravel(), stderr.ravel(), scales.ravel())]
+    return out[0] if means.ndim == 0 else out
+
+
+def sample_mean(fn, n_samples: int, dim: int, seed: int, scale=1.0,
+                workers: int = 1):
+    """Monte-Carlo mean of ``fn`` over standard Gaussian samples in R^dim.
+
+    ``fn`` maps each chunk as in ``sample_map``; each chunk is reduced to
+    its moments as soon as it is mapped, so memory stays at one chunk per
+    worker.  The result has the bits of ``estimate`` on the concatenated
+    values: one estimate for 1-D values, a list with one per column for
+    2-D values.
+    """
+    return _estimates(_map_chunks(lambda X: _moments(fn(X)), n_samples, dim,
+                                  seed, workers), scale)
+
+
+def estimate(values, scale=1.0):
+    """Monte-Carlo mean of per-sample values times ``scale``, with the
+    standard error scale * s / sqrt(N) from the sample standard deviation s.
+
+    The values are reduced in slices of ``CHUNK_SAMPLES`` rows whose moments
+    are merged in order, exactly as ``sample_mean`` merges its chunks.  2-D
+    values give a list with one estimate per column; ``scale`` is a scalar
+    or one factor per column.
+    """
+    values = np.asarray(values)
+    return _estimates([_moments(values[start:start + CHUNK_SAMPLES])
+                       for start in range(0, len(values), CHUNK_SAMPLES)], scale)
 
 
 def gaussian_mass(body, t: float, n_samples: int = DEFAULT_SAMPLES,
@@ -135,16 +200,16 @@ def gaussian_mass(body, t: float, n_samples: int = DEFAULT_SAMPLES,
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return FunctionalEstimate(0.0, 0.0, "closed-form", 0)
-    return estimate(sample_map(lambda X: gauge_many(body, X) <= t,
-                               n_samples, body.n, seed, workers))
+    return sample_mean(lambda X: gauge_many(body, X) <= t, n_samples, body.n,
+                       seed, workers=workers)
 
 
 def ell_norm(body, n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
              workers: int = 1) -> FunctionalEstimate:
     """Gaussian mean of the gauge of the body (origin must be interior),
     averaged over Gaussian samples."""
-    return estimate(sample_map(lambda X: gauge_many(body, X), n_samples, body.n,
-                               seed, workers))
+    return sample_mean(lambda X: gauge_many(body, X), n_samples, body.n, seed,
+                       workers=workers)
 
 
 def mean_width(body, n_samples: int = DEFAULT_SAMPLES, seed: int = 0) -> FunctionalEstimate:
@@ -160,7 +225,7 @@ def mean_width(body, n_samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Functio
         U = U / np.linalg.norm(U, axis=1)[:, None]
         return support_many(body, U) + support_many(body, -U)
 
-    return estimate(sample_map(widths, n_samples, body.n, seed))
+    return sample_mean(widths, n_samples, body.n, seed)
 
 
 def mean_ell_crosscheck(body, n_samples: int = DEFAULT_SAMPLES, seed: int = 0) -> dict:

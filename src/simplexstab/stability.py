@@ -30,7 +30,7 @@ __all__ = [
     "ExtremalFamily", "ExperimentRow", "ExperimentReport",
     "make_family", "FAMILY_KINDS",
     "align_to_simplex", "align_points_to_simplex_vertices", "AlignmentResult",
-    "measure_deficit", "fit_exponent",
+    "measure_deficit", "measure_deficits", "fit_exponent",
     "sandwich_check", "centroid_bound_check",
     "stability_bound_log10", "extremality_check",
 ]
@@ -295,38 +295,53 @@ def measure_deficit(K, side: str, n_samples: int = fn.DEFAULT_SAMPLES,
     ``john`` side (K containing the unit ball): ell(K)/ell(polar simplex) - 1;
     ``lowner-width`` (K inside the unit ball): the mean-width deficit,
     evaluated through the polar identity as ell(K polar)/ell(polar simplex) - 1.
-    The denominators come from the exact oracle, and the numerator is the
-    paired gauge difference against the reference simplex on one common
-    Gaussian sample, which cancels most of the Monte-Carlo variance.
-    Returns (deficit, stderr).
+    The one-body case of ``measure_deficits``.  Returns (deficit, stderr).
     """
-    if check_normalisation and isinstance(K, Polytope):
-        _check_unit_ball_normalisation(
-            K, "lowner" if side == "lowner-width" else side, check_tol)
-    n = K.n
-    oracle_polar = fn.simplex_ell_oracle(n)
-    # the deficit is the mean of gauge(upper, X) - gauge(lower, X) over denom
-    if side == "lowner":
-        upper, lower, denom = regular_simplex(n), K, n * oracle_polar
-    elif side == "john":
-        upper, lower, denom = K, regular_simplex_polar(n), oracle_polar
-    elif side == "lowner-width":
-        upper, lower, denom = polar(K), regular_simplex_polar(n), oracle_polar
-    else:
+    return measure_deficits([K], side, n_samples=n_samples, seed=seed,
+                            check_tol=check_tol,
+                            check_normalisation=check_normalisation)[0]
+
+
+def measure_deficits(bodies, side: str, n_samples: int = fn.DEFAULT_SAMPLES,
+                     seed: int = 0, check_tol: float = 1e-6,
+                     check_normalisation: bool = True) -> list:
+    """Deficits (as in ``measure_deficit``) of bodies of one dimension on
+    one common Gaussian sample.
+
+    The denominators come from the exact oracle.  Each numerator is the
+    paired gauge difference of the body against the reference simplex on
+    the common sample, which cancels most of the Monte-Carlo variance; the
+    reference gauge is evaluated once per chunk, with one column per body.
+    A body's result does not depend on the other bodies.  Returns one
+    (deficit, stderr) pair per body.
+    """
+    bodies = list(bodies)
+    if side not in ("lowner", "john", "lowner-width"):
         raise ValueError("side must be 'lowner', 'john' or 'lowner-width'")
-    est = fn.estimate(_paired_gaps([(gauge_many, upper, lower)], n_samples, n, seed)[:, 0],
-                      1.0 / denom)
-    return est.value, est.stderr
+    if check_normalisation:
+        for K in bodies:
+            if isinstance(K, Polytope):
+                _check_unit_ball_normalisation(
+                    K, "lowner" if side == "lowner-width" else side, check_tol)
+    n = bodies[0].n
+    oracle_polar = fn.simplex_ell_oracle(n)
+    # the deficit is the mean of gauge(upper, X) - gauge(lower, X) over denom,
+    # with the reference simplex on one side and the body on the other
+    if side == "lowner":
+        reference, denom = regular_simplex(n), n * oracle_polar
+    else:
+        reference, denom = regular_simplex_polar(n), oracle_polar
+    if side == "lowner-width":
+        bodies = [polar(K) for K in bodies]
 
+    def gaps(X):
+        ref = gauge_many(reference, X)
+        if side == "lowner":
+            return np.column_stack([ref - gauge_many(K, X) for K in bodies])
+        return np.column_stack([gauge_many(K, X) - ref for K in bodies])
 
-def _paired_gaps(pairs, n_samples: int, n: int, seed: int) -> np.ndarray:
-    """Per-sample differences value(upper, X) - value(lower, X) on one common
-    Gaussian sample, one column per (value, upper, lower) triple; pairing the
-    two sides cancels most of the Monte-Carlo variance."""
-    return fn.sample_map(
-        lambda X: np.column_stack([value(upper, X) - value(lower, X)
-                                   for value, upper, lower in pairs]),
-        n_samples, n, seed)
+    return [(est.value, est.stderr)
+            for est in fn.sample_mean(gaps, n_samples, n, seed, 1.0 / denom)]
 
 
 def stability_bound_log10(n: int, eps_measured: float, delta: float) -> float:
@@ -342,10 +357,10 @@ def fit_exponent(family: ExtremalFamily, n_samples: int = fn.DEFAULT_SAMPLES,
     """Empirical stability exponent of a family: slope of log(distance) against
     log(measured deficit).
 
-    Deficits across the grid share one sample stream (common random
-    numbers), the rotation comes from the alignment search, and rows whose
-    deficit is below three standard errors are discarded; at least five
-    rows spanning 1.5 decades of measured deficit are required.
+    Deficits across the grid are measured together on one Gaussian sample
+    (common random numbers), the rotation comes from the alignment search,
+    and rows whose deficit is below three standard errors are discarded; at
+    least five rows spanning 1.5 decades of measured deficit are required.
     Vertex-added families regress the exact symmetric-difference volume
     between the body and the aligned target; corner-cut and
     stretched-vertex families regress the Hausdorff distance and report
@@ -356,8 +371,8 @@ def fit_exponent(family: ExtremalFamily, n_samples: int = fn.DEFAULT_SAMPLES,
     target = regular_simplex(n) if inscribed_side else regular_simplex_polar(n)
     use_vol = family.kind in ("vertex-added", "polar-vertex-added")
     rows = []
-    for eps, K in zip(family.eps_grid, family.bodies):
-        deficit, d_stderr = measure_deficit(K, family.side, n_samples=n_samples, seed=seed)
+    deficits = measure_deficits(family.bodies, family.side, n_samples=n_samples, seed=seed)
+    for eps, K, (deficit, d_stderr) in zip(family.eps_grid, family.bodies, deficits):
         res = align_to_simplex(K, target, n_restarts=align_restarts, seed=seed + 1)
         dvol = (symdiff_volume(K, Polytope(vertices=target.vertices @ res.rotation.T,
                                            check=False))
@@ -475,11 +490,14 @@ def extremality_check(mu_points: np.ndarray, n_samples: int = fn.DEFAULT_SAMPLES
     simplex = regular_simplex(n)
     oracle_polar = fn.simplex_ell_oracle(n)
 
-    # the polar gauge is the support function, evaluated directly on both sides
-    D = _paired_gaps([(gauge_many, simplex, C), (support_many, C, simplex)],
-                     n_samples, n, seed)
-    lowner = fn.estimate(D[:, 0], 1.0 / (n * oracle_polar))
-    john = fn.estimate(D[:, 1], 1.0 / oracle_polar)
+    def gaps(X):
+        # paired differences on one common sample; the polar gauge is the
+        # support function, evaluated directly on both sides
+        return np.column_stack([gauge_many(simplex, X) - gauge_many(C, X),
+                                support_many(C, X) - support_many(simplex, X)])
+
+    lowner, john = fn.sample_mean(gaps, n_samples, n, seed,
+                                  [1.0 / (n * oracle_polar), 1.0 / oracle_polar])
     _, dist = align_points_to_simplex_vertices(P, n, seed=seed)
     return {
         "lowner_deficit": lowner.value, "lowner_stderr": lowner.stderr,

@@ -172,6 +172,49 @@ class TestReverseIntegral:
                 feasible_outside += kind in ("outside", "near")
         assert feasible_outside >= (12 if inst.lifted.k > inst.lifted.dim else 0)
 
+    @pytest.mark.parametrize("depth", [1e-10, 0.0], ids=["inside-1e-10", "on-facet"])
+    @pytest.mark.parametrize("build, s", [
+        (lambda: iso.lift(el.random_isotropic_measure(2, 9, seed=7), +1), 0.1),
+        (lambda: iso.lift(el.random_isotropic_measure(3, 9, seed=7101), +1), 0.0),
+        (lambda: iso.lift(iso.simplex_measure(2), +1), 0.15),
+        (lambda: iso.lift(iso.simplex_measure(3), +1), 0.1),
+    ], ids=["n2", "n3", "simplex-n2", "simplex-n3"])
+    def test_certificate_holds_at_cone_facets(self, build, s, depth):
+        # maximisers with a coefficient of order depth, or a face of active
+        # coefficients that leaves the multiplier undetermined
+        L = build()
+        n = L.base.n
+        solver = bl._NonnegTransportSolver(L, s)
+        rng = make_rng(41)
+        hull = ConvexHull(L.base.points)
+        facet = rng.integers(len(hull.simplices), size=40)
+        corners = L.base.points[hull.simplices[facet]]
+        Y = np.einsum("ij,ijk->ik", rng.dirichlet(np.ones(n), size=40), corners)
+        Y -= depth * hull.equations[facet, :-1]
+        t = rng.uniform(0.5, 1.5, size=(40, 1))
+        X = np.hstack([L.sign * math.sqrt(n) * t * Y, t])
+        q, _, kkt = solver.solve(X)
+        assert kkt.max() <= 1e-12
+        for x, got in zip(X, q):
+            want, _ = solver._solve_by_enumeration(x)
+            assert abs(got - want) <= 1e-9 * max(1.0, want)
+
+    def test_certificate_rejects_a_suboptimal_decomposition(self):
+        L = iso.lift(el.random_isotropic_measure(3, 9, seed=7101), +1)
+        solver = bl._NonnegTransportSolver(L, 0.1)
+        theta = np.array([0.4, 0.9, 1.1, 0.7, 0.5, 0.8])
+        x = solver.A @ theta
+        _, best, _ = solver.solve(x[None, :])
+        # another nonnegative decomposition of x along the null space of A
+        worse = theta + 0.1 * solver.N[:, 0]
+        assert worse.min() > 0.0 and not np.allclose(worse, best[0])
+        assert solver.kkt_residual(x[None, :], worse[None, :])[0] > 1e-3
+        # the same decomposition with one coefficient moved onto a face
+        v = solver.N[:, 0]
+        step = np.min(-theta[v < 0] / v[v < 0])
+        face = np.maximum(theta + step * v, 0.0)
+        assert solver.kkt_residual(x[None, :], face[None, :])[0] > 1e-3
+
     def test_stacked_solve_falls_back_on_singular_rows(self):
         M = np.array([np.diag([2.0, 4.0]), np.diag([1.0, 0.0])])
         rhs = np.array([[2.0, 4.0], [3.0, 0.0]])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,3 +232,39 @@ class TestSampler:
             widths.append(g.support_many(body, U) + g.support_many(body, -U))
         assert fn.mean_width(body, n_samples=self.N, seed=7) == fn.estimate(
             np.concatenate(widths))
+
+
+class TestStreamedMoments:
+    """Means are merged from per-chunk moments, streamed or from values in hand."""
+    N = 2 * fn.CHUNK_SAMPLES + 777          # three chunks, the last one ragged
+
+    @staticmethod
+    def _pair(X):
+        return np.column_stack([np.abs(X).max(axis=1), X[:, 0] > 0.3])
+
+    def test_two_columns_same_bits_for_any_worker_count(self):
+        one = fn.sample_mean(self._pair, self.N, 2, seed=15, scale=[1.0, 2.0], workers=1)
+        three = fn.sample_mean(self._pair, self.N, 2, seed=15, scale=[1.0, 2.0], workers=3)
+        assert len(one) == 2 and one == three
+        assert one == fn.estimate(fn.sample_map(self._pair, self.N, 2, seed=15),
+                                  [1.0, 2.0])
+        assert all(est.samples == self.N for est in one)
+
+    def test_merged_moments_match_one_pass(self):
+        # a large offset makes a naive sum-of-squares merge lose the variance
+        values = 1e6 + make_rng(16).standard_normal(self.N)
+        est = fn.estimate(values)
+        assert abs(est.value - values.mean()) <= 1e-15 * 1e6
+        want = np.std(values, ddof=1) / math.sqrt(self.N)
+        assert abs(est.stderr - want) <= 1e-9 * want
+
+    def test_ell_norm_memory_does_not_grow_with_samples(self):
+        body = g.regular_simplex_polar(2)
+        tracemalloc.start()
+        try:
+            est = fn.ell_norm(body, n_samples=1 << 22, seed=17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert abs(est.value - fn.simplex_ell_oracle(2)) <= 5.0 * est.stderr

@@ -7,6 +7,7 @@ import pytest
 from simplexstab import ellipsoids as el
 from simplexstab import functionals as fn
 from simplexstab import geometry as g
+from simplexstab import isotropic as iso
 from simplexstab import stability as st
 from simplexstab.rng import make_rng
 
@@ -144,6 +145,16 @@ class TestFitExponent:
         assert rep.distance_used == "delta_H"
         assert 0.4 <= rep.slope <= 0.6
 
+    @pytest.mark.parametrize("kind", ["vertex-added", "corner-cut", "stretched-vertex"])
+    def test_rows_match_single_body_deficits(self, kind):
+        # the grid's deficits share one draw, yet each row has the bits of
+        # measuring its body alone
+        fam = st.make_family(kind, 2, np.geomspace(1e-3, 0.09, 6))
+        rep = st.fit_exponent(fam, n_samples=150_000, seed=14, align_restarts=1)
+        for row, K in zip(rep.rows, fam.bodies):
+            assert (row.eps_measured, row.eps_stderr) == st.measure_deficit(
+                K, fam.side, n_samples=150_000, seed=14)
+
     def test_insufficient_span_raises(self):
         fam = st.make_family("vertex-added", 2, np.geomspace(0.04, 0.06, 6))
         with pytest.raises(st.InsufficientSignalError):
@@ -256,6 +267,17 @@ class TestExtremality:
         assert peak < 64 * 2 ** 20
         assert rep["lowner_deficit"] >= -3.0 * rep["lowner_stderr"]
         assert rep["john_deficit"] >= -3.0 * rep["john_stderr"]
+
+    def test_memory_does_not_grow_with_samples(self):
+        P = iso.orthonormal_measure(3).points
+        tracemalloc.start()
+        try:
+            rep = st.extremality_check(P, n_samples=1 << 21, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert rep["lowner_deficit"] > 0.0 and rep["john_deficit"] > 0.0
 
     def test_support_distance_bound_is_vacuous(self):
         # the distance bound with constant n^(28 n) is astronomically slack
