@@ -27,10 +27,10 @@ form for each Gaussian sample (the kernel integrated from the sample's
 gauge radius to infinity), and its sample mean estimates the left side.
 Every mean is streamed through ``functionals.sample_mean``, which reduces
 each Gaussian chunk to its moments as it is drawn, so memory stays at one
-chunk whatever the sample count.  Only the reverse integral, whose solver
-takes all samples in one array, draws them through
-``functionals.sample_map`` and averages them with ``functionals.estimate``,
-the same chunk-merged estimator.
+chunk whatever the sample count.  The reverse integrand needs q*(x) for
+every sample, which the solver finds for a whole chunk at once by Newton
+ascent on the problem's (n+1)-dimensional Lagrange dual; the dual point
+itself certifies each value.
 """
 from __future__ import annotations
 
@@ -38,10 +38,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 from scipy.special import ndtr
 
-from .functionals import FunctionalEstimate, estimate, sample_map, sample_mean
+from .functionals import FunctionalEstimate, sample_mean
 from .geometry import (Polytope, _all_rows, contains_points, gauge_many,
                        regular_simplex, support_many)
 from .isotropic import DiscreteMeasure, LiftedMeasure
@@ -87,31 +86,17 @@ def bl_lhs(inst: BLInstance, n_samples: int = 200_000, seed: int = 0) -> Functio
 
 
 # rows within this hull-coordinate distance of a facet of conv(supp mu) go
-# on to the solve, whose NNLS residual decides their feasibility
+# on to the solve, which decides their feasibility
 _SCREEN_TOL = 1e-9
-# smallest NNLS gradient component that lets a variable enter the passive set
-_ENTER_TOL = 1e-12
-# a maximiser's coefficient counts as free above this multiple of max(1, |x|),
-# the scale of the rounding left in a decomposition of x
-_FREE_TOL = 1e-12
-
-
-def _normal_solve(M: np.ndarray, rhs: np.ndarray, lstsq_rows) -> np.ndarray:
-    """Stacked solve of small normal equations M_r z = rhs_r.
-
-    Rows whose normal matrix is singular go to ``lstsq_rows(rows)``, which
-    returns their minimum-norm least-squares solutions.
-    """
-    try:
-        z = np.linalg.solve(M, rhs[..., None])[..., 0]
-        bad = ~np.isfinite(z).all(axis=1)
-    except np.linalg.LinAlgError:
-        bad = np.linalg.slogdet(M)[0] <= 0.0
-        z = np.zeros_like(rhs)
-        z[~bad] = np.linalg.solve(M[~bad], rhs[~bad, :, None])[..., 0]
-    if bad.any():
-        z[bad] = lstsq_rows(np.flatnonzero(bad))
-    return z
+# ridge on the active Gram matrix of a Newton step, which keeps the step
+# finite when the active atoms do not span R^d
+_RIDGE = 1e-8
+# a row is solved once |x - A theta(lambda)| <= _STOP max(1, |x|)
+_STOP = 1e-13
+# Newton steps before a row goes to the enumeration rescue
+_NEWTON_STEPS = 50
+# largest certificate ``rbl_lhs`` accepts
+_KKT_TOL = 1e-8
 
 
 class _NonnegTransportSolver:
@@ -122,63 +107,53 @@ class _NonnegTransportSolver:
     of a sample array.  Because A D^{-1} A^T = Id for isotropic systems,
     the equality-constrained minimiser is theta_i = <u~_i, x - m> + s =
     <u~_i, x> with value |x - m|^2, feasible exactly on the dual cone
-    {<u~_i, x> >= 0}.  The other rows pass three array stages:
+    {<u~_i, x> >= 0}.  The other rows pass two array stages:
 
     1. Screen.  Every lifted atom has last coordinate 1/sqrt(n+1), so x is
        a nonnegative combination of the atoms exactly when x_last > 0 and
        sign x[:n] / (sqrt(n) x_last) lies in conv(supp mu); one matmul
        against the hull's halfspaces rejects the rows with no
        decomposition.  Rows within ``_SCREEN_TOL`` of a facet stay.
-    2. Batched active set.  Each remaining row is reduced to the
-       least-distance program min |v| s.t. G_hat v >= h and solved as the
-       NNLS problem [G_hat^T; h^T] u ~ e_{p+1} (Lawson and Hanson 1974,
-       ch. 23), with a zero residual meaning the constraints are
-       incompatible.  All rows iterate together: per-row passive sets, the
-       classical entering guard (a candidate whose own coefficient comes
-       out nonpositive is refused), and one stacked normal-equation solve
-       per iteration.  The lifted simplex (k = d, no null space) runs the
-       same expressions with an empty G_hat.
-    3. Certificate.  Every accepted maximiser is checked against the KKT
-       conditions: feasibility, stationarity on the free set with the
-       multiplier from one stacked least-squares solve, and dual
-       feasibility on the active set.
-    Rows where the active set broke down or missed the certificate are
-    re-solved exactly by ``_solve_by_enumeration``, which scans all 2^k
-    supports and so serves only as the rescue and the test oracle.
+    2. Dual Newton ascent.  The Lagrange dual is unconstrained in the
+       d = n + 1 multipliers lambda of A theta = x: maximise
+       g(lambda) = 2 <lambda, x> - sum c~_i (s + <u~_i, lambda>)_+^2, with
+       primal point theta(lambda) = (s + <u~_i, lambda>)_+, gradient
+       2 (x - A theta(lambda)) and Hessian -2 sum c~_i u~_i u~_i^T over
+       the atoms with a positive coefficient (-2 Id on the dual cone, as
+       the lift is isotropic).  All rows iterate together from
+       lambda = x - m, the dual-cone optimum.  Each Newton step solves
+       with the active Gram matrix plus a ridge of ``_RIDGE``, and an
+       exact line search takes the root of the directional derivative,
+       which is continuous, piecewise linear and nonincreasing.
+    With the bound multipliers mu_i = 2 c~_i (s + <u~_i, lambda>)_-,
+    stationarity, dual feasibility, complementarity and theta >= 0 hold
+    exactly for (theta(lambda), lambda, mu), so the KKT residual is
+    |A theta(lambda) - x|.  That one residual certifies every row, and a
+    row is solved once it is at most ``_STOP`` max(1, |x|).  Rows still
+    short of it after ``_NEWTON_STEPS`` steps are re-solved exactly by
+    ``_solve_by_enumeration``, which scans all 2^k supports and so serves
+    only as the rescue and the test oracle; the Newton loop, run again
+    from the multiplier of the support it picks, certifies them.
     """
 
     def __init__(self, lifted: LiftedMeasure, s: float):
         self.L = lifted
         self.s = float(s)
-        k, d = lifted.k, lifted.dim
         # the maximised log-integrand is -(1/2) sum c~_i (theta_i - s)^2 on the
         # nonnegative orthant: its Hessian is -diag(c~), negative definite
         if lifted.weights.min() <= 0:
             raise ValueError("log-integrand is not strictly concave")
-        A = (lifted.points * lifted.weights[:, None]).T       # d x k
-        self.A = A
-        # null-space basis of A (k x p), p = k - d
-        _, svals, Vt = np.linalg.svd(A)
-        rank = int(np.sum(svals > 1e-12 * svals[0]))
-        self.N = Vt[rank:].T
-        root_c = np.sqrt(lifted.weights)
-        E = root_c[:, None] * self.N                           # k x p
-        # orthonormalise the transformed null basis: E = Q R
-        Q, R = np.linalg.qr(E)
-        self.Q = Q
-        self.Rinv = np.linalg.inv(R)
-        self.G_hat = self.N @ self.Rinv                        # constraint rows
-        self.root_c = root_c
-        self.m = self.s * math.sqrt(d) * lifted.pole
+        self.A = (lifted.points * lifted.weights[:, None]).T   # d x k
+        self.m = self.s * math.sqrt(lifted.dim) * lifted.pole
         self.hull = Polytope(vertices=lifted.base.points, check=False)
 
-    def solve(self, X: np.ndarray, kkt_tol: float = 1e-8):
+    def solve(self, X: np.ndarray):
         """Maximisers for the rows of X.
 
         Returns (q, theta, kkt): q* per row, the maximisers (rows x k) and
-        the KKT residual of each maximiser.  Rows with no nonnegative
-        decomposition have q and theta NaN and kkt 0; rows in the dual cone
-        are exact and carry kkt 0.
+        the KKT residual |A theta - x| of each maximiser.  Rows with no
+        nonnegative decomposition have q and theta NaN and kkt 0; rows in
+        the dual cone are exact and carry kkt 0.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         theta = X @ self.L.points.T                            # equality-constrained optimum
@@ -186,7 +161,7 @@ class _NonnegTransportSolver:
         kkt = np.zeros(len(X))
         hard = np.flatnonzero(theta.min(axis=1) < 0.0)
         rows = hard[self._in_cone(X[hard])]
-        solved = self._solve_outside_dual_cone(X[rows], theta[rows], kkt_tol)
+        solved = self._solve_outside_dual_cone(X[rows])
         q[hard] = np.nan
         theta[hard] = np.nan
         q[rows], theta[rows], kkt[rows] = solved
@@ -202,120 +177,94 @@ class _NonnegTransportSolver:
         keep[keep] = contains_points(self.hull, Y, tol=_SCREEN_TOL)
         return keep
 
-    def _solve_outside_dual_cone(self, X: np.ndarray, theta_eq: np.ndarray, kkt_tol: float):
-        L, s = self.L, self.s
-        # least-distance form: minimise |v| s.t. G_hat v >= h
-        f = -self.root_c * (theta_eq - s)
-        fQ = f @ self.Q
-        h = -(theta_eq + fQ @ self.G_hat.T)
-        u, converged = self._nnls(h)
-        # NNLS residual rho = [G_hat^T u; h.u - 1]
-        rho_head = u @ self.G_hat
-        rho_last = np.einsum("ij,ij->i", h, u) - 1.0
-        rnorm = np.sqrt(np.einsum("ij,ij->i", rho_head, rho_head) + rho_last ** 2)
-        feasible = rnorm > 1e-12                               # else incompatible constraints
-        x_scale = np.maximum(1.0, np.linalg.norm(X, axis=1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = -rho_head / rho_last[:, None]
-            theta_raw = theta_eq + ((v + fQ) @ self.Rinv.T) @ self.N.T
-            theta = np.maximum(theta_raw, 0.0)
-            # a vanishing last residual, or a maximiser that is not a feasible
-            # decomposition, means the least-distance route broke down
-            broken = ((np.abs(rho_last) < 1e-12) | ~(theta_raw.min(axis=1) >= -1e-9)
-                      | ~(np.linalg.norm(theta @ self.A.T - X, axis=1) <= 1e-9 * x_scale))
-        theta[~feasible] = np.nan
-        q = L.weights @ ((theta - s) ** 2).T
-        kkt = np.zeros(len(X))
-        ok = feasible & ~broken
-        kkt[ok] = self.kkt_residual(X[ok], theta[ok])
-        rescue = np.flatnonzero(~converged | (feasible & broken) | (kkt > kkt_tol))
+    def _solve_outside_dual_cone(self, X: np.ndarray):
+        U, s = self.L.points, self.s
+        lam, solved = self._newton(X, X - self.m)
+        rescue = np.flatnonzero(~solved)
+        lam[rescue] = np.nan
         for i in rescue:
-            q_i, theta_i = self._solve_by_enumeration(X[i])
-            q[i], theta[i] = (np.nan, np.nan) if q_i is None else (q_i, theta_i)
-        redo = rescue[~np.isnan(q[rescue])]
-        kkt[rescue] = 0.0
-        kkt[redo] = self.kkt_residual(X[redo], theta[redo])
+            _, theta_i = self._solve_by_enumeration(X[i])
+            if theta_i is not None:
+                # theta_F = s + U_F nu on the support F, so nu is a multiplier
+                free = theta_i > 0.0
+                lam[i] = np.linalg.lstsq(U[free], theta_i[free] - s, rcond=None)[0]
+        redo = rescue[~np.isnan(lam[rescue, 0])]
+        lam[redo] = self._newton(X[redo], lam[redo])[0]
+        theta = np.maximum(s + lam @ U.T, 0.0)                # NaN where infeasible
+        q = self.L.weights @ ((theta - s) ** 2).T
+        kkt = np.where(np.isnan(q), 0.0, self.certificate(X, lam))
         return q, theta, kkt
 
-    def _nnls(self, h: np.ndarray):
-        """Lawson-Hanson NNLS of [G_hat^T; h_r^T] u ~ e_{p+1} for every row h_r.
+    def certificate(self, X: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """KKT residual |x - A theta(lambda)| of dual points, one per row."""
+        theta = np.maximum(self.s + lam @ self.L.points.T, 0.0)
+        return np.linalg.norm(X - theta @ self.A.T, axis=1)
 
-        Returns (u, converged).  Loops over active-set iterations only; the
-        gradient is h_r (1 - h_r.u) - G_hat G_hat^T u.  Rows still iterating
-        after 10 k + 10 passes are reported as not converged.
+    def _newton(self, X: np.ndarray, lam: np.ndarray):
+        """Newton ascent on the dual from the rows of lam, for every row of X.
+
+        Returns (lam, solved): the last dual points, and whether each row
+        met ``_STOP`` within ``_NEWTON_STEPS`` steps.  A row whose line
+        search finds no root stops there unsolved: along its direction the
+        dual rises without bound, as it does when x has no nonnegative
+        decomposition.
         """
-        n_rows, k = h.shape
-        u = np.zeros((n_rows, k))
-        passive = np.zeros((n_rows, k), dtype=bool)
-        refused = np.zeros((n_rows, k), dtype=bool)           # barred until u next moves
-        enter = np.ones(n_rows, dtype=bool)                    # outer step due
-        live = np.ones(n_rows, dtype=bool)
-        for _ in range(10 * k + 10):
-            # outer step: the rows whose last passive solution was accepted
-            # take the largest positive gradient component, or have converged
-            rows = np.flatnonzero(live & enter)
-            hr, ur = h[rows], u[rows]
-            grad = (hr * (1.0 - np.einsum("ij,ij->i", hr, ur))[:, None]
-                    - (ur @ self.G_hat) @ self.G_hat.T)
-            cand = ~passive[rows] & ~refused[rows] & (grad > _ENTER_TOL)
-            has = cand.any(axis=1)
-            live[rows[~has]] = False
-            rows = rows[has]
-            j = np.argmax(np.where(cand[has], grad[has], -np.inf), axis=1)
-            passive[rows, j] = True
-            act = np.flatnonzero(live)
-            if act.size == 0:
+        U, c, s = self.L.points, self.L.weights, self.s
+        lam = np.array(lam, dtype=float)
+        tol = _STOP * np.maximum(1.0, np.linalg.norm(X, axis=1))
+        solved = np.zeros(len(X), dtype=bool)
+        live = np.arange(len(X))
+        ridge = _RIDGE * np.eye(self.L.dim)
+        for step in range(_NEWTON_STEPS + 1):
+            z = s + lam[live] @ U.T
+            r = X[live] - np.maximum(z, 0.0) @ self.A.T      # half the dual gradient
+            done = np.linalg.norm(r, axis=1) <= tol[live]
+            solved[live[done]] = True
+            live, z, r = live[~done], z[~done], r[~done]
+            if live.size == 0 or step == _NEWTON_STEPS:
                 break
-            z = self._passive_solve(h[act], passive[act])
-            # entering guard: refuse a candidate whose own coefficient is not
-            # positive, leave u alone and pick again next iteration
-            at = np.searchsorted(act, rows)
-            no = z[at, j] <= 0.0
-            passive[rows[no], j[no]] = False
-            refused[rows[no], j[no]] = True
-            step = np.ones(act.size, dtype=bool)
-            step[at[no]] = False
-            act, z = act[step], z[step]
-            P = passive[act]
-            good = np.all(~P | (z > 0.0), axis=1)
-            # accepted passive solutions become the new iterate
-            acc = act[good]
-            u[acc] = z[good]
-            enter[acc] = True
-            refused[acc] = False
-            # otherwise move toward z until the first passive coefficient hits zero
-            back = act[~good]
-            zb, ub, Pb = z[~good], u[back], P[~good]
-            drop = Pb & (zb <= 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(drop & (ub > zb), ub / (ub - zb), np.inf)
-            jmin = np.argmin(ratio, axis=1)
-            alpha = ratio[np.arange(back.size), jmin]
-            hit = np.isfinite(alpha)
-            ub = ub + np.where(hit, alpha, 1.0)[:, None] * (zb - ub)
-            ub[np.flatnonzero(hit), jmin[hit]] = 0.0
-            Pb &= ub > 0.0
-            u[back] = np.where(Pb, ub, 0.0)
-            passive[back] = Pb
-            enter[back] = False
-            refused[back] = False
-        return u, ~live
+            H = (U.T * np.where(z > 0.0, c, 0.0)[:, None, :]) @ U + ridge
+            delta = np.linalg.solve(H, r[..., None])[..., 0]
+            t = self._line_search(z, delta @ U.T, np.einsum("ij,ij->i", delta, r))
+            ok = np.isfinite(t)
+            live = live[ok]
+            lam[live] += t[ok, None] * delta[ok]
+        return lam, solved
 
-    def _passive_solve(self, h: np.ndarray, P: np.ndarray) -> np.ndarray:
-        """Least-squares coefficients on each row's passive set, zero elsewhere."""
-        G = self.G_hat
-        k = h.shape[1]
-        M = h[:, :, None] * h[:, None, :]
-        M += G @ G.T
-        M *= P[:, :, None] & P[:, None, :]
-        M[:, np.arange(k), np.arange(k)] += ~P                # identity off the passive set
+    def _line_search(self, z: np.ndarray, dz: np.ndarray, psi0: np.ndarray) -> np.ndarray:
+        """Exact step along each row's Newton direction delta.
 
-        def lstsq_rows(rows):
-            E = np.concatenate([np.broadcast_to(G.T, (rows.size,) + G.T.shape),
-                                h[rows, None, :]], axis=1)
-            return np.linalg.pinv(np.where(P[rows, None, :], E, 0.0))[..., -1]
-
-        return _normal_solve(M, np.where(P, h, 0.0), lstsq_rows)
+        psi(t) = <delta, x - A theta(lambda + t delta)>, half the
+        directional derivative, starts at psi0 > 0 and is continuous,
+        piecewise linear and nonincreasing, with a breakpoint where an
+        atom's coefficient z_i + t dz_i crosses zero.  Following its slope
+        across the sorted breakpoints gives its value at each; the step is
+        the root on the piece that brackets it, inf where there is none.
+        """
+        c = self.L.weights
+        curv = c * dz * dz
+        active = (z > 0.0) | ((z == 0.0) & (dz > 0.0))
+        rows = np.arange(len(z))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = -z / dz
+            b = np.where(b > 0.0, b, np.inf)
+            order = np.argsort(b, axis=1)
+            b = np.take_along_axis(b, order, axis=1)
+            # crossing its breakpoint takes an atom out of the slope (z_i > 0) or in
+            jump = np.take_along_axis(np.where(z > 0.0, curv, -curv), order, axis=1)
+            # slope on the piece that ends at each breakpoint, and psi there
+            slope0 = -np.where(active, curv, 0.0).sum(axis=1)
+            slope = slope0[:, None] + np.cumsum(jump, axis=1) - jump
+            psi = psi0[:, None] + np.cumsum(slope * np.diff(b, axis=1, prepend=0.0), axis=1)
+            # psi within rounding of zero at a breakpoint is a root there: past
+            # it, on a face of the cone, psi can stay at a rounding-level
+            # positive value along a direction in which the dual is flat
+            below = psi <= 1e-12 * psi0[:, None]
+            j = np.argmax(below, axis=1)
+            b_lo = np.where(j > 0, b[rows, j - 1], 0.0)
+            psi_lo = np.where(j > 0, psi[rows, j - 1], psi0)
+            t = np.minimum(b_lo - psi_lo / slope[rows, j], b[rows, j])
+            return np.where(below.any(axis=1), t, np.inf)
 
     def _solve_by_enumeration(self, x: np.ndarray):
         """Exact minimiser by scanning the stationarity system of every
@@ -348,55 +297,6 @@ class _NonnegTransportSolver:
                 best_q, best_theta = q, theta
         return best_q, best_theta
 
-    def kkt_residual(self, X: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Worst KKT violation of proposed maximisers, one per row
-        (feasibility, stationarity on the free set, dual feasibility on the
-        active set).
-
-        A coefficient is free above ``_FREE_TOL`` max(1, |x|).  The
-        multiplier comes from least squares on the free rows.  Where the
-        free atoms do not determine it (x on a face of the cone), the best
-        multipliers are found by ``_face_stationarity`` instead.
-        """
-        L, s = self.L, self.s
-        X, theta = np.atleast_2d(X), np.atleast_2d(theta)
-        primal = np.linalg.norm(theta @ self.A.T - X, axis=1)
-        grad = 2.0 * L.weights * (theta - s)
-        x_scale = np.maximum(1.0, np.linalg.norm(X, axis=1))
-        free = theta > _FREE_TOL * x_scale[:, None]
-        # multiplier: least squares of A^T lambda = grad on the free rows
-        At = self.A.T
-        gram = np.einsum("rk,ki,kj->rij", free.astype(float), At, At)
-        grad_free = np.where(free, grad, 0.0)
-        # too few free atoms, or a singular free Gram matrix, leave the
-        # multiplier undetermined
-        undetermined = free.sum(axis=1) < L.dim
-
-        def lstsq_rows(rows):
-            undetermined[rows] = True
-            return np.zeros((rows.size, L.dim))
-
-        lam = _normal_solve(gram, grad_free @ At, lstsq_rows)
-        mult = grad - lam @ self.A
-        stationarity = np.where(free, np.abs(mult), 0.0).max(axis=1, initial=0.0)
-        dual = np.where(free, 0.0, -mult).max(axis=1, initial=0.0)
-        resid = np.maximum(primal, np.maximum(stationarity, dual))
-        for r in np.flatnonzero(undetermined):
-            resid[r] = max(primal[r], self._face_stationarity(grad[r], free[r]))
-        return resid
-
-    def _face_stationarity(self, grad: np.ndarray, free: np.ndarray) -> float:
-        """Stationarity violation |grad - A^T lambda - mu| (max norm) with
-        the best multipliers: mu >= 0 on the active coefficients and 0 on
-        the free ones, so dual feasibility holds exactly.  mu solves the NNLS
-        problem for grad - mu in the range of A^T, written in the null-space
-        basis N of A; lambda is then the least-squares fit."""
-        mu = np.zeros_like(grad)
-        if self.N.shape[1] and not free.all():
-            mu[~free], _ = nnls(self.N[~free].T, self.N.T @ grad)
-        lam, *_ = np.linalg.lstsq(self.A.T, grad - mu, rcond=None)
-        return float(np.abs(grad - mu - self.A.T @ lam).max())
-
 
 def nonneg_transport_sup(inst: BLInstance, x: np.ndarray):
     """q*(x) and its maximiser for a single point (None when infeasible)."""
@@ -407,32 +307,31 @@ def nonneg_transport_sup(inst: BLInstance, x: np.ndarray):
     return float(q[0]), theta[0]
 
 
-def rbl_lhs(inst: BLInstance, n_samples: int = 50_000, seed: int = 0,
-            kkt_tol: float = 1e-8) -> FunctionalEstimate:
+def rbl_lhs(inst: BLInstance, n_samples: int = 50_000, seed: int = 0) -> FunctionalEstimate:
     """Monte-Carlo value of the reverse (sup-decomposition) integral.
 
     Importance sampling from N(m, Id) makes every weight lie in [0, 1]
-    because q*(x) >= |x - m|^2.  All samples go to the solver in one
-    array: points inside the dual cone take weight one, points the cone
+    because q*(x) >= |x - m|^2.  Each Gaussian chunk goes to the solver in
+    one array: points inside the dual cone take weight one, points the cone
     screen rejects take weight zero, and the rest are solved together by
-    the batched active-set NNLS.  Every accepted maximiser carries a KKT
-    certificate; points that miss ``kkt_tol`` are re-solved exactly by
-    active-set enumeration, and a ``RuntimeError`` is raised if any still
-    misses it.
+    the batched dual Newton ascent.  Every maximiser carries its KKT
+    certificate, and a ``RuntimeError`` is raised if any misses
+    ``_KKT_TOL``.
     """
     L = inst.lifted
     d = L.dim
     solver = _NonnegTransportSolver(L, inst.s)
     m = solver.m
-    # the solver sees all samples in one array
-    Z = sample_map(lambda X: X, n_samples, d, seed) + m
-    q, _, kkt = solver.solve(Z, kkt_tol)
-    worst_kkt = float(kkt.max())
-    if worst_kkt > kkt_tol:
-        raise RuntimeError(f"inner optimiser KKT residual {worst_kkt:.3g} > {kkt_tol:g}")
-    sq_dist = np.einsum("ij,ij->i", Z - m, Z - m)
-    weights = np.where(np.isnan(q), 0.0, np.exp(-0.5 * np.maximum(q - sq_dist, 0.0)))
-    return estimate(weights, (2.0 * math.pi) ** (d / 2.0))
+
+    def weights(X):
+        q, _, kkt = solver.solve(X + m)
+        worst_kkt = float(kkt.max())
+        if worst_kkt > _KKT_TOL:
+            raise RuntimeError(f"inner optimiser KKT residual {worst_kkt:.3g} > {_KKT_TOL:g}")
+        gap = np.maximum(q - np.einsum("ij,ij->i", X, X), 0.0)    # q* - |x - m|^2
+        return np.where(np.isnan(q), 0.0, np.exp(-0.5 * gap))
+
+    return sample_mean(weights, n_samples, d, seed, (2.0 * math.pi) ** (d / 2.0))
 
 
 @dataclass(frozen=True)

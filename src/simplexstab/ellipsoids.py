@@ -206,21 +206,9 @@ def mvee(points, eps: float = 1e-7, max_iter: int = 100_000):
 
 
 def polar_ellipsoid(E: Ellipsoid) -> Ellipsoid:
-    """Polar body of an ellipsoid with the origin in its interior.
-
-    For E = {x : (x-c)^T A (x-c) <= 1} the polar is again an ellipsoid;
-    completing the square in <y, c> + |A^{-1/2} y| <= 1 gives its center
-    and shape matrix.
-    """
-    c, A = E.center, E.shape
-    if float(c @ A @ c) >= 1.0:
-        raise GeometryError("origin is not interior to the ellipsoid")
-    Ainv = np.linalg.inv(A)
-    M = Ainv - np.outer(c, c)
-    Minv = np.linalg.inv(M)
-    center = -Minv @ c
-    scale = 1.0 + float(c @ Minv @ c)
-    return Ellipsoid(center, M / scale)
+    """Polar body of an ellipsoid with the origin in its interior, by
+    ``geometry.polar``."""
+    return polar(E)
 
 
 @dataclass

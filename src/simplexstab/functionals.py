@@ -11,11 +11,12 @@ them in chunk order by the pairwise update of Chan, Golub and LeVeque
 (1979), so its memory is one chunk per worker whatever the sample count.
 ``estimate`` is the same merge over ``CHUNK_SAMPLES`` slices of values
 already in hand, so the two give the same bits on the same values.
-``sample_map``, which keeps every per-sample value, serves only callers
-that need them all at once.  Every Monte-Carlo estimate of the package
-is a mean with its standard error from these; closed-form values carry a
-zero standard error.  The exact values for the ball and the regular
-simplex serve as independent oracles for the sampling paths.
+``sample_map``, which keeps every per-sample value, is the reference the
+tests hold the streamed means to.  Every Monte-Carlo estimate of the
+package is a mean with its standard error from ``sample_mean``;
+closed-form values carry a zero standard error.  The exact values for the
+ball and the regular simplex serve as independent oracles for the
+sampling paths.
 """
 from __future__ import annotations
 

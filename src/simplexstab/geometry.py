@@ -145,11 +145,6 @@ class Polytope:
             self._A, self._b = _readonly(A), _readonly(b)
         return self._A, self._b
 
-    def interior_point(self) -> np.ndarray:
-        if self._vertices is not None:
-            return self._vertices.mean(axis=0)
-        return self.vertices.mean(axis=0)
-
     def to_json(self) -> dict:
         out = {"n": int(self._n), "vertices": None, "halfspaces": None}
         if self._vertices is not None:
@@ -228,10 +223,6 @@ class Ellipsoid:
         D = np.atleast_2d(X) - self.center
         q = np.einsum("ij,jk,ik->i", D, self.shape, D)
         return q <= 1.0 + tol
-
-    def boundary_residuals(self, X: np.ndarray) -> np.ndarray:
-        D = np.atleast_2d(X) - self.center
-        return np.einsum("ij,jk,ik->i", D, self.shape, D) - 1.0
 
     def support_many(self, U: np.ndarray) -> np.ndarray:
         U = np.atleast_2d(U)
@@ -455,17 +446,22 @@ def polar(K):
 
     For polytopes, vertices map to halfspaces and halfspaces (with positive
     offsets) map to vertices, so the polar carries both representations and
-    the bipolar returns the original body up to representation.  Balls and
-    centred ellipsoids invert their radius and shape matrix.
+    the bipolar returns the original body up to representation.  Balls
+    invert their radius.  The polar of E = {x : (x-c)^T A (x-c) <= 1} is
+    again an ellipsoid: completing the square in <y, c> + |A^{-1/2} y| <= 1
+    gives its center and shape matrix, the inverse of A when c = 0.
     """
     if isinstance(K, Ball):
         if K.radius <= 0:
             raise GaugeUndefinedError("origin is not interior to the body")
         return Ball(1.0 / K.radius, K.n)
     if isinstance(K, Ellipsoid):
-        if np.linalg.norm(K.center) > 1e-12:
-            raise GeometryError("polar only implemented for centred ellipsoids")
-        return Ellipsoid(K.center, np.linalg.inv(K.shape))
+        c = K.center
+        if float(c @ K.shape @ c) >= 1.0:
+            raise GaugeUndefinedError("origin is not interior to the body")
+        M = np.linalg.inv(K.shape) - np.outer(c, c)
+        Minv = np.linalg.inv(M)
+        return Ellipsoid(-Minv @ c, M / (1.0 + float(c @ Minv @ c)))
     A, b = K.halfspaces
     if np.any(b <= 0):
         raise GaugeUndefinedError("origin is not interior to the body")

@@ -112,9 +112,6 @@ class DiscreteMeasure:
             mass_residual=float(abs(self.mass() - self.n)),
         )
 
-    def restricted(self, idx) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.points[idx], self.weights[idx])
-
     def to_json(self) -> dict:
         return {"n": int(self.n), "points": self.points.tolist(),
                 "weights": self.weights.tolist()}
@@ -201,20 +198,12 @@ def reduce_support(mu: DiscreteMeasure, tol: float = 1e-8) -> DiscreteMeasure:
             # the guaranteed bound is met to keep the operation deterministic
             break
         _, svals, Vt = np.linalg.svd(B)
-        sigma_min = svals[min(B.shape) - 1] if k <= B.shape[0] else 0.0
-        if k > B.shape[0]:
-            z = Vt[-1]
-        else:
-            if sigma_min > 1e-10 * max(svals[0], 1.0):
-                break
-            z = Vt[-1]
+        if k <= B.shape[0] and svals[k - 1] > 1e-10 * max(svals[0], 1.0):
+            break
+        z = Vt[-1]
+        # after the flip the largest entry, at least 1/sqrt(k), is positive
         z = z if z[np.argmax(np.abs(z))] > 0 else -z
         pos = z > 1e-14
-        if not np.any(pos):
-            z = -z
-            pos = z > 1e-14
-            if not np.any(pos):
-                break
         steps = np.where(pos, w / np.where(pos, z, 1.0), np.inf)
         t = steps.min()
         drop = int(np.argmin(steps))
@@ -406,11 +395,3 @@ def fit_orthonormal_frame(vs, eta: float) -> np.ndarray:
     # orthogonal Procrustes: closest orthogonal matrix to the representative block
     U, _, Wt = np.linalg.svd(V[:n].T)
     return (U @ Wt).T
-
-
-def vector_angles(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Pairwise-row angles between matched rows of X and Y."""
-    X, Y = np.atleast_2d(X), np.atleast_2d(Y)
-    cx = np.einsum("ij,ij->i", X, Y)
-    nx = np.linalg.norm(X, axis=1) * np.linalg.norm(Y, axis=1)
-    return np.arccos(np.clip(cx / np.maximum(nx, 1e-300), -1.0, 1.0))

@@ -39,6 +39,9 @@ FAMILY_KINDS = ("vertex-added", "corner-cut", "polar-vertex-added", "stretched-v
 
 # distance-exponent constant of the stability bounds, as log10(c) = 26 n log10(n)
 BOUND_EXPONENT = 26
+# largest deviation of the Loewner/John ellipsoid from the unit ball that
+# ``measure_deficits`` accepts as normalised
+_NORMALISATION_TOL = 1e-6
 
 
 class FamilyError(GeometryError):
@@ -220,7 +223,7 @@ def _align(directions: np.ndarray, targets: np.ndarray, objective,
 
 
 def align_to_simplex(K: Polytope, target: Polytope, n_restarts: int = 20,
-                     seed: int = 0, refine_sweeps: int = 2) -> AlignmentResult:
+                     seed: int = 0) -> AlignmentResult:
     """Best rotation T minimising the Hausdorff distance of K to T target.
 
     The search seeds orthogonal Procrustes fits from a Hungarian matching
@@ -235,7 +238,7 @@ def align_to_simplex(K: Polytope, target: Polytope, n_restarts: int = 20,
 
     best_R, best_d = _align(VK / np.linalg.norm(VK, axis=1)[:, None],
                             VT / np.linalg.norm(VT, axis=1)[:, None], dist_for,
-                            n_restarts, seed, sweeps=refine_sweeps, min_step=1e-4)
+                            n_restarts, seed, sweeps=2, min_step=1e-4)
     return AlignmentResult(rotation=best_R, delta_H=float(best_d))
 
 
@@ -272,7 +275,7 @@ def _worst_angle_alignment(points: np.ndarray, n: int, seed: int = 0):
                   sweeps=6, step0=0.02, min_step=1e-7)
 
 
-def _check_unit_ball_normalisation(K: Polytope, side: str, tol: float) -> None:
+def _check_unit_ball_normalisation(K: Polytope, side: str) -> None:
     if side == "lowner":
         E, _ = mvee(K.vertices)
     elif side == "john":
@@ -281,14 +284,12 @@ def _check_unit_ball_normalisation(K: Polytope, side: str, tol: float) -> None:
         raise ValueError("side must be 'lowner' or 'john'")
     resid = max(float(np.abs(E.shape - np.eye(K.n)).max()),
                 float(np.linalg.norm(E.center)))
-    if resid > tol:
-        raise NormalizationError(
-            f"unit ball is not the {side} ellipsoid (residual {resid:.3g} > {tol:g})")
+    if resid > _NORMALISATION_TOL:
+        raise NormalizationError(f"unit ball is not the {side} ellipsoid "
+                                 f"(residual {resid:.3g} > {_NORMALISATION_TOL:g})")
 
 
-def measure_deficit(K, side: str, n_samples: int = fn.DEFAULT_SAMPLES,
-                    seed: int = 0, check_tol: float = 1e-6,
-                    check_normalisation: bool = True):
+def measure_deficit(K, side: str, n_samples: int = fn.DEFAULT_SAMPLES, seed: int = 0):
     """Relative gauge-mean deficit of K against the extremal simplex value.
 
     ``lowner`` side (K inside the unit ball): 1 - ell(K)/ell(simplex);
@@ -297,14 +298,11 @@ def measure_deficit(K, side: str, n_samples: int = fn.DEFAULT_SAMPLES,
     evaluated through the polar identity as ell(K polar)/ell(polar simplex) - 1.
     The one-body case of ``measure_deficits``.  Returns (deficit, stderr).
     """
-    return measure_deficits([K], side, n_samples=n_samples, seed=seed,
-                            check_tol=check_tol,
-                            check_normalisation=check_normalisation)[0]
+    return measure_deficits([K], side, n_samples=n_samples, seed=seed)[0]
 
 
 def measure_deficits(bodies, side: str, n_samples: int = fn.DEFAULT_SAMPLES,
-                     seed: int = 0, check_tol: float = 1e-6,
-                     check_normalisation: bool = True) -> list:
+                     seed: int = 0) -> list:
     """Deficits (as in ``measure_deficit``) of bodies of one dimension on
     one common Gaussian sample.
 
@@ -318,11 +316,9 @@ def measure_deficits(bodies, side: str, n_samples: int = fn.DEFAULT_SAMPLES,
     bodies = list(bodies)
     if side not in ("lowner", "john", "lowner-width"):
         raise ValueError("side must be 'lowner', 'john' or 'lowner-width'")
-    if check_normalisation:
-        for K in bodies:
-            if isinstance(K, Polytope):
-                _check_unit_ball_normalisation(
-                    K, "lowner" if side == "lowner-width" else side, check_tol)
+    for K in bodies:
+        if isinstance(K, Polytope):
+            _check_unit_ball_normalisation(K, "lowner" if side == "lowner-width" else side)
     n = bodies[0].n
     oracle_polar = fn.simplex_ell_oracle(n)
     # the deficit is the mean of gauge(upper, X) - gauge(lower, X) over denom,

@@ -74,9 +74,9 @@ class TestReverseIntegral:
         assert np.linalg.eigvalsh(hessian).max() < 0
 
     def test_enumeration_rescue_for_hard_samples(self):
-        # this instance/seed pair contains samples on which the
-        # least-distance solve terminates early; the enumeration rescue
-        # must keep every accepted maximiser KKT-clean
+        # a 25k-sample draw on a contact measure lifted to R^4: any row the
+        # Newton loop leaves unsolved goes to the enumeration rescue, and
+        # every accepted maximiser must stay KKT-clean
         inst = lifted_instance(3, 9, seed=7101, s=0.1)
         est = bl.rbl_lhs(inst, n_samples=25_000, seed=7301)
         assert est.value >= bl.bl_bound(inst) - 3.0 * est.stderr
@@ -202,25 +202,52 @@ class TestReverseIntegral:
     def test_certificate_rejects_a_suboptimal_decomposition(self):
         L = iso.lift(el.random_isotropic_measure(3, 9, seed=7101), +1)
         solver = bl._NonnegTransportSolver(L, 0.1)
-        theta = np.array([0.4, 0.9, 1.1, 0.7, 0.5, 0.8])
-        x = solver.A @ theta
-        _, best, _ = solver.solve(x[None, :])
-        # another nonnegative decomposition of x along the null space of A
-        worse = theta + 0.1 * solver.N[:, 0]
-        assert worse.min() > 0.0 and not np.allclose(worse, best[0])
-        assert solver.kkt_residual(x[None, :], worse[None, :])[0] > 1e-3
-        # the same decomposition with one coefficient moved onto a face
-        v = solver.N[:, 0]
-        step = np.min(-theta[v < 0] / v[v < 0])
-        face = np.maximum(theta + step * v, 0.0)
-        assert solver.kkt_residual(x[None, :], face[None, :])[0] > 1e-3
+        x = (solver.A @ np.array([0.4, 0.9, 1.1, 0.7, 0.5, 0.8]))[None, :]
+        lam, solved = solver._newton(x, x - solver.m)
+        assert solved[0] and solver.certificate(x, lam)[0] <= 1e-12
+        # a generic dual point off the optimum
+        assert solver.certificate(x, lam + 0.1 * make_rng(9).standard_normal(L.dim))[0] > 1e-3
+        # the dual point moved so that the atom with the largest coefficient
+        # lands on its face, the coefficient exactly zero
+        z = solver.s + lam[0] @ L.points.T
+        u = L.points[np.argmax(z)]
+        face = lam - z.max() * u / (u @ u)
+        assert abs(solver.s + face[0] @ u) < 1e-12
+        assert solver.certificate(x, face)[0] > 1e-3
 
-    def test_stacked_solve_falls_back_on_singular_rows(self):
-        M = np.array([np.diag([2.0, 4.0]), np.diag([1.0, 0.0])])
-        rhs = np.array([[2.0, 4.0], [3.0, 0.0]])
-        E = np.array([[[1.0, 0.0], [0.0, 0.0]]])
-        z = bl._normal_solve(M, rhs, lambda rows: (np.linalg.pinv(E) @ [[3.0], [0.0]])[..., 0])
-        assert np.allclose(z, [[1.0, 1.0], [3.0, 0.0]])
+    @pytest.mark.parametrize("build, s", [
+        (lambda: iso.lift(el.random_isotropic_measure(2, 9, seed=7), +1), 0.1),
+        (lambda: iso.lift(el.random_isotropic_measure(3, 9, seed=7101), +1), 0.0),
+    ], ids=["n2", "n3"])
+    def test_rescued_rows_match_enumeration(self, build, s, monkeypatch):
+        # the first Newton pass reports every row unsolved, so all of them go
+        # to the enumeration rescue and restart from its multiplier, which is
+        # not unique for the points on a cone facet
+        inst = bl.BLInstance(build(), s)
+        solver, groups = self._oracle_points(inst, make_rng(43), 12)
+        # one point on each cone facet
+        L, n = inst.lifted, inst.lifted.base.n
+        corners = L.base.points[ConvexHull(L.base.points).simplices]
+        Y = np.einsum("ij,ijk->ik", make_rng(44).dirichlet(np.ones(n), size=len(corners)),
+                      corners)
+        facet = np.hstack([L.sign * math.sqrt(n) * Y, np.ones((len(Y), 1))])
+        X = np.vstack([groups["outside"], groups["near"], facet])
+        newton, passes = solver._newton, []
+
+        def first_pass_fails(X, lam):
+            lam, solved = newton(X, lam)
+            if not passes:
+                solved[:] = False
+            passes.append(len(X))
+            return lam, solved
+
+        monkeypatch.setattr(solver, "_newton", first_pass_fails)
+        q, _, kkt = solver.solve(X)
+        assert passes[0] == passes[1] >= 24
+        assert kkt.max() <= 1e-8
+        for x, got in zip(X, q):
+            want, _ = solver._solve_by_enumeration(x)
+            assert abs(got - want) <= 1e-9 * max(1.0, want)
 
 
 class TestDilateIdentities:

@@ -224,6 +224,17 @@ class TestSampler:
         assert bl.bl_lhs(inst, n_samples=self.N, seed=6) == fn.estimate(
             inside, (2.0 * math.pi) ** 1.5)
 
+    def test_rbl_lhs_uses_the_chunks(self):
+        inst = bl.BLInstance(iso.lift(iso.simplex_measure(2), +1), 0.1)
+        solver = bl._NonnegTransportSolver(inst.lifted, inst.s)
+        weights = []
+        for X in self._chunks(9, inst.lifted.dim):
+            q, _, _ = solver.solve(X + solver.m)
+            gap = np.maximum(q - np.einsum("ij,ij->i", X, X), 0.0)
+            weights.append(np.where(np.isnan(q), 0.0, np.exp(-0.5 * gap)))
+        assert bl.rbl_lhs(inst, n_samples=self.N, seed=9) == fn.estimate(
+            np.concatenate(weights), (2.0 * math.pi) ** 1.5)
+
     def test_mean_width_uses_the_chunks(self):
         body = g.regular_simplex(3)
         widths = []

@@ -318,7 +318,8 @@ class TestOrthonormalFrame:
         mu = iso.isotropize(V, np.ones(n))
         vs = np.sqrt(mu.weights)[:, None] * mu.points
         W = iso.fit_orthonormal_frame(vs, 5e-3)
-        angles = iso.vector_angles(vs, W)
+        cosines = np.einsum("ij,ij->i", vs, W) / np.linalg.norm(vs, axis=1)
+        angles = np.arccos(np.clip(cosines, -1.0, 1.0))
         assert angles.max() < 3.0 * math.sqrt(n) * 1e-2
 
     def test_antipodal_clusters_rejected(self):
