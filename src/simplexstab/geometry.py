@@ -473,13 +473,16 @@ def polar(K):
 def vertex_enumeration(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Vertices of the bounded body {x : A x <= b}, by polarity and Qhull.
 
-    One LP finds the Chebyshev centre c.  About c the body is
+    The body is dualised about a centre c well inside it: about c it is
     {y : <d_i, y> <= 1} with dual points d_i = a_i / (b_i - <a_i, c>), the
-    polar of conv{d_i}: each facet {z : <e, z> + off = 0} of that hull is
+    polar of conv{d_i}.  Each facet {z : <e, z> + off = 0} of that hull is
     the vertex c - e / off, and the body is bounded exactly when the
     origin is interior to the hull, i.e. every facet offset is negative.
-    Raises RepresentationError when the body is unbounded (an error that is
-    also an UnboundedSupportError), empty or flat (inradius at most ``tol``
+    The centre is the origin when every facet lies farther than ``tol``
+    times the offset scale from it (min b_i / |a_i|), which needs no LP;
+    otherwise one LP finds the Chebyshev centre.  Raises
+    RepresentationError when the body is unbounded (an error that is also
+    an UnboundedSupportError), empty or flat (inradius at most ``tol``
     times the offset scale).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -487,17 +490,22 @@ def vertex_enumeration(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.nd
     n = A.shape[1]
     scale = max(1.0, float(np.abs(b).max()))
     norms = np.linalg.norm(A, axis=1)
-    res = linprog(np.r_[np.zeros(n), -1.0], A_ub=np.hstack([A, norms[:, None]]), b_ub=b,
-                  bounds=[(None, None)] * n + [(0.0, None)], method="highs")
-    if res.status == 3:
-        raise _UnboundedBodyError("halfspace intersection is unbounded")
-    if not res.success:
-        raise RepresentationError("halfspace intersection is empty")
-    center, radius = res.x[:n], res.x[n]
-    if radius <= tol * scale:
-        raise RepresentationError("halfspace intersection is flat")
+    # every b_i > 0 and b_i / |a_i| > tol * scale, without dividing by a zero row
+    if np.all(b > tol * scale * norms):
+        center, dual = np.zeros(n), A / b[:, None]
+    else:
+        res = linprog(np.r_[np.zeros(n), -1.0], A_ub=np.hstack([A, norms[:, None]]), b_ub=b,
+                      bounds=[(None, None)] * n + [(0.0, None)], method="highs")
+        if res.status == 3:
+            raise _UnboundedBodyError("halfspace intersection is unbounded")
+        if not res.success:
+            raise RepresentationError("halfspace intersection is empty")
+        center, radius = res.x[:n], res.x[n]
+        if radius <= tol * scale:
+            raise RepresentationError("halfspace intersection is flat")
+        dual = A / (b - A @ center)[:, None]
     try:
-        hull = ConvexHull(A / (b - A @ center)[:, None])
+        hull = ConvexHull(dual)
     except QhullError:
         # the dual points span no full-dimensional hull: the body holds a line
         raise _UnboundedBodyError("halfspace intersection is unbounded") from None

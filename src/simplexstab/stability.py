@@ -156,6 +156,17 @@ def make_family(kind: str, n: int, eps_grid, cut_scale: float = 2.0) -> Extremal
 class AlignmentResult:
     rotation: np.ndarray
     delta_H: float
+    evaluated: int            # candidates whose exact distance was computed
+    pruned: int               # candidates skipped by the facet-violation bound
+
+
+# a candidate is skipped only when its lower bound beats the best distance
+# by this relative margin; without it, rounding-level ties between the
+# bound and the exact distance change the search path
+_PRUNE_MARGIN = 1e-9
+# absolute slack of the bound, in units of roundoff at the bodies' scale,
+# so that a near-zero best distance is never pruned by rounding in the bound
+_PRUNE_ULPS = 8
 
 
 def _plane_rotation(n: int, i: int, j: int, angle: float) -> np.ndarray:
@@ -182,9 +193,10 @@ def _assignment_rotation(directions: np.ndarray, targets: np.ndarray) -> np.ndar
 
 def _align(directions: np.ndarray, targets: np.ndarray, objective,
            n_restarts: int, seed: int, raw_restarts: bool = True,
-           sweeps: int = 3, step0: float = 0.05, min_step: float = 1e-5):
+           sweeps: int = 3, step0: float = 0.05, min_step: float = 1e-5,
+           lower_bound=None):
     """Rotation R of the target configuration (targets @ R.T) minimising
-    ``objective(R)``; returns (R, value).
+    ``objective(R)``; returns (R, value, evaluated, pruned).
 
     Candidates: the Hungarian/Procrustes fit of ``targets`` to the unit
     ``directions``, the identity, and per restart a random orthogonal Q
@@ -193,6 +205,13 @@ def _align(directions: np.ndarray, targets: np.ndarray, objective,
     +-step Givens rotations in every coordinate plane, the step shrinking
     from ``step0`` by 0.35 per sweep; refinement stops after ``sweeps``
     sweeps, or after a sweep without gain once the step is below ``min_step``.
+
+    A candidate replaces the best only when its objective is smaller.  Given
+    ``lower_bound(R)``, a bound that never exceeds ``objective(R)``, a
+    candidate whose bound is at least best * (1 + _PRUNE_MARGIN) cannot win
+    and is skipped without evaluating the objective, so the search path and
+    its result are those of the unpruned search.  ``evaluated`` and
+    ``pruned`` count the candidates evaluated and skipped.
     """
     n = targets.shape[1]
     rng = make_rng(seed)
@@ -203,23 +222,51 @@ def _align(directions: np.ndarray, targets: np.ndarray, objective,
         if raw_restarts:
             candidates.append(Q)
     best_R, best = None, math.inf
-    for R in candidates:
+    evaluated = pruned = 0
+
+    def improves(R):
+        nonlocal best_R, best, evaluated, pruned
+        if lower_bound is not None and lower_bound(R) >= best * (1.0 + _PRUNE_MARGIN):
+            pruned += 1
+            return False
+        evaluated += 1
         val = objective(R)
         if val < best:
             best_R, best = R, val
+            return True
+        return False
+
+    for R in candidates:
+        improves(R)
     step = step0
     for _ in range(sweeps):
         improved = False
         for i, j in itertools.combinations(range(n), 2):
             for sign in (+1.0, -1.0):
-                R_try = _plane_rotation(n, i, j, sign * step) @ best_R
-                val = objective(R_try)
-                if val < best:
-                    best_R, best, improved = R_try, val, True
+                if improves(_plane_rotation(n, i, j, sign * step) @ best_R):
+                    improved = True
         step *= 0.35
         if not improved and step < min_step:
             break
-    return best_R, best
+    return best_R, best, evaluated, pruned
+
+
+def _unit_rows(K: Polytope) -> Polytope:
+    """K with both representations, its halfspace rows scaled to unit normals."""
+    A, b = K.halfspaces
+    norms = np.linalg.norm(A, axis=1)
+    return Polytope(vertices=K.vertices, halfspaces=(A / norms[:, None], b / norms),
+                    check=False)
+
+
+def _facet_violation(K: Polytope, C: Polytope) -> float:
+    """Largest violation of either body's halfspaces by the other's vertices.
+
+    Every halfspace <a, y> <= b of a body P with |a| = 1 gives
+    dist(v, P) >= <a, v> - b, so for bodies with unit rows this is a lower
+    bound on the Hausdorff distance of K and C.
+    """
+    return -min(containment_margin(K, C), containment_margin(C, K))
 
 
 def align_to_simplex(K: Polytope, target: Polytope, n_restarts: int = 20,
@@ -228,18 +275,29 @@ def align_to_simplex(K: Polytope, target: Polytope, n_restarts: int = 20,
 
     The search seeds orthogonal Procrustes fits from a Hungarian matching
     of the extreme directions plus random restarts, then refines the best
-    candidate by monotone coordinate-plane rotations.
+    candidate by monotone coordinate-plane rotations.  Candidates whose
+    facet violation (``_facet_violation``, less a few ulps at the bodies'
+    scale) already exceeds the best distance are pruned without the exact
+    distance; the result is bit-identical to the unpruned search.
     """
     VK = K.vertices
-    VT = target.vertices
+    Ku, Tu = _unit_rows(K), _unit_rows(target)
+    VT, (AT, bT) = Tu.vertices, Tu.halfspaces
+    scale = max(float(np.abs(x).max()) for x in (VK, VT, Ku.halfspaces[1], bT))
+    slack = _PRUNE_ULPS * np.finfo(float).eps * scale
 
     def dist_for(R):
         return hausdorff_distance(K, Polytope(vertices=VT @ R.T, check=False))
 
-    best_R, best_d = _align(VK / np.linalg.norm(VK, axis=1)[:, None],
-                            VT / np.linalg.norm(VT, axis=1)[:, None], dist_for,
-                            n_restarts, seed, sweeps=2, min_step=1e-4)
-    return AlignmentResult(rotation=best_R, delta_H=float(best_d))
+    def bound_for(R):
+        RT = Polytope(vertices=VT @ R.T, halfspaces=(AT @ R.T, bT), check=False)
+        return _facet_violation(Ku, RT) - slack
+
+    best_R, best_d, evaluated, pruned = _align(
+        VK / np.linalg.norm(VK, axis=1)[:, None], VT / np.linalg.norm(VT, axis=1)[:, None],
+        dist_for, n_restarts, seed, sweeps=2, min_step=1e-4, lower_bound=bound_for)
+    return AlignmentResult(rotation=best_R, delta_H=float(best_d),
+                           evaluated=evaluated, pruned=pruned)
 
 
 def align_points_to_simplex_vertices(points: np.ndarray, n: int,
@@ -256,8 +314,8 @@ def align_points_to_simplex_vertices(points: np.ndarray, n: int,
     def dist_for(R):
         return point_set_hausdorff(P, W @ R.T)
 
-    best_R, best_d = _align(P / np.linalg.norm(P, axis=1)[:, None], W, dist_for,
-                            n_restarts, seed, sweeps=4)
+    best_R, best_d, _, _ = _align(P / np.linalg.norm(P, axis=1)[:, None], W, dist_for,
+                                  n_restarts, seed, sweeps=4)
     return best_R, float(best_d)
 
 
@@ -272,7 +330,7 @@ def _worst_angle_alignment(points: np.ndarray, n: int, seed: int = 0):
         return float(np.arccos(cos).min(axis=1).max())
 
     return _align(U, W, worst_angle, 10, seed, raw_restarts=False,
-                  sweeps=6, step0=0.02, min_step=1e-7)
+                  sweeps=6, step0=0.02, min_step=1e-7)[:2]
 
 
 def _check_unit_ball_normalisation(K: Polytope, side: str) -> None:

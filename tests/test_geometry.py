@@ -294,7 +294,7 @@ class TestContains:
     def test_missing_representation_fails_loudly(self):
         K = g.Polytope(halfspaces=(np.eye(5), np.ones(5)))
         with pytest.raises(g.RepresentationError):
-            K.vertices  # vertex enumeration refuses n = 5
+            K.vertices  # x_i <= 1 alone is unbounded
 
 
 class TestVertexEnumeration:
@@ -307,6 +307,10 @@ class TestVertexEnumeration:
     def test_unbounded_raises(self):
         with pytest.raises(g.RepresentationError):
             g.vertex_enumeration(np.array([[1.0, 0.0], [0.0, 1.0]]), np.ones(2))
+        # a full dual hull with the origin outside it: x >= -1 + y/10 leaves
+        # y unbounded below
+        with pytest.raises(g.UnboundedSupportError):
+            g.vertex_enumeration(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.1]]), np.ones(3))
 
     @pytest.mark.parametrize("b", [[1.0, -2.0, 1.0, 1.0],     # empty: x <= 1 and x >= 2
                                    [1.0, 1.0, 0.0, 0.0]])     # flat: the segment y = 0
@@ -314,6 +318,38 @@ class TestVertexEnumeration:
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         with pytest.raises(g.RepresentationError):
             g.vertex_enumeration(A, np.array(b))
+
+    @pytest.mark.parametrize("body", ["box", "random"])
+    def test_interior_origin_matches_the_lp_route(self, body, monkeypatch):
+        # an off-centre body: its Chebyshev centre is not the origin
+        if body == "box":   # [-0.1, 2] x [-1, 1]
+            A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+            b = np.array([2.0, 0.1, 1.0, 1.0])
+        else:
+            P = np.random.default_rng(11).standard_normal((12, 3)) + [0.4, -0.2, 0.1]
+            A, b = g.Polytope(vertices=P).halfspaces
+        assert np.all(b > 0.0)
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the origin is interior: no LP needed")
+
+        monkeypatch.setattr(g, "linprog", no_lp)
+        V = g.vertex_enumeration(A, b)
+        monkeypatch.undo()
+        # translated by t the body leaves the origin outside, so its
+        # vertices come from the Chebyshev-centre LP
+        t = np.full(A.shape[1], 10.0)
+        W = g.vertex_enumeration(A, b + A @ t) - t
+        assert V.shape == W.shape
+        V, W = V[np.lexsort(V.T)], W[np.lexsort(W.T)]
+        assert np.abs(V - W).max() < 1e-12
+
+    def test_origin_near_a_facet_is_not_flat(self):
+        A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        V = g.vertex_enumeration(A, np.array([1.0, 1e-12, 1.0, 1.0]))
+        expected = np.array([[-1e-12, -1.0], [1.0, -1.0], [-1e-12, 1.0], [1.0, 1.0]])
+        assert V.shape == (4, 2)
+        assert np.abs(V[np.lexsort(V.T)] - expected).max() < 1e-12
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_cube_vertices_beyond_dimension_four(self, n):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from simplexstab import ellipsoids as el
 from simplexstab import functionals as fn
@@ -83,6 +85,53 @@ class TestAlignment:
         b = st.align_to_simplex(K, g.regular_simplex(2), seed=5)
         assert a.delta_H == b.delta_H
         assert 0.0 < a.delta_H < 0.2
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=hst.integers(2, 4), seed=hst.integers(0, 2 ** 32 - 1),
+           polar_target=hst.booleans())
+    def test_facet_violation_bounds_hausdorff(self, n, seed, polar_target):
+        rng = make_rng(seed)
+        K = g.Polytope(vertices=rng.standard_normal((n + 4, n)))
+        P = rng.standard_normal((n + 1, n))
+        T = g.Polytope(vertices=np.vstack([P, -rng.uniform(0.2, 1.0) * P]))
+        if polar_target:   # halfspace rows (vertices, ones) are not unit
+            T = g.polar(T)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        Tu = st._unit_rows(T)
+        AT, bT = Tu.halfspaces
+        RT = g.Polytope(vertices=Tu.vertices @ Q.T, halfspaces=(AT @ Q.T, bT), check=False)
+        bound = st._facet_violation(st._unit_rows(K), RT)
+        assert bound <= g.hausdorff_distance(K, RT) + 1e-12
+
+    @pytest.mark.parametrize("kind", st.FAMILY_KINDS + ("rotated-simplex",))
+    def test_pruned_search_matches_unpruned(self, kind, monkeypatch):
+        if kind == "rotated-simplex":
+            # exact recoveries, whose best distance is at rounding level
+            target = g.regular_simplex(2)
+            seeds = (7, 10, 12)
+            bodies = [g.Polytope(vertices=target.vertices @ np.linalg.qr(
+                make_rng(100 + s).standard_normal((2, 2)))[0].T) for s in seeds]
+        else:
+            fam = st.make_family(kind, 2, [2e-3, 1.5e-2, 9e-2])
+            target = (g.regular_simplex(2) if fam.side in ("lowner", "lowner-width")
+                      else g.regular_simplex_polar(2))
+            bodies, seeds = fam.bodies, (5, 5, 5)
+
+        def search():
+            return [st.align_to_simplex(K, target, n_restarts=12, seed=s)
+                    for K, s in zip(bodies, seeds)]
+
+        pruned = search()
+        align = st._align
+        monkeypatch.setattr(st, "_align",
+                            lambda *args, lower_bound=None, **kw: align(*args, **kw))
+        full = search()
+        for a, b in zip(pruned, full):
+            assert np.array_equal(a.rotation, b.rotation)
+            assert a.delta_H == b.delta_H
+            assert b.pruned == 0
+            assert a.evaluated + a.pruned == b.evaluated
+        assert sum(a.pruned for a in pruned) > 0
 
     def test_point_alignment_exact_on_simplex(self):
         V = g.regular_simplex(3).vertices
