@@ -3,15 +3,20 @@
 The minimum-volume enclosing ellipsoid (MVEE) is computed on the lifted
 point set by first-order Khachiyan iterations with away steps, which carry
 the inverse design matrix and the leverage scores by rank-one updates, with
-a fresh check at the stop; then the identified contact set is polished by
-Newton iterations on the optimality system, which drives the duality gap
-to machine precision.  Contact points and dual weights are converted into
-a centered isotropic measure on the sphere certifying that the unit ball
-is the Loewner (equivalently, on the polar side, the John) ellipsoid of
-the normalised body.
+a fresh check at the stop.  The iterations start from the Kumar-Yildirim
+core set (Kumar and Yildirim 2005, J. Optim. Theory Appl. 126) plus every
+point that the Harman-Pronzato bound (Harman and Pronzato 2007, Stat.
+Probab. Lett. 77) cannot exclude from the optimal support.  The
+identified contact set is then polished by Newton iterations on the
+optimality system, which drives the duality gap to machine precision.
+Contact points and dual weights are converted into a centered isotropic
+measure on the sphere certifying that the unit ball is the Loewner
+(equivalently, on the polar side, the John) ellipsoid of the normalised
+body.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -44,8 +49,70 @@ def _leverage(Q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("ij,jk,ik->i", Q, Minv, Q), Minv
 
 
+def _core_set(X: np.ndarray) -> np.ndarray:
+    """Indices of the Kumar-Yildirim core set of the rows of X.
+
+    For j = 1..n it takes the argmax and the argmin of <x, b_j>, where
+    b_1 = e_1 and each later b_j is orthogonal to the differences chosen so
+    far: the projection of the standard basis vector farthest from their
+    span (only its direction matters).  The at most 2n points affinely span
+    R^n.
+    """
+    n = X.shape[1]
+    chosen, basis = [], np.zeros((0, n))
+    for _ in range(n):
+        R = np.eye(n) - basis.T @ basis
+        b = R[int(np.argmax(np.einsum("ij,ij->i", R, R)))]
+        s = X @ b
+        hi, lo = int(np.argmax(s)), int(np.argmin(s))
+        if not s[hi] > s[lo]:
+            raise DegenerateBodyError("point set does not span the space")
+        chosen += [hi, lo]
+        diff = X[hi] - X[lo]
+        diff -= basis.T @ (basis @ diff)
+        basis = np.vstack([basis, diff / np.linalg.norm(diff)])
+    return np.unique(chosen)
+
+
+# a point is screened out only when its leverage is below the Harman-Pronzato
+# bound by this relative margin, so rounding never screens a support point
+_SCREEN_MARGIN = 1e-9
+
+
+def _screened_start(Q: np.ndarray) -> np.ndarray:
+    """Start weights for the Khachiyan loop on the lifted points Q = [X, 1].
+
+    Under the uniform design on the core set (``_core_set``) with leverage
+    scores kappa, e = max kappa - d and
+    h = d (1 + e/2 - sqrt(e (4 + e - 4/d)) / 2), every point with
+    kappa < h is certified not to support the optimal design (Harman and
+    Pronzato 2007).  The start is uniform on the core and on the points
+    kept by that screen.
+    """
+    m, d = Q.shape
+    core = _core_set(Q[:, :-1])
+    p = np.zeros(m)
+    p[core] = 1.0 / core.size
+    try:
+        kappa, _ = _leverage(Q, p)
+    except np.linalg.LinAlgError:
+        raise DegenerateBodyError("point set does not span the space")
+    e = max(float(kappa.max()) - d, 0.0)
+    h = d * (1.0 + e / 2.0 - math.sqrt(e * (4.0 + e - 4.0 / d)) / 2.0)
+    keep = kappa >= h * (1.0 - _SCREEN_MARGIN)
+    keep[core] = True
+    return keep / np.count_nonzero(keep)
+
+
 def _khachiyan_weights(Q: np.ndarray, eps: float, max_iter: int) -> np.ndarray:
     """Away-step Frank-Wolfe on the lifted log-det design problem.
+
+    The loop starts from ``_screened_start``: uniform weight on a
+    Kumar-Yildirim core set (Kumar and Yildirim 2005) and on the points that
+    the Harman-Pronzato bound (Harman and Pronzato 2007) cannot exclude from
+    the optimal support.  Screened points start at weight 0 but stay in Q,
+    so a Frank-Wolfe step can still add them: the bound only saves the drop
+    steps that a uniform start spends on non-support points.
 
     Each step p <- a p + b e_j changes M by a rank-one term, so M^{-1} and
     the leverage scores are carried by Sherman-Morrison: with u = M^{-1} q_j,
@@ -55,8 +122,8 @@ def _khachiyan_weights(Q: np.ndarray, eps: float, max_iter: int) -> np.ndarray:
     again, so rounding drift never ends the loop early.  At most
     ``max_iter`` steps are taken.
     """
-    m, d = Q.shape
-    p = np.full(m, 1.0 / m)
+    d = Q.shape[1]
+    p = _screened_start(Q)
     kappa, steps = None, 0
     while True:
         fresh = kappa is None
@@ -177,8 +244,10 @@ def mvee(points, eps: float = 1e-7, max_iter: int = 100_000):
     Returns (Ellipsoid, dual_weights).  The weights are nonnegative, sum to
     one and are supported on (near-)contact points; the ellipsoid satisfies
     the (1+eps) optimality certificate, and after the Newton polish the
-    certificate is usually at machine precision.  Non-centred data is
-    handled by the standard lift to dimension n+1.
+    certificate is usually at machine precision.  The shape matrix is
+    exactly symmetric, and every point passes ``contains_points`` with
+    tol = 0.  Non-centred data is handled by the standard lift to dimension
+    n+1.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     m, n = X.shape
@@ -195,14 +264,23 @@ def mvee(points, eps: float = 1e-7, max_iter: int = 100_000):
         Sinv = np.linalg.inv(S)
     except np.linalg.LinAlgError:
         raise DegenerateBodyError("degenerate point set (singular scatter)")
-    shape = Sinv / n
     cert = mvee_support_residual(X, p)
     if cert > eps:
         raise EllipsoidSolverError(
             f"certificate {cert:.3g} exceeds eps = {eps:g} after {max_iter} iterations")
     # inflate so containment holds exactly at the certified accuracy
-    shape = shape / (1.0 + cert * (n + 1.0) / n)
-    return Ellipsoid(center, shape), p
+    E = Ellipsoid(center, (Sinv + Sinv.T) / (2.0 * n * (1.0 + cert * (n + 1.0) / n)))
+    # on affinely ill-conditioned clouds the rounding of S^{-1}, and of the
+    # quadratic form itself, can leave a point outside as evaluated; then
+    # shrink by the largest form plus twice its rounding bound (a sum of n^2
+    # products of three factors), so that every point evaluates inside
+    q = E.quadratic_form(X)
+    if q.max() > 1.0:
+        D = np.abs(X - center)
+        bound = np.einsum("ij,jk,ik->i", D, np.abs(E.shape), D)
+        slack = 2.0 * (n * n + 3) * np.finfo(float).eps * bound
+        E = Ellipsoid(center, E.shape / float((q + slack).max()))
+    return E, p
 
 
 def polar_ellipsoid(E: Ellipsoid) -> Ellipsoid:

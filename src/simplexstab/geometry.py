@@ -219,10 +219,13 @@ class Ellipsoid:
         sign, logdet = np.linalg.slogdet(self.shape)
         return unit_ball_volume(self.n) * math.exp(-0.5 * logdet)
 
-    def contains_points(self, X: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    def quadratic_form(self, X: np.ndarray) -> np.ndarray:
+        """(x - c)^T A (x - c) for each row x of X."""
         D = np.atleast_2d(X) - self.center
-        q = np.einsum("ij,jk,ik->i", D, self.shape, D)
-        return q <= 1.0 + tol
+        return np.einsum("ij,jk,ik->i", D, self.shape, D)
+
+    def contains_points(self, X: np.ndarray, tol: float = 0.0) -> np.ndarray:
+        return self.quadratic_form(X) <= 1.0 + tol
 
     def support_many(self, U: np.ndarray) -> np.ndarray:
         U = np.atleast_2d(U)

@@ -259,14 +259,19 @@ def _unit_rows(K: Polytope) -> Polytope:
                     check=False)
 
 
-def _facet_violation(K: Polytope, C: Polytope) -> float:
-    """Largest violation of either body's halfspaces by the other's vertices.
+def _facet_violation(VK: np.ndarray, HK, VC: np.ndarray, HC) -> float:
+    """Largest violation of either body's halfspaces by the other's vertices,
+    for bodies K and C given by vertex arrays VK, VC and halfspaces
+    HK = (A_K, b_K), HC = (A_C, b_C).
 
     Every halfspace <a, y> <= b of a body P with |a| = 1 gives
     dist(v, P) >= <a, v> - b, so for bodies with unit rows this is a lower
-    bound on the Hausdorff distance of K and C.
+    bound on the Hausdorff distance of K and C.  It is computed from the
+    arrays, with no ``Polytope`` built, and equals
+    -min(containment_margin(K, C), containment_margin(C, K)) bit for bit.
     """
-    return -min(containment_margin(K, C), containment_margin(C, K))
+    (AK, bK), (AC, bC) = HK, HC
+    return max(float(np.max(VC @ AK.T - bK)), float(np.max(VK @ AC.T - bC)))
 
 
 def align_to_simplex(K: Polytope, target: Polytope, n_restarts: int = 20,
@@ -281,17 +286,16 @@ def align_to_simplex(K: Polytope, target: Polytope, n_restarts: int = 20,
     distance; the result is bit-identical to the unpruned search.
     """
     VK = K.vertices
-    Ku, Tu = _unit_rows(K), _unit_rows(target)
+    HK, Tu = _unit_rows(K).halfspaces, _unit_rows(target)
     VT, (AT, bT) = Tu.vertices, Tu.halfspaces
-    scale = max(float(np.abs(x).max()) for x in (VK, VT, Ku.halfspaces[1], bT))
+    scale = max(float(np.abs(x).max()) for x in (VK, VT, HK[1], bT))
     slack = _PRUNE_ULPS * np.finfo(float).eps * scale
 
     def dist_for(R):
         return hausdorff_distance(K, Polytope(vertices=VT @ R.T, check=False))
 
     def bound_for(R):
-        RT = Polytope(vertices=VT @ R.T, halfspaces=(AT @ R.T, bT), check=False)
-        return _facet_violation(Ku, RT) - slack
+        return _facet_violation(VK, HK, VT @ R.T, (AT @ R.T, bT)) - slack
 
     best_R, best_d, evaluated, pruned = _align(
         VK / np.linalg.norm(VK, axis=1)[:, None], VT / np.linalg.norm(VT, axis=1)[:, None],

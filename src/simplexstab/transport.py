@@ -207,6 +207,18 @@ def psi_shift_monotonicity_check(y_grid, s_grid, slack: float = 1e-9) -> dict:
     }
 
 
+def _lattice_extremes(derivs, s_grid, x_grid):
+    """Minima and maxima of the value, first and second derivative returned
+    by ``derivs(s, x_grid)`` over the s_grid x x_grid lattice, reduced one
+    row of s at a time so that no lattice-sized array is held."""
+    lo, hi = np.full(3, np.inf), np.full(3, -np.inf)
+    for s in s_grid:
+        rows = derivs(s, x_grid)
+        lo = np.minimum(lo, [r.min() for r in rows])
+        hi = np.maximum(hi, [r.max() for r in rows])
+    return lo.tolist(), hi.tolist()
+
+
 def derivative_box_margins(grid: int = 200) -> dict:
     """Worst-case margins of the eight derivative bounds on the two boxes.
 
@@ -214,30 +226,23 @@ def derivative_box_margins(grid: int = 200) -> dict:
     be positive for the bounds to hold on every node of the grid x grid
     lattice over the box.
     """
-    s_phi = np.linspace(*PHI_BOX["s"], grid)
-    x_phi = np.linspace(*PHI_BOX["x"], grid)
-    vals = np.empty((grid, grid))
-    firsts = np.empty((grid, grid))
-    seconds = np.empty((grid, grid))
-    for i, s in enumerate(s_phi):
-        vals[i], firsts[i], seconds[i] = phi_derivs(s, x_phi)
+    (v_lo, f_lo, _), (v_hi, f_hi, s_hi) = _lattice_extremes(
+        phi_derivs, np.linspace(*PHI_BOX["s"], grid), np.linspace(*PHI_BOX["x"], grid))
     out = {
-        "phi_lower": (float(vals.min()), float(vals.min() - PHI_BOX["value"][0])),
-        "phi_upper": (float(vals.max()), float(PHI_BOX["value"][1] - vals.max())),
-        "phi_first_lower": (float(firsts.min()), float(firsts.min() - PHI_BOX["first"][0])),
-        "phi_first_upper": (float(firsts.max()), float(PHI_BOX["first"][1] - firsts.max())),
-        "phi_second_upper": (float(seconds.max()), float(PHI_BOX["second_max"] - seconds.max())),
+        "phi_lower": (v_lo, v_lo - PHI_BOX["value"][0]),
+        "phi_upper": (v_hi, PHI_BOX["value"][1] - v_hi),
+        "phi_first_lower": (f_lo, f_lo - PHI_BOX["first"][0]),
+        "phi_first_upper": (f_hi, PHI_BOX["first"][1] - f_hi),
+        "phi_second_upper": (s_hi, PHI_BOX["second_max"] - s_hi),
     }
-    s_psi = np.linspace(*PSI_BOX["s"], grid)
-    y_psi = np.linspace(*PSI_BOX["y"], grid)
-    for i, s in enumerate(s_psi):
-        vals[i], firsts[i], seconds[i] = psi_derivs(s, y_psi)
+    (v_lo, f_lo, s_lo), (v_hi, f_hi, _) = _lattice_extremes(
+        psi_derivs, np.linspace(*PSI_BOX["s"], grid), np.linspace(*PSI_BOX["y"], grid))
     out.update({
-        "psi_lower": (float(vals.min()), float(vals.min() - PSI_BOX["value"][0])),
-        "psi_upper": (float(vals.max()), float(PSI_BOX["value"][1] - vals.max())),
-        "psi_first_lower": (float(firsts.min()), float(firsts.min() - PSI_BOX["first"][0])),
-        "psi_first_upper": (float(firsts.max()), float(PSI_BOX["first"][1] - firsts.max())),
-        "psi_second_lower": (float(seconds.min()), float(seconds.min() - PSI_BOX["second_min"])),
+        "psi_lower": (v_lo, v_lo - PSI_BOX["value"][0]),
+        "psi_upper": (v_hi, PSI_BOX["value"][1] - v_hi),
+        "psi_first_lower": (f_lo, f_lo - PSI_BOX["first"][0]),
+        "psi_first_upper": (f_hi, PSI_BOX["first"][1] - f_hi),
+        "psi_second_lower": (s_lo, s_lo - PSI_BOX["second_min"]),
     })
     out["ok"] = all(margin > 0 for _, margin in
                     (v for k, v in out.items() if k != "ok"))

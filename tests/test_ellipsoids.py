@@ -47,6 +47,18 @@ class TestMvee:
         with pytest.raises(g.DegenerateBodyError):
             el.mvee(flat)
 
+    @pytest.mark.parametrize("n", [3, 4, 6, 8])
+    def test_affinely_ill_conditioned_clouds(self, n):
+        # axis scales 1..1e3 under a random linear map: S^{-1} is not exactly
+        # symmetric, and its rounding can leave a contact point outside
+        for seed in range(10):
+            r = make_rng(seed)
+            X = (r.standard_normal((120, n)) * np.geomspace(1, 1e3, n)) @ r.standard_normal((n, n))
+            E, w = el.mvee(X)
+            assert np.array_equal(E.shape, E.shape.T)
+            assert el.mvee_support_residual(X, w) <= 1e-7
+            assert np.all(E.contains_points(X))
+
     def test_eps_range_validated(self):
         with pytest.raises(g.GeometryError):
             el.mvee(np.eye(3), eps=0.7)
@@ -155,11 +167,10 @@ class TestRandomIsotropicMeasure:
             el.random_isotropic_measure(3, 3, seed=0)
 
 
-def _khachiyan_from_scratch(Q, eps, max_iter):
-    """Reference: the Khachiyan loop that rebuilds M, its inverse and every
-    leverage score at each iteration."""
+def _khachiyan_from_scratch(Q, eps, max_iter, p):
+    """Reference: the Khachiyan loop from start weights p that rebuilds M,
+    its inverse and every leverage score at each iteration."""
     m, d = Q.shape
-    p = np.full(m, 1.0 / m)
     for _ in range(int(max_iter)):
         M = (Q * p[:, None]).T @ Q
         kappa = np.einsum("ij,jk,ik->i", Q, np.linalg.inv(M), Q)
@@ -219,14 +230,15 @@ class TestKhachiyanRankOneUpdates:
     def test_weights_follow_the_from_scratch_loop(self, name):
         X = _CLOUDS[name]()
         Q = np.hstack([X, np.ones((X.shape[0], 1))])
-        expected = _khachiyan_from_scratch(Q, 1e-7, 100_000)
+        expected = _khachiyan_from_scratch(Q, 1e-7, 100_000, el._screened_start(Q))
         assert np.abs(el._khachiyan_weights(Q, 1e-7, 100_000) - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("name", ["cross4", "gauss200x3", "sphere0", "cube3"])
     def test_mvee_matches_the_from_scratch_route(self, name, monkeypatch):
         X = _CLOUDS[name]()
         E, w = el.mvee(X)
-        monkeypatch.setattr(el, "_khachiyan_weights", _khachiyan_from_scratch)
+        monkeypatch.setattr(el, "_khachiyan_weights", lambda Q, eps, max_iter:
+                            _khachiyan_from_scratch(Q, eps, max_iter, el._screened_start(Q)))
         E_ref, w_ref = el.mvee(X)
         assert np.abs(w - w_ref).max() <= 1e-12
         assert np.abs(E.shape - E_ref.shape).max() <= 1e-12 * np.abs(E_ref.shape).max()
@@ -237,6 +249,20 @@ class TestKhachiyanRankOneUpdates:
         X = _CLOUDS["gauss30x2"]()
         with pytest.raises(el.EllipsoidSolverError):
             el.mvee(X, max_iter=max_iter)
+
+    @pytest.mark.parametrize("name", list(_CLOUDS))
+    def test_screen_keeps_the_support(self, name):
+        X = _CLOUDS[name]()
+        _, w = el.mvee(X)
+        start = el._screened_start(np.hstack([X, np.ones((X.shape[0], 1))]))
+        assert np.all(start[w > 1e-9] > 0.0)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_cross_polytope_core_set_is_optimal(self, n):
+        X = _CLOUDS[f"cross{n}"]()
+        assert np.array_equal(el._core_set(X), np.arange(2 * n))
+        _, w = el.mvee(X, max_iter=0)
+        assert el.mvee_support_residual(X, w) <= 1e-7
 
     def test_rank_deficient_lift_raises(self):
         flat = np.hstack([make_rng(0).standard_normal((6, 2)), np.zeros((6, 1))])

@@ -100,7 +100,8 @@ class TestAlignment:
         Tu = st._unit_rows(T)
         AT, bT = Tu.halfspaces
         RT = g.Polytope(vertices=Tu.vertices @ Q.T, halfspaces=(AT @ Q.T, bT), check=False)
-        bound = st._facet_violation(st._unit_rows(K), RT)
+        Ku = st._unit_rows(K)
+        bound = st._facet_violation(Ku.vertices, Ku.halfspaces, RT.vertices, RT.halfspaces)
         assert bound <= g.hausdorff_distance(K, RT) + 1e-12
 
     @pytest.mark.parametrize("kind", st.FAMILY_KINDS + ("rotated-simplex",))
