@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 from scipy.special import ndtr
 
 from .functionals import FunctionalEstimate, sample_mean
@@ -93,8 +94,10 @@ _SCREEN_TOL = 1e-9
 _RIDGE = 1e-8
 # a row is solved once |x - A theta(lambda)| <= _STOP max(1, |x|)
 _STOP = 1e-13
-# Newton steps before a row goes to the enumeration rescue
+# Newton steps before a row goes to the support rescue
 _NEWTON_STEPS = 50
+# weight W of the residual in the rescue's least squares (1e3 and 1e7 agree)
+_PENALTY = 1e5
 # largest certificate ``rbl_lhs`` accepts
 _KKT_TOL = 1e-8
 
@@ -130,10 +133,11 @@ class _NonnegTransportSolver:
     exactly for (theta(lambda), lambda, mu), so the KKT residual is
     |A theta(lambda) - x|.  That one residual certifies every row, and a
     row is solved once it is at most ``_STOP`` max(1, |x|).  Rows still
-    short of it after ``_NEWTON_STEPS`` steps are re-solved exactly by
-    ``_solve_by_enumeration``, which scans all 2^k supports and so serves
-    only as the rescue and the test oracle; the Newton loop, run again
-    from the multiplier of the support it picks, certifies them.
+    short of it after ``_NEWTON_STEPS`` steps go to ``_solve_on_support``,
+    which picks their support by nonnegative least squares; the Newton
+    loop, run again from that support's multiplier, certifies them.  Only
+    rows within ``_SCREEN_TOL`` of a facet may fail the rescue as
+    infeasible; a failure deeper inside the cone raises ``RuntimeError``.
     """
 
     def __init__(self, lifted: LiftedMeasure, s: float):
@@ -160,40 +164,37 @@ class _NonnegTransportSolver:
         q = np.einsum("ij,ij->i", X - self.m, X - self.m)     # |x - m|^2, the dual-cone value
         kkt = np.zeros(len(X))
         hard = np.flatnonzero(theta.min(axis=1) < 0.0)
-        rows = hard[self._in_cone(X[hard])]
+        rows = hard[self._in_cone(X[hard], _SCREEN_TOL)]
         solved = self._solve_outside_dual_cone(X[rows])
         q[hard] = np.nan
         theta[hard] = np.nan
         q[rows], theta[rows], kkt[rows] = solved
         return q, theta, kkt
 
-    def _in_cone(self, X: np.ndarray) -> np.ndarray:
-        """Rows of X in the cone of the lifted atoms, up to ``_SCREEN_TOL``
-        in hull coordinates."""
+    def _in_cone(self, X: np.ndarray, tol: float) -> np.ndarray:
+        """Rows of X in the cone of the lifted atoms, up to tol in hull
+        coordinates (a negative tol asks for that depth inside)."""
         L = self.L
         x_last = X[:, -1]
         keep = x_last > 0.0
         Y = L.sign * X[keep, :-1] / (math.sqrt(L.base.n) * x_last[keep, None])
-        keep[keep] = contains_points(self.hull, Y, tol=_SCREEN_TOL)
+        keep[keep] = contains_points(self.hull, Y, tol=tol)
         return keep
 
     def _solve_outside_dual_cone(self, X: np.ndarray):
         U, s = self.L.points, self.s
         lam, solved = self._newton(X, X - self.m)
         rescue = np.flatnonzero(~solved)
-        lam[rescue] = np.nan
         for i in rescue:
-            _, theta_i = self._solve_by_enumeration(X[i])
-            if theta_i is not None:
-                # theta_F = s + U_F nu on the support F, so nu is a multiplier
-                free = theta_i > 0.0
-                lam[i] = np.linalg.lstsq(U[free], theta_i[free] - s, rcond=None)[0]
-        redo = rescue[~np.isnan(lam[rescue, 0])]
+            lam[i] = self._solve_on_support(X[i])             # NaN where it fails
+        failed = np.isnan(lam[rescue, 0])
+        if self._in_cone(X[rescue[failed]], -_SCREEN_TOL).any():
+            raise RuntimeError("the support rescue failed on a point inside the cone")
+        redo = rescue[~failed]
         lam[redo] = self._newton(X[redo], lam[redo])[0]
         theta = np.maximum(s + lam @ U.T, 0.0)                # NaN where infeasible
         q = self.L.weights @ ((theta - s) ** 2).T
-        kkt = np.where(np.isnan(q), 0.0, self.certificate(X, lam))
-        return q, theta, kkt
+        return q, theta, np.where(np.isnan(q), 0.0, self.certificate(X, lam))
 
     def certificate(self, X: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """KKT residual |x - A theta(lambda)| of dual points, one per row."""
@@ -266,36 +267,34 @@ class _NonnegTransportSolver:
             t = np.minimum(b_lo - psi_lo / slope[rows, j], b[rows, j])
             return np.where(below.any(axis=1), t, np.inf)
 
-    def _solve_by_enumeration(self, x: np.ndarray):
-        """Exact minimiser by scanning the stationarity system of every
-        active set (the atom count is small by precondition).  A support
-        counts only when its clipped decomposition reproduces x to 1e-12
-        relative, so near a lower-dimensional face a support that only nearly
-        reproduces x cannot undercut the true minimum."""
+    def _solve_on_support(self, x: np.ndarray):
+        """Multiplier of the minimiser for one row, NaN when none is found.
+
+        One nonnegative least-squares solve of the penalised problem
+        min |sqrt(c~) (theta - s)|^2 + W^2 |A theta - x|^2 over theta >= 0
+        picks the support F = {theta > 0}.  On F the stationarity system
+        gives theta_F = s + U_F nu, taken when theta_F >= -1e-10 and its
+        clipped decomposition reproduces x to 1e-12 relative; otherwise the
+        atoms at theta_F <= 0 (a nearly dependent atom can enter F there)
+        leave F and it is solved again.
+        """
         L, s = self.L, self.s
-        k = L.k
-        x_scale = max(1.0, float(np.linalg.norm(x)))
-        best_q, best_theta = None, None
-        for mask in range(1, 1 << k):
-            free = [i for i in range(k) if mask >> i & 1]
+        root_c = np.sqrt(L.weights)
+        free = nnls(np.vstack([np.diag(root_c), _PENALTY * self.A]),
+                    np.concatenate([root_c * s, _PENALTY * x]))[0] > 0.0
+        while free.any():
             UF = L.points[free]
             G = (UF * L.weights[free][:, None]).T @ UF
-            rhs = x - s * (L.weights[free] @ UF)
-            try:
-                nu = np.linalg.solve(G, rhs)
-            except np.linalg.LinAlgError:
-                nu, *_ = np.linalg.lstsq(G, rhs, rcond=None)
+            nu = np.linalg.lstsq(G, x - s * (L.weights[free] @ UF), rcond=None)[0]
             theta_f = s + UF @ nu
-            if theta_f.min() < -1e-10:
-                continue
-            theta = np.zeros(k)
-            theta[free] = np.maximum(theta_f, 0.0)
-            if np.linalg.norm(self.A @ theta - x) > 1e-12 * x_scale:
-                continue
-            q = float(L.weights @ (theta - s) ** 2)
-            if best_q is None or q < best_q:
-                best_q, best_theta = q, theta
-        return best_q, best_theta
+            resid = np.linalg.norm(self.A[:, free] @ np.maximum(theta_f, 0.0) - x)
+            if theta_f.min() >= -1e-10 and resid <= 1e-12 * max(1.0, np.linalg.norm(x)):
+                return nu
+            kept = theta_f > 0.0
+            if kept.all():
+                break
+            free[free] = kept
+        return np.full(L.dim, np.nan)
 
 
 def nonneg_transport_sup(inst: BLInstance, x: np.ndarray):

@@ -103,6 +103,12 @@ def _load_body(path: str):
     return geom.Polytope.from_json(data)
 
 
+def _load_measure(path: str) -> iso.DiscreteMeasure:
+    """A bare measure, or the ``measure`` field of a generate/reduce report."""
+    data = _load_json(path)
+    return iso.DiscreteMeasure.from_json(data.get("measure", data))
+
+
 def _workers(args) -> int:
     if getattr(args, "workers", None):
         return args.workers
@@ -119,7 +125,7 @@ def cmd_measure_generate(args):
 
 
 def cmd_measure_validate(args):
-    mu = iso.DiscreteMeasure.from_json(_load_json(args.infile))
+    mu = _load_measure(args.infile)
     report = mu.validate()
     _emit_json({"residuals": vars(report), "k": mu.k, "tol": args.tol,
                 "ok": report.ok(args.tol)}, args, args.out)
@@ -130,7 +136,7 @@ def cmd_measure_validate(args):
 
 
 def cmd_measure_reduce(args):
-    mu = iso.DiscreteMeasure.from_json(_load_json(args.infile))
+    mu = _load_measure(args.infile)
     reduced = iso.reduce_support(mu, tol=args.tol)
     _emit_json({"measure": reduced.to_json(),
                 "k_in": mu.k, "k_out": reduced.k,
@@ -238,7 +244,7 @@ def cmd_transport_constants(args):
 # ---------------------------------------------------------------- bl
 
 def cmd_bl_verify(args):
-    mu = iso.DiscreteMeasure.from_json(_load_json(args.measure))
+    mu = _load_measure(args.measure)
     inst = bl.BLInstance(iso.lift(mu, +1), args.s)
     bound = bl.bl_bound(inst)
     direct = bl.bl_lhs(inst, n_samples=args.samples, seed=args.seed)

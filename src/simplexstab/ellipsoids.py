@@ -25,13 +25,12 @@ from scipy.optimize import nnls
 
 from .geometry import (DegenerateBodyError, Ellipsoid, GeometryError,
                        Polytope, polar)
-from .isotropic import (DiscreteMeasure, IsotropyReport, _constraint_matrix, reduce_support,
-                        support_bound)
+from .isotropic import DiscreteMeasure, IsotropyReport, _constraint_matrix
 from .rng import make_rng
 
 __all__ = [
     "EllipsoidSolverError", "JohnDecomposition",
-    "mvee", "mvee_support_residual", "polar_ellipsoid",
+    "mvee", "mvee_support_residual",
     "john_contact_measure", "john_ellipsoid_of_polar",
     "random_isotropic_measure",
 ]
@@ -145,19 +144,18 @@ def _khachiyan_weights(Q: np.ndarray, eps: float, max_iter: int) -> np.ndarray:
         if steps >= max_iter:
             break
         steps += 1
-        if eps_up >= eps_dn:
-            j, kap = i_up, kappa[i_up]
-            step = (kap - d) / (d * (kap - 1.0))
-            a, b = 1.0 - step, step
-            p = a * p
-            p[j] += b
-        else:
+        away = eps_up < eps_dn
+        if away:
             j, kap = i_dn, kappa[i_dn]
             step_cap = p[j] / (1.0 - p[j]) if p[j] < 1.0 else np.inf
-            step = min((d - kap) / (d * (kap - 1.0)), step_cap)
-            a, b = 1.0 + step, -step
-            p = a * p
-            p[j] += b
+            step = -min((d - kap) / (d * (kap - 1.0)), step_cap)
+        else:
+            j, kap = i_up, kappa[i_up]
+            step = (kap - d) / (d * (kap - 1.0))
+        a, b = 1.0 - step, step
+        p = a * p
+        p[j] += b
+        if away:
             p = np.maximum(p, 0.0)
             p /= p.sum()
         u = Minv @ Q[j]
@@ -196,10 +194,10 @@ def _newton_polish(Q: np.ndarray, p: np.ndarray, rounds: int = 12,
         support = np.flatnonzero((kappa >= d * (1.0 - 1e-3)) | (p > 1e-6))
         if support.size < d:
             support = np.argsort(kappa)[-d:]
-        ps = p[support]
-        ps = np.maximum(ps, 1e-12)
+        ps = np.maximum(p[support], 1e-12)
         ps /= ps.sum()
         Qs = Q[support]
+        errs = []
         for _ in range(100):
             Ms = (Qs * ps[:, None]).T @ Qs
             try:
@@ -207,7 +205,12 @@ def _newton_polish(Q: np.ndarray, p: np.ndarray, rounds: int = 12,
             except np.linalg.LinAlgError:
                 break
             F = np.diag(K) - d
-            if np.abs(F).max() < tol * d:
+            errs.append(np.abs(F).max())
+            if errs[-1] < tol * d:
+                break
+            # on affinely ill-conditioned clouds max|F| stalls far above tol:
+            # stop once it has not halved from its best within 5 steps
+            if len(errs) > 5 and min(errs[-5:]) > 0.5 * min(errs[:-5]):
                 break
             step, *_ = np.linalg.lstsq(-(K ** 2), -F, rcond=1e-10)
             lam = 1.0
@@ -283,12 +286,6 @@ def mvee(points, eps: float = 1e-7, max_iter: int = 100_000):
     return E, p
 
 
-def polar_ellipsoid(E: Ellipsoid) -> Ellipsoid:
-    """Polar body of an ellipsoid with the origin in its interior, by
-    ``geometry.polar``."""
-    return polar(E)
-
-
 @dataclass
 class JohnDecomposition:
     """A body normalised so the unit ball is its Loewner/John ellipsoid,
@@ -317,9 +314,9 @@ def john_contact_measure(K: Polytope, eps: float = 1e-7,
     The body is mapped by the affine map sending its Loewner ellipsoid to
     the unit ball; vertices landing on the sphere are the contact points,
     whose weights are polished by nonnegative least squares onto the exact
-    conditions sum c_i u_i (x) u_i = Id, sum c_i u_i = 0, and then the
-    support is reduced below n(n+3)/2 + 1.  If the residuals still exceed
-    ``tol`` the decomposition is returned with a warning, never silently.
+    conditions sum c_i u_i (x) u_i = Id, sum c_i u_i = 0, which keeps at
+    most n(n+3)/2 atoms.  If the residuals still exceed ``tol`` the
+    decomposition is returned with a warning, never silently.
     """
     X = K.vertices
     n = K.n
@@ -339,8 +336,6 @@ def john_contact_measure(K: Polytope, eps: float = 1e-7,
     keep = w > 1e-12
     U, w = U[keep], w[keep]
     mu = DiscreteMeasure(U, w)
-    if mu.k > support_bound(n):
-        mu = reduce_support(mu, tol=max(10.0 * tol, 1e-6))
     residuals = mu.validate()
     if residuals.max_residual > tol or boundary_residual > tol:
         warnings.warn(
@@ -357,7 +352,7 @@ def john_ellipsoid_of_polar(K: Polytope, eps: float = 1e-7) -> Ellipsoid:
     """John ellipsoid of K as the polar image of the Loewner ellipsoid of K°."""
     Kp = polar(K)
     E, _ = mvee(Kp.vertices, eps=eps)
-    return polar_ellipsoid(E)
+    return polar(E)
 
 
 def random_isotropic_measure(n: int, k_points: int, seed: int) -> DiscreteMeasure:

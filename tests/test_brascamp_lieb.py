@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,45 @@ from simplexstab import brascamp_lieb as bl
 from simplexstab import ellipsoids as el
 from simplexstab import isotropic as iso
 from simplexstab.rng import make_rng
+
+
+def _solve_by_enumeration(solver, x: np.ndarray):
+    """Exact minimiser by scanning the stationarity system of every
+    active set (the atom count is small by precondition).  A support
+    counts only when its clipped decomposition reproduces x to 1e-12
+    relative, so near a lower-dimensional face a support that only nearly
+    reproduces x cannot undercut the true minimum."""
+    L, s = solver.L, solver.s
+    k = L.k
+    x_scale = max(1.0, float(np.linalg.norm(x)))
+    best_q, best_theta = None, None
+    for mask in range(1, 1 << k):
+        free = [i for i in range(k) if mask >> i & 1]
+        UF = L.points[free]
+        G = (UF * L.weights[free][:, None]).T @ UF
+        rhs = x - s * (L.weights[free] @ UF)
+        try:
+            nu = np.linalg.solve(G, rhs)
+        except np.linalg.LinAlgError:
+            nu, *_ = np.linalg.lstsq(G, rhs, rcond=None)
+        theta_f = s + UF @ nu
+        if theta_f.min() < -1e-10:
+            continue
+        theta = np.zeros(k)
+        theta[free] = np.maximum(theta_f, 0.0)
+        if np.linalg.norm(solver.A @ theta - x) > 1e-12 * x_scale:
+            continue
+        q = float(L.weights @ (theta - s) ** 2)
+        if best_q is None or q < best_q:
+            best_q, best_theta = q, theta
+    return best_q, best_theta
+
+
+def plus_minus_measure(half, seed):
+    """The isotropic measure on +-P for ``half`` random unit vectors P in the plane."""
+    P = np.random.default_rng(seed).standard_normal((half, 2))
+    P /= np.linalg.norm(P, axis=1)[:, None]
+    return iso.isotropize(np.vstack([P, -P]), np.ones(2 * half))
 
 
 def lifted_instance(n, k_points, seed, s):
@@ -159,7 +199,7 @@ class TestReverseIntegral:
             q, theta, kkt = solver.solve(X)
             assert kkt.max() <= 1e-8, kind
             for i, x in enumerate(X):
-                want, _ = solver._solve_by_enumeration(x)
+                want, _ = _solve_by_enumeration(solver, x)
                 assert (want is None) == np.isnan(q[i]), (kind, i)
                 assert (want is None) == (kind == "infeasible"), (kind, i)
                 single_q, single_theta = bl.nonneg_transport_sup(inst, x)
@@ -196,7 +236,7 @@ class TestReverseIntegral:
         q, _, kkt = solver.solve(X)
         assert kkt.max() <= 1e-12
         for x, got in zip(X, q):
-            want, _ = solver._solve_by_enumeration(x)
+            want, _ = _solve_by_enumeration(solver, x)
             assert abs(got - want) <= 1e-9 * max(1.0, want)
 
     def test_certificate_rejects_a_suboptimal_decomposition(self):
@@ -218,10 +258,13 @@ class TestReverseIntegral:
     @pytest.mark.parametrize("build, s", [
         (lambda: iso.lift(el.random_isotropic_measure(2, 9, seed=7), +1), 0.1),
         (lambda: iso.lift(el.random_isotropic_measure(3, 9, seed=7101), +1), 0.0),
-    ], ids=["n2", "n3"])
+        # atom 0 lies 0.013 from the line of the hull edge {1, 9}, so for
+        # points on that facet the rescue's first support holds atom 0 too
+        (lambda: iso.lift(plus_minus_measure(5, seed=3), +1), 0.1),
+    ], ids=["n2", "n3", "pm-k10"])
     def test_rescued_rows_match_enumeration(self, build, s, monkeypatch):
         # the first Newton pass reports every row unsolved, so all of them go
-        # to the enumeration rescue and restart from its multiplier, which is
+        # to the support rescue and restart from its multiplier, which is
         # not unique for the points on a cone facet
         inst = bl.BLInstance(build(), s)
         solver, groups = self._oracle_points(inst, make_rng(43), 12)
@@ -246,8 +289,56 @@ class TestReverseIntegral:
         assert passes[0] == passes[1] >= 24
         assert kkt.max() <= 1e-8
         for x, got in zip(X, q):
-            want, _ = solver._solve_by_enumeration(x)
+            want, _ = _solve_by_enumeration(solver, x)
             assert abs(got - want) <= 1e-9 * max(1.0, want)
+
+    def test_forced_rescue_at_n10(self, monkeypatch):
+        # 38 atoms in R^11: 2^38 supports, one nonnegative least-squares
+        # solve per row
+        inst = bl.BLInstance(iso.lift(el.random_isotropic_measure(10, 200, seed=1), +1), 0.1)
+        L = inst.lifted
+        assert L.k == 38
+        solver = bl._NonnegTransportSolver(L, inst.s)
+        X = make_rng(45).exponential(size=(400, L.k)) ** 3 @ solver.A.T
+        X = X[(X @ L.points.T).min(axis=1) < 0.0][:40]
+        assert len(X) == 40
+        want, _, _ = solver.solve(X)
+        assert not np.isnan(want).any()
+        newton, passes = solver._newton, []
+
+        def first_pass_fails(X, lam):
+            lam, solved = newton(X, lam)
+            if not passes:
+                solved[:] = False
+            passes.append(len(X))
+            return lam, solved
+
+        monkeypatch.setattr(solver, "_newton", first_pass_fails)
+        start = time.perf_counter()
+        q, _, kkt = solver.solve(X)
+        assert time.perf_counter() - start < 1.0
+        assert passes == [40, 40]
+        assert kkt.max() <= 1e-8
+        assert np.all(np.abs(q - want) <= 1e-9 * np.maximum(1.0, want))
+
+    def test_failed_rescue_raises_only_inside_the_cone(self, monkeypatch):
+        inst = lifted_instance(2, 9, seed=7, s=0.1)
+        solver, groups = self._oracle_points(inst, make_rng(46), 4)
+        L, n = inst.lifted, inst.lifted.base.n
+        corners = L.base.points[ConvexHull(L.base.points).simplices[0]]
+        on_facet = np.append(L.sign * math.sqrt(n) * corners.mean(axis=0), 1.0)[None, :]
+
+        def fails(X, lam):
+            return lam, np.zeros(len(X), dtype=bool)
+
+        monkeypatch.setattr(solver, "_newton", fails)
+        monkeypatch.setattr(solver, "_solve_on_support", lambda x: np.full(L.dim, np.nan))
+        # a point on a facet is within the screen's band: reported infeasible
+        q, theta, kkt = solver.solve(on_facet)
+        assert np.isnan(q).all() and np.isnan(theta).all() and kkt[0] == 0.0
+        # a point strictly inside the cone has a decomposition
+        with pytest.raises(RuntimeError):
+            solver.solve(groups["outside"][:1])
 
 
 class TestDilateIdentities:

@@ -64,6 +64,19 @@ class TestMeasurePipeline:
         reduced = json.loads(red.read_text())
         assert reduced["k_out"] <= 6
 
+    def test_reports_feed_the_next_command(self, tmp_path):
+        # generate and reduce wrap the measure in a report; every command that
+        # reads a measure takes such a report as it is
+        gen, red = tmp_path / "m.json", tmp_path / "r.json"
+        assert run_cli(["measure", "generate", "--n", "2", "--k", "30",
+                        "--seed", "3", "--out", str(gen)]) == 0
+        assert run_cli(["measure", "validate", "--in", str(gen)]) == 0
+        assert run_cli(["measure", "reduce", "--in", str(gen), "--out", str(red)]) == 0
+        assert run_cli(["measure", "validate", "--in", str(red)]) == 0
+        for measure in (gen, red):
+            assert run_cli(["bl", "verify", "--measure", str(measure), "--s", "0.1",
+                            "--samples", "8000", "--seed", "5"]) == 0
+
     def test_byte_identical_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):

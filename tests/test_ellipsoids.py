@@ -68,12 +68,12 @@ class TestPolarEllipsoid:
     def test_centered_ellipsoid_inverts_shape(self):
         A = np.diag([4.0, 0.25])
         E = g.Ellipsoid(np.zeros(2), A)
-        P = el.polar_ellipsoid(E)
+        P = g.polar(E)
         assert np.abs(P.shape - np.linalg.inv(A)).max() < 1e-12
 
     def test_shifted_ball_polar_contains_origin(self):
         E = g.Ellipsoid(np.array([0.3, 0.0]), np.eye(2))
-        P = el.polar_ellipsoid(E)
+        P = g.polar(E)
         # support of the polar equals the gauge of the original on rays
         u = np.array([1.0, 0.0])
         h = float(P.support_many(u[None, :])[0])
@@ -82,7 +82,7 @@ class TestPolarEllipsoid:
     def test_requires_interior_origin(self):
         E = g.Ellipsoid(np.array([2.0, 0.0]), np.eye(2))
         with pytest.raises(g.GeometryError):
-            el.polar_ellipsoid(E)
+            g.polar(E)
 
 
 class TestJohnContactMeasure:
