@@ -110,9 +110,14 @@ def _load_measure(path: str) -> iso.DiscreteMeasure:
 
 
 def _workers(args) -> int:
-    if getattr(args, "workers", None):
-        return args.workers
-    return fn.default_workers()
+    return args.workers or fn.default_workers()
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------- measure
@@ -431,14 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
     fe = fsub.add_parser("ell")
     fe.add_argument("--body", required=True)
     fe.add_argument("--n-samples", type=int, default=fn.DEFAULT_SAMPLES)
-    fe.add_argument("--workers", type=int)
+    fe.add_argument("--workers", type=_positive_int)
     add_common(fe)
     fe.set_defaults(func=cmd_functional_ell)
     fm = fsub.add_parser("mass")
     fm.add_argument("--body", required=True)
     fm.add_argument("--t", type=float, required=True)
     fm.add_argument("--n-samples", type=int, default=fn.DEFAULT_SAMPLES)
-    fm.add_argument("--workers", type=int)
+    fm.add_argument("--workers", type=_positive_int)
     add_common(fm)
     fm.set_defaults(func=cmd_functional_mass)
     fw = fsub.add_parser("width")
@@ -508,7 +513,8 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         sys.stderr.write(f"verification failed: {exc}\n")
         return EXIT_VERIFY
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError,
+            st.InsufficientSignalError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

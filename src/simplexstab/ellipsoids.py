@@ -21,11 +21,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .geometry import (DegenerateBodyError, Ellipsoid, GeometryError,
                        Polytope, polar)
-from .isotropic import DiscreteMeasure, IsotropyReport, _constraint_matrix
+from .isotropic import DiscreteMeasure, IsotropyReport, _nnls_atoms
 from .rng import make_rng
 
 __all__ = [
@@ -300,13 +299,6 @@ class JohnDecomposition:
         return self.residuals.ok(tol) and self.boundary_residual <= tol
 
 
-def _polish_weights(U: np.ndarray, n: int) -> np.ndarray:
-    """Nonnegative least-squares fit of weights to the exact contact conditions."""
-    target = np.concatenate([np.eye(n).ravel(), np.zeros(n), [float(n)]])
-    w, _ = nnls(_constraint_matrix(U), target)
-    return w
-
-
 def john_contact_measure(K: Polytope, eps: float = 1e-7,
                          tol: float = 1e-6) -> JohnDecomposition:
     """Contact measure of the Loewner ellipsoid of a full-dimensional polytope.
@@ -332,10 +324,8 @@ def john_contact_measure(K: Polytope, eps: float = 1e-7,
         contact_idx = np.argsort(np.abs(norms - 1.0))[:n + 1]
     boundary_residual = float(np.abs(norms[contact_idx] - 1.0).max())
     U = mapped[contact_idx] / norms[contact_idx, None]
-    w = _polish_weights(U, n)
-    keep = w > 1e-12
-    U, w = U[keep], w[keep]
-    mu = DiscreteMeasure(U, w)
+    target = np.concatenate([np.eye(n).ravel(), np.zeros(n), [float(n)]])
+    mu = DiscreteMeasure(*_nnls_atoms(U, target))
     residuals = mu.validate()
     if residuals.max_residual > tol or boundary_residual > tol:
         warnings.warn(

@@ -326,24 +326,8 @@ def polar_simplex_volume(n: int) -> float:
 
 
 def support_function(K, u) -> float:
-    """h_K(u) = max over K of <u, x>.
-
-    V-rep polytopes use the vertex maximum; H-rep-only polytopes solve the
-    LP and raise UnboundedSupportError when the body is unbounded in
-    direction u.
-    """
-    u = np.asarray(u, dtype=float)
-    if isinstance(K, (Ball, Ellipsoid)):
-        return float(K.support_many(u[None, :])[0])
-    if K.has_vertices:
-        return float(np.max(K.vertices @ u))
-    A, b = K.halfspaces
-    res = linprog(-u, A_ub=A, b_ub=b, bounds=[(None, None)] * K.n, method="highs")
-    if res.status == 3:
-        raise UnboundedSupportError("support is unbounded in this direction")
-    if not res.success:
-        raise GeometryError(f"support LP failed: {res.message}")
-    return float(-res.fun)
+    """h_K(u) = max over K of <u, x>, the one-row case of ``support_many``."""
+    return float(support_many(K, np.asarray(u, dtype=float)[None, :])[0])
 
 
 # elements of one block of facet-by-sample products: bounds the temporary
@@ -465,9 +449,7 @@ def polar(K):
         M = np.linalg.inv(K.shape) - np.outer(c, c)
         Minv = np.linalg.inv(M)
         return Ellipsoid(-Minv @ c, M / (1.0 + float(c @ Minv @ c)))
-    A, b = K.halfspaces
-    if np.any(b <= 0):
-        raise GaugeUndefinedError("origin is not interior to the body")
+    A, b = _halfspaces_for_gauge(K)
     V = _extreme_points(A / b[:, None])
     H = (K.vertices, np.ones(K.vertices.shape[0])) if K.has_vertices else None
     return Polytope(vertices=V, halfspaces=H, check=False)

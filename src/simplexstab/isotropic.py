@@ -3,10 +3,11 @@
 A measure is a finite set of unit vectors u_i with positive weights c_i.
 Isotropy means sum_i c_i u_i (x) u_i = Id (hence sum c_i = n), centering
 means sum_i c_i u_i = 0.  This module validates and normalises such
-measures, reduces their support by Caratheodory steps, evaluates the
-weighted-determinant inequality det(sum t_i c_i u_i (x) u_i) >= prod t_i^c_i
-together with its stability amplification factor, and lifts measures one
-dimension up for the product-inequality machinery.
+measures, reduces their support by one nonnegative least-squares weight
+fit, evaluates the weighted-determinant inequality
+det(sum t_i c_i u_i (x) u_i) >= prod t_i^c_i together with its stability
+amplification factor, and lifts measures one dimension up for the
+product-inequality machinery.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 
 __all__ = [
     "MeasureError", "SingularMomentError", "NotIsotropicError", "NoFrameError",
@@ -165,54 +167,43 @@ def _constraint_matrix(P: np.ndarray) -> np.ndarray:
     return np.vstack([np.einsum("ki,kj->ijk", P, P).reshape(n * n, k), P.T, np.ones((1, k))])
 
 
+def _nnls_atoms(P: np.ndarray, target: np.ndarray):
+    """The atoms of P that carry a nonnegative weight fit to a moment vector.
+
+    One Lawson-Hanson nonnegative least-squares fit of
+    ``_constraint_matrix(P) @ w`` to ``target``.  Its passive columns stay
+    linearly independent, so at most the matrix rank, n(n+3)/2, of the
+    weights are positive; returns the atoms with weight above 1e-12 as
+    (points, weights).
+    """
+    w, _ = nnls(_constraint_matrix(P), target)
+    keep = w > 1e-12
+    return P[keep], w[keep]
+
+
 def support_bound(n: int) -> int:
     """Caratheodory bound on the support size: n(n+3)/2 + 1 (at most 2 n^2)."""
     return n * (n + 3) // 2 + 1
 
 
 def reduce_support(mu: DiscreteMeasure, tol: float = 1e-8) -> DiscreteMeasure:
-    """Shrink the support of a centered isotropic measure below n(n+3)/2 + 1.
+    """Cut the support of a centered isotropic measure to n(n+3)/2 + 1 or fewer.
 
-    Repeated Caratheodory steps: the constraints (moment matrix, barycenter,
-    total mass) are affine in the weights, so while the support exceeds the
-    affine dimension there is a kernel direction; move along it until a
-    weight hits zero (ties broken at the smallest index) and drop the atom.
-    The moment data is preserved exactly, so the output inherits the input
-    residuals.
+    The constraints (moment matrix, barycenter, total mass) are linear in
+    the weights, so one nonnegative least-squares fit of the input's own
+    moment vector over its atoms (``_nnls_atoms``) reproduces that vector
+    to rounding on a subset of at most n(n+3)/2 atoms.  The output inherits
+    the input residuals; a measure already within the bound is returned
+    as it is.
     """
     report = mu.validate()
     if not report.ok(tol):
         raise NotIsotropicError(
             f"input residual {report.max_residual:.3g} exceeds tolerance {tol:g}")
-    n = mu.n
-    target_k = support_bound(n)
-    P = mu.points.copy()
-    w = mu.weights.copy()
-    # the moment conditions are symmetric: keep the upper triangle of vec(u u^T)
-    rows = np.r_[np.ravel_multi_index(np.triu_indices(n), (n, n)), n * n:n * n + n + 1]
-    B = _constraint_matrix(P)[rows]
-    while True:
-        k = w.size
-        if k <= target_k:
-            # a kernel may still exist for special configurations; stop once
-            # the guaranteed bound is met to keep the operation deterministic
-            break
-        _, svals, Vt = np.linalg.svd(B)
-        if k <= B.shape[0] and svals[k - 1] > 1e-10 * max(svals[0], 1.0):
-            break
-        z = Vt[-1]
-        # after the flip the largest entry, at least 1/sqrt(k), is positive
-        z = z if z[np.argmax(np.abs(z))] > 0 else -z
-        pos = z > 1e-14
-        steps = np.where(pos, w / np.where(pos, z, 1.0), np.inf)
-        t = steps.min()
-        drop = int(np.argmin(steps))
-        w = w - t * z
-        w[drop] = 0.0
-        keep = w > 1e-13 * w.max()
-        keep[drop] = False
-        P, w, B = P[keep], w[keep], B[:, keep]
-    return DiscreteMeasure(P, w)
+    if mu.k <= support_bound(mu.n):
+        return mu
+    P = mu.points
+    return DiscreteMeasure(*_nnls_atoms(P, _constraint_matrix(P) @ mu.weights))
 
 
 def _subset_blocks(k: int, n: int):

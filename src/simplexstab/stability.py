@@ -114,6 +114,8 @@ def make_family(kind: str, n: int, eps_grid, cut_scale: float = 2.0) -> Extremal
                         opposite-facet centroids -(1/n + eps^(1/n)/4) v_i.
     """
     eps_grid = np.sort(np.atleast_1d(np.asarray(eps_grid, dtype=float)))
+    if eps_grid.size == 0:
+        raise FamilyError("eps grid is empty")
     if np.any(eps_grid <= 0.0) or np.any(eps_grid >= 0.1):
         raise FamilyError("eps grid must lie in (0, 0.1)")
     if kind not in FAMILY_KINDS:

@@ -160,23 +160,13 @@ def psi_derivs(s: float, y):
     return val, first, second
 
 
-def tail_constants(tol: float = 1e-13) -> dict:
-    """Solve the five tail equations int_a^inf g = q by bisection on [0, 3].
+def tail_constants() -> dict:
+    """Solve the five tail equations int_a^inf g = q, i.e. a = -ndtri(q).
 
     The targets are 1/4, 9/32, 7/16, 7/32 and 63/256; each solution lies in
     a hundredth-wide bracket that the verification suites rely on.
     """
-    out = {}
-    for name, target in TAIL_TARGETS.items():
-        lo, hi = 0.0, 3.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if ndtr(-mid) > target:   # tail too heavy -> move right
-                lo = mid
-            else:
-                hi = mid
-        out[name] = 0.5 * (lo + hi)
-    return out
+    return {name: float(-ndtri(target)) for name, target in TAIL_TARGETS.items()}
 
 
 def psi_shift_monotonicity_check(y_grid, s_grid, slack: float = 1e-9) -> dict:

@@ -4,6 +4,7 @@ import shlex
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from simplexstab import cli
 from simplexstab import geometry as g
@@ -29,6 +30,17 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert run_cli(["measure", "validate", "--in", str(path)]) == cli.EXIT_VERIFY
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    @pytest.mark.parametrize("functional", ["ell", "mass"])
+    def test_workers_below_one_is_usage_error(self, workers, functional, tmp_path, capsys):
+        body = tmp_path / "b.json"
+        body.write_text(json.dumps(g.regular_simplex_polar(2).to_json()))
+        extra = ["--t", "1.5"] if functional == "mass" else []
+        assert run_cli(["functional", functional, "--body", str(body), *extra,
+                        "--n-samples", "1000", "--seed", "1",
+                        "--workers", workers]) == cli.EXIT_USAGE
+        assert "--workers: must be at least 1" in capsys.readouterr().err
 
     def test_seed_is_mandatory_for_stochastic_commands(self):
         assert run_cli(["measure", "generate", "--n", "2", "--k", "8"]) == cli.EXIT_USAGE
@@ -152,6 +164,18 @@ class TestStabilityCommand:
         assert set(rows[0]) == {"eps_nominal", "eps_measured", "delta_H",
                                 "delta_vol", "bound_margin"}
         assert all(float(r["bound_margin"]) > 0 for r in rows)
+
+    @pytest.mark.parametrize("eps", ["1e-3..1e-2:0", "2e-3..9e-2:3"])
+    def test_empty_or_short_grid_is_one_error_line(self, eps, tmp_path, capsys):
+        # an empty grid has no family; three rows are too few for a fit
+        out = tmp_path / "report.csv"
+        code = run_cli(["stability", "run", "--family", "vertex-added",
+                        "--n", "2", "--eps", eps, "--samples", "20000",
+                        "--seed", "4", "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
 
     def test_eps_grid_parser(self):
         grid = cli._parse_eps_grid("1e-4..1e-2:5")

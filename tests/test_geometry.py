@@ -3,9 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from simplexstab import geometry as g
+
+
+def _lp_support(K, u):
+    """Oracle: h_K(u) by one HiGHS LP over the H-rep."""
+    A, b = K.halfspaces
+    res = linprog(-u, A_ub=A, b_ub=b, bounds=[(None, None)] * K.n, method="highs")
+    assert res.success, res.message
+    return -res.fun
 
 
 class TestRegularSimplex:
@@ -115,7 +124,7 @@ class TestSupportAndGauge:
         A = np.vstack([rng.standard_normal((3 * n, n)), np.eye(n), -np.eye(n)])
         K = g.Polytope(halfspaces=(A, rng.uniform(0.5, 2.0, A.shape[0])))
         U = rng.standard_normal((200, n))
-        lp = np.array([g.support_function(K, u) for u in U])
+        lp = np.array([_lp_support(K, u) for u in U])
         assert np.abs(g.support_many(K, U) - lp).max() <= 1e-9
 
     def test_hrep_support_many_unbounded_raises(self):

@@ -7,6 +7,7 @@ import pytest
 
 from simplexstab import geometry as g
 from simplexstab import isotropic as iso
+from simplexstab.ellipsoids import random_isotropic_measure
 from simplexstab.rng import make_rng
 
 
@@ -17,6 +18,14 @@ def random_centered_isotropic(n, k_half, seed):
     P /= np.linalg.norm(P, axis=1)[:, None]
     w = rng.uniform(0.5, 2.0, k_half)
     return iso.isotropize(np.vstack([P, -P]), np.tile(w, 2))
+
+
+def doubled_john_measure(n, seed):
+    """John contacts of a random polytope plus a rotated copy, at half weight."""
+    mu = random_isotropic_measure(n, 3 * n + 10, seed)
+    Q, _ = np.linalg.qr(make_rng(seed + 1).standard_normal((n, n)))
+    return iso.DiscreteMeasure(np.vstack([mu.points, mu.points @ Q.T]),
+                               np.concatenate([mu.weights, mu.weights]) / 2.0)
 
 
 def theta_star_partial_sum(mu, t, lhs, subsets=None):
@@ -110,6 +119,31 @@ class TestReduceSupport:
         once = iso.reduce_support(mu)
         twice = iso.reduce_support(once)
         assert twice.k == once.k
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("kind", ["plus-minus", "doubled-john"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bound_subset_and_residual(self, n, kind, seed):
+        if kind == "plus-minus":
+            mu = random_centered_isotropic(n, iso.support_bound(n), seed=seed)
+        else:
+            mu = doubled_john_measure(n, seed)
+        # John contacts are isotropic to about 1e-6 or better
+        out = iso.reduce_support(mu, tol=1e-6)
+        assert out.k <= iso.support_bound(n)
+        # every output atom is an input atom, bit for bit
+        same = (out.points[:, None, :] == mu.points[None, :, :]).all(axis=2)
+        assert same.any(axis=1).all()
+        assert out.validate().max_residual <= mu.validate().max_residual + 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_within_bound_comes_back_unchanged(self, n):
+        for mu in (iso.simplex_measure(n), iso.orthonormal_measure(n),
+                   random_isotropic_measure(n, 3 * n + 10, seed=n)):
+            assert mu.k <= iso.support_bound(n)
+            out = iso.reduce_support(mu, tol=1e-6)
+            assert np.array_equal(out.points, mu.points)
+            assert np.array_equal(out.weights, mu.weights)
 
     def test_rejects_non_isotropic_input(self):
         P = np.vstack([np.eye(2), -np.eye(2)])

@@ -49,6 +49,10 @@ class TestMakeFamily:
         with pytest.raises(st.FamilyError):
             st.make_family("vertex-added", 2, [0.0, 0.01])
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(st.FamilyError):
+            st.make_family("vertex-added", 2, [])
+
     def test_unknown_kind(self):
         with pytest.raises(st.FamilyError):
             st.make_family("bogus", 2, [0.01])
