@@ -40,7 +40,7 @@ class DegenerateBodyError(GeometryError):
 
 
 class UnboundedSupportError(GeometryError):
-    """The support function is +infinity in the requested direction."""
+    """The support function is +infinity in some direction."""
 
 
 class GaugeUndefinedError(GeometryError):
