@@ -42,8 +42,8 @@ from scipy.optimize import nnls
 from scipy.special import ndtr
 
 from .functionals import FunctionalEstimate, sample_mean
-from .geometry import (Polytope, _all_rows, contains_points, gauge_many,
-                       regular_simplex, support_many)
+from .geometry import (Polytope, contains_points, gauge_many, regular_simplex,
+                       support_many)
 from .isotropic import DiscreteMeasure, LiftedMeasure
 from .transport import gtilde_integral
 
@@ -61,7 +61,7 @@ class BLInstance:
     s: float
 
     def __post_init__(self):
-        resid = np.linalg.norm(self.lifted.moment_matrix() - np.eye(self.lifted.dim), "fro")
+        resid = self.lifted.validate().isotropy_residual
         if resid > 1e-8:
             raise ValueError(f"lifted system not isotropic (residual {resid:.3g})")
 
@@ -81,8 +81,8 @@ def bl_lhs(inst: BLInstance, n_samples: int = 200_000, seed: int = 0) -> Functio
     d = L.dim
     m = inst.s * math.sqrt(d) * L.pole
     # X + m lies in the cone iff <p, X + m> >= 0 for every atom p
-    inward, zeros = -L.points, np.zeros(len(L.points))
-    return sample_mean(lambda X: _all_rows(X + m, inward, zeros), n_samples, d, seed,
+    cone = Polytope(halfspaces=(-L.points, np.zeros(len(L.points))))
+    return sample_mean(lambda X: contains_points(cone, X + m, tol=0.0), n_samples, d, seed,
                        (2.0 * math.pi) ** (d / 2.0))
 
 

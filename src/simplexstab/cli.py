@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -34,6 +35,8 @@ from .rng import make_rng
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
+# default --tol of measure validate and reduce: the residual generate promises
+MEASURE_TOL = 1e-6
 
 
 class VerificationFailure(Exception):
@@ -257,8 +260,11 @@ def cmd_bl_verify(args):
                          seed=args.seed + 1)
     direct_ok = direct.value <= bound * (1.0 + 1e-12) + 3.0 * direct.stderr
     reverse_ok = reverse.value >= bound * (1.0 - 1e-12) - 3.0 * reverse.stderr
+    # the direct value is (2 pi)^(d/2) times the share of samples in the cone
+    in_cone = round(direct.value / (2.0 * math.pi) ** (inst.lifted.dim / 2.0) * direct.samples)
     _emit_json({"bound": bound,
-                "direct": {"value": direct.value, "stderr": direct.stderr},
+                "direct": {"value": direct.value, "stderr": direct.stderr,
+                           "in_cone": in_cone},
                 "reverse": {"value": reverse.value, "stderr": reverse.stderr},
                 "direct_ok": direct_ok, "reverse_ok": reverse_ok},
                args, args.out)
@@ -301,8 +307,7 @@ def cmd_stability_run(args):
     family = st.make_family(args.family, args.n, grid)
     report = st.fit_exponent(family, n_samples=args.samples, seed=args.seed)
     rows = list(report.as_csv_rows())
-    _emit_csv(rows, ["eps_nominal", "eps_measured", "delta_H", "delta_vol",
-                     "bound_margin"], args.out)
+    _emit_csv(rows, report.CSV_COLUMNS, args.out)
     sys.stderr.write(
         f"family={report.family} n={report.n} slope={report.slope:.4f}"
         f" +- {report.slope_stderr:.4f} R2={report.r_squared:.4f}"
@@ -411,11 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     mg.set_defaults(func=cmd_measure_generate)
     mv = msub.add_parser("validate")
     mv.add_argument("--in", dest="infile", required=True)
-    add_common(mv, seed=False, tol=1e-6)
+    add_common(mv, seed=False, tol=MEASURE_TOL)
     mv.set_defaults(func=cmd_measure_validate)
     mr = msub.add_parser("reduce")
     mr.add_argument("--in", dest="infile", required=True)
-    add_common(mr, seed=False, tol=1e-8)
+    add_common(mr, seed=False, tol=MEASURE_TOL)
     mr.set_defaults(func=cmd_measure_reduce)
 
     ell = sub.add_parser("ellipsoid", help="extremal ellipsoid solvers")

@@ -169,15 +169,16 @@ def _design_certificate(Q: np.ndarray, p: np.ndarray) -> float:
     return float(_leverage(Q, p)[0].max() / Q.shape[1] - 1.0)
 
 
-def _newton_polish(Q: np.ndarray, p: np.ndarray, rounds: int = 12,
-                   tol: float = 1e-13) -> np.ndarray:
+def _newton_polish(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Drive the design optimality system to (near) machine precision.
 
     On the active set the optimal weights satisfy kappa_i(p) = d; damped
     least-squares Newton steps on that system converge even when the
     optimal face is degenerate (e.g. many co-spherical contacts).  The
     active set is seeded from the kappa values of the first-order solution
-    and revised between rounds; the result is never worse than the input.
+    and revised between at most 12 rounds of at most 100 steps, each round
+    stopping once max |kappa_i - d| < 1e-13 d; the result is never worse
+    than the input.
     """
     m, d = Q.shape
     best_p = p
@@ -185,7 +186,7 @@ def _newton_polish(Q: np.ndarray, p: np.ndarray, rounds: int = 12,
         best_cert = _design_certificate(Q, p)
     except np.linalg.LinAlgError:
         return p
-    for _ in range(rounds):
+    for _ in range(12):
         try:
             kappa, _ = _leverage(Q, p)
         except np.linalg.LinAlgError:
@@ -205,9 +206,9 @@ def _newton_polish(Q: np.ndarray, p: np.ndarray, rounds: int = 12,
                 break
             F = np.diag(K) - d
             errs.append(np.abs(F).max())
-            if errs[-1] < tol * d:
+            if errs[-1] < 1e-13 * d:
                 break
-            # on affinely ill-conditioned clouds max|F| stalls far above tol:
+            # on affinely ill-conditioned clouds max|F| stalls far above 1e-13 d:
             # stop once it has not halved from its best within 5 steps
             if len(errs) > 5 and min(errs[-5:]) > 0.5 * min(errs[:-5]):
                 break
@@ -269,7 +270,7 @@ def mvee(points, eps: float = 1e-7, max_iter: int = 100_000):
     cert = mvee_support_residual(X, p)
     if cert > eps:
         raise EllipsoidSolverError(
-            f"certificate {cert:.3g} exceeds eps = {eps:g} after {max_iter} iterations")
+            f"certificate {cert:.3g} exceeds eps = {eps:g}")
     # inflate so containment holds exactly at the certified accuracy
     E = Ellipsoid(center, (Sinv + Sinv.T) / (2.0 * n * (1.0 + cert * (n + 1.0) / n)))
     # on affinely ill-conditioned clouds the rounding of S^{-1}, and of the
@@ -299,16 +300,15 @@ class JohnDecomposition:
         return self.residuals.ok(tol) and self.boundary_residual <= tol
 
 
-def john_contact_measure(K: Polytope, eps: float = 1e-7,
-                         tol: float = 1e-6) -> JohnDecomposition:
+def john_contact_measure(K: Polytope, eps: float = 1e-7) -> JohnDecomposition:
     """Contact measure of the Loewner ellipsoid of a full-dimensional polytope.
 
     The body is mapped by the affine map sending its Loewner ellipsoid to
     the unit ball; vertices landing on the sphere are the contact points,
     whose weights are polished by nonnegative least squares onto the exact
     conditions sum c_i u_i (x) u_i = Id, sum c_i u_i = 0, which keeps at
-    most n(n+3)/2 atoms.  If the residuals still exceed ``tol`` the
-    decomposition is returned with a warning, never silently.
+    most n(n+3)/2 atoms.  If the decomposition fails ``JohnDecomposition.ok``
+    it is returned with a warning, never silently.
     """
     X = K.vertices
     n = K.n
@@ -326,16 +326,15 @@ def john_contact_measure(K: Polytope, eps: float = 1e-7,
     U = mapped[contact_idx] / norms[contact_idx, None]
     target = np.concatenate([np.eye(n).ravel(), np.zeros(n), [float(n)]])
     mu = DiscreteMeasure(*_nnls_atoms(U, target))
-    residuals = mu.validate()
-    if residuals.max_residual > tol or boundary_residual > tol:
+    decomp = JohnDecomposition(body=Polytope(vertices=mapped, check=False), contacts=mu,
+                               kind="lowner-contacts", residuals=mu.validate(),
+                               boundary_residual=boundary_residual)
+    if not decomp.ok():
         warnings.warn(
-            f"john decomposition residual {residuals.max_residual:.3g} "
-            f"(boundary {boundary_residual:.3g}) exceeds tol {tol:g}",
+            f"john decomposition residual {decomp.residuals.max_residual:.3g} "
+            f"(boundary {boundary_residual:.3g}) fails JohnDecomposition.ok",
             RuntimeWarning, stacklevel=2)
-    body = Polytope(vertices=mapped, check=False)
-    return JohnDecomposition(body=body, contacts=mu, kind="lowner-contacts",
-                             residuals=residuals,
-                             boundary_residual=boundary_residual)
+    return decomp
 
 
 def john_ellipsoid_of_polar(K: Polytope, eps: float = 1e-7) -> Ellipsoid:

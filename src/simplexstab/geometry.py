@@ -244,10 +244,6 @@ class Ellipsoid:
         return {"n": int(self.n), "center": self.center.tolist(),
                 "shape": self.shape.tolist()}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Ellipsoid":
-        return cls(np.asarray(data["center"], float), np.asarray(data["shape"], float))
-
     def __repr__(self):
         return f"Ellipsoid(n={self.n})"
 
@@ -455,7 +451,11 @@ def polar(K):
     return Polytope(vertices=V, halfspaces=H, check=False)
 
 
-def vertex_enumeration(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+# vertex_enumeration's tolerance, in units of the offset scale max(1, |b|)
+_VERTEX_TOL = 1e-9
+
+
+def vertex_enumeration(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vertices of the bounded body {x : A x <= b}, by polarity and Qhull.
 
     The body is dualised about a centre c well inside it: about c it is
@@ -463,20 +463,20 @@ def vertex_enumeration(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.nd
     polar of conv{d_i}.  Each facet {z : <e, z> + off = 0} of that hull is
     the vertex c - e / off, and the body is bounded exactly when the
     origin is interior to the hull, i.e. every facet offset is negative.
-    The centre is the origin when every facet lies farther than ``tol``
-    times the offset scale from it (min b_i / |a_i|), which needs no LP;
-    otherwise one LP finds the Chebyshev centre.  Raises
+    The centre is the origin when every facet lies farther than
+    ``_VERTEX_TOL`` times the offset scale from it (min b_i / |a_i|), which
+    needs no LP; otherwise one LP finds the Chebyshev centre.  Raises
     RepresentationError when the body is unbounded (an error that is also
-    an UnboundedSupportError), empty or flat (inradius at most ``tol``
-    times the offset scale).
+    an UnboundedSupportError), empty or flat (inradius at most
+    ``_VERTEX_TOL`` times the offset scale).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     n = A.shape[1]
     scale = max(1.0, float(np.abs(b).max()))
     norms = np.linalg.norm(A, axis=1)
-    # every b_i > 0 and b_i / |a_i| > tol * scale, without dividing by a zero row
-    if np.all(b > tol * scale * norms):
+    # every b_i > 0 and b_i / |a_i| > _VERTEX_TOL * scale, without dividing by a zero row
+    if np.all(b > _VERTEX_TOL * scale * norms):
         center, dual = np.zeros(n), A / b[:, None]
     else:
         res = linprog(np.r_[np.zeros(n), -1.0], A_ub=np.hstack([A, norms[:, None]]), b_ub=b,
@@ -486,7 +486,7 @@ def vertex_enumeration(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.nd
         if not res.success:
             raise RepresentationError("halfspace intersection is empty")
         center, radius = res.x[:n], res.x[n]
-        if radius <= tol * scale:
+        if radius <= _VERTEX_TOL * scale:
             raise RepresentationError("halfspace intersection is flat")
         dual = A / (b - A @ center)[:, None]
     try:

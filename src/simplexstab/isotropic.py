@@ -32,6 +32,8 @@ UNIT_NORM_TOL = 1e-12
 SUBSET_ENUM_CAP = 2_000_000
 # rows per block of the subset enumeration in big_determinant_subset
 SUBSET_BLOCK = 1 << 12
+# largest isotropy or centering residual of a measure that LiftedMeasure lifts
+_LIFT_TOL = 1e-8
 
 
 class MeasureError(ValueError):
@@ -325,14 +327,14 @@ class LiftedMeasure(DiscreteMeasure):
     checks apply unchanged.
     """
 
-    def __init__(self, base: DiscreteMeasure, sign: int = +1, tol: float = 1e-8):
+    def __init__(self, base: DiscreteMeasure, sign: int = +1):
         if sign not in (+1, -1):
             raise MeasureError("sign must be +1 or -1")
         report = base.validate()
-        if report.isotropy_residual > tol or report.centering_residual > tol:
+        if report.isotropy_residual > _LIFT_TOL or report.centering_residual > _LIFT_TOL:
             raise NotIsotropicError(
                 f"lift requires a centered isotropic base (residual "
-                f"{report.max_residual:.3g} > {tol:g})")
+                f"{report.max_residual:.3g} > {_LIFT_TOL:g})")
         n = base.n
         scale = math.sqrt(n / (n + 1.0))
         pole = np.zeros(n + 1)

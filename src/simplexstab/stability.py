@@ -22,7 +22,7 @@ from .ellipsoids import mvee
 from .geometry import (GeometryError, Polytope, containment_margin,
                        gauge_many, hausdorff_distance, point_set_hausdorff,
                        polar, regular_simplex, regular_simplex_polar,
-                       support_many, symdiff_volume, vertex_enumeration)
+                       support_many, symdiff_volume)
 from .rng import make_rng
 
 __all__ = [
@@ -85,11 +85,12 @@ class ExperimentReport:
     r_squared: float
     distance_used: str        # delta_vol | delta_H
 
+    CSV_COLUMNS = ("eps_nominal", "eps_measured", "delta_H", "delta_vol", "bound_margin")
+
     def as_csv_rows(self):
         for r in self.rows:
-            yield {"eps_nominal": r.eps_nominal, "eps_measured": r.eps_measured,
-                   "delta_H": r.delta_H, "delta_vol": r.delta_vol,
-                   "bound_margin": r.bound_margin_log10}
+            yield dict(zip(self.CSV_COLUMNS, (r.eps_nominal, r.eps_measured, r.delta_H,
+                                              r.delta_vol, r.bound_margin_log10)))
 
 
 def _rotate_towards(v: np.ndarray, away_from: np.ndarray, angle: float) -> np.ndarray:
@@ -99,7 +100,7 @@ def _rotate_towards(v: np.ndarray, away_from: np.ndarray, angle: float) -> np.nd
     return math.cos(angle) * v - math.sin(angle) * w
 
 
-def make_family(kind: str, n: int, eps_grid, cut_scale: float = 2.0) -> ExtremalFamily:
+def make_family(kind: str, n: int, eps_grid) -> ExtremalFamily:
     """Construct one of the extremal families on the given nominal-deficit grid.
 
     vertex-added:       hull of the simplex plus an extra unit vertex at
@@ -107,7 +108,7 @@ def make_family(kind: str, n: int, eps_grid, cut_scale: float = 2.0) -> Extremal
                         great circle through the second vertex and past the
                         first (Loewner ball stays the unit ball).
     corner-cut:         circumscribed simplex with its n+1 corners cut off
-                        by simplices of edge proportional to eps^(1/n)
+                        by simplices of edge 2 eps^(1/n)
                         (John ball stays the unit ball).
     polar-vertex-added: polar of the vertex-added body (John side).
     stretched-vertex:   hull of the simplex vertices v_i and the stretched
@@ -133,10 +134,9 @@ def make_family(kind: str, n: int, eps_grid, cut_scale: float = 2.0) -> Extremal
         # full edge of the circumscribed simplex and its height along a vertex
         edge = math.sqrt(2.0 * n * (n + 1.0))
         for eps in eps_grid:
-            cut_edge = cut_scale * float(eps) ** (1.0 / n)
-            rho = cut_edge / edge
-            if rho >= 0.5:
-                raise FamilyError("over-cut: cut edge reaches half the full edge")
+            # cut edge over full edge: eps < 0.1 keeps it below 0.19 for every
+            # n >= 2, short of the 0.5 at which neighbouring cuts would meet
+            rho = 2.0 * float(eps) ** (1.0 / n) / edge
             depth = rho * (n + 1.0)
             A = np.vstack([V, -V])
             b = np.concatenate([np.ones(n + 1), np.full(n + 1, n - depth)])
@@ -306,10 +306,10 @@ def align_to_simplex(K: Polytope, target: Polytope, n_restarts: int = 20,
                            evaluated=evaluated, pruned=pruned)
 
 
-def align_points_to_simplex_vertices(points: np.ndarray, n: int,
-                                     n_restarts: int = 20, seed: int = 0):
+def align_points_to_simplex_vertices(points: np.ndarray, n: int, seed: int = 0):
     """Regular-simplex vertex set (as a rotation of the standard one) closest
-    to the given unit points in point-set Hausdorff distance.
+    to the given unit points in point-set Hausdorff distance, from 20
+    random restarts.
 
     Returns (rotation, distance); the aligned vertices are the rows of
     regular_simplex(n).vertices @ rotation.T.
@@ -321,7 +321,7 @@ def align_points_to_simplex_vertices(points: np.ndarray, n: int,
         return point_set_hausdorff(P, W @ R.T)
 
     best_R, best_d, _, _ = _align(P / np.linalg.norm(P, axis=1)[:, None], W, dist_for,
-                                  n_restarts, seed, sweeps=4)
+                                  20, seed, sweeps=4)
     return best_R, float(best_d)
 
 
@@ -430,7 +430,7 @@ def fit_exponent(family: ExtremalFamily, n_samples: int = fn.DEFAULT_SAMPLES,
     inscribed_side = family.side in ("lowner", "lowner-width")
     target = regular_simplex(n) if inscribed_side else regular_simplex_polar(n)
     use_vol = family.kind in ("vertex-added", "polar-vertex-added")
-    rows = []
+    rows, deltas = [], []
     deficits = measure_deficits(family.bodies, family.side, n_samples=n_samples, seed=seed)
     for eps, K, (deficit, d_stderr) in zip(family.eps_grid, family.bodies, deficits):
         res = align_to_simplex(K, target, n_restarts=align_restarts, seed=seed + 1)
@@ -442,17 +442,16 @@ def fit_exponent(family: ExtremalFamily, n_samples: int = fn.DEFAULT_SAMPLES,
             eps_nominal=float(eps), eps_measured=float(deficit),
             eps_stderr=float(d_stderr), delta_H=float(res.delta_H),
             delta_vol=float(dvol),
-            bound_margin_log10=stability_bound_log10(n, deficit, delta)
-            if delta > 0 else math.inf,
+            bound_margin_log10=stability_bound_log10(n, deficit, delta),
         ))
-    usable = [r for r in rows
-              if r.eps_measured > 3.0 * r.eps_stderr
-              and (r.delta_vol if use_vol else r.delta_H) > 0]
+        deltas.append(delta)
+    usable = [(r.eps_measured, delta) for r, delta in zip(rows, deltas)
+              if r.eps_measured > 3.0 * r.eps_stderr and delta > 0]
     if len(usable) < 5:
         raise InsufficientSignalError(
             f"only {len(usable)} grid points above the noise floor")
-    x = np.log10([r.eps_measured for r in usable])
-    y = np.log10([(r.delta_vol if use_vol else r.delta_H) for r in usable])
+    x = np.log10([eps for eps, _ in usable])
+    y = np.log10([delta for _, delta in usable])
     if x.max() - x.min() < 1.5:
         raise InsufficientSignalError(
             f"measured deficits span {x.max() - x.min():.2f} decades (< 1.5)")
@@ -489,15 +488,14 @@ def sandwich_check(contact_points: np.ndarray, eta: float,
     S_vertices = -n * W
     Z = Polytope(halfspaces=(U, np.ones(U.shape[0])))
     try:
-        Z_vertices = vertex_enumeration(U, np.ones(U.shape[0]))
+        Z.vertices            # derived and cached here; unbounded Z raises
     except GeometryError as exc:
         report.update({"ok": False, "error": str(exc)})
         return report
-    Zbody = Polytope(vertices=Z_vertices, check=False)
     inner = Polytope(vertices=(1.0 - n * eta) * S_vertices, check=False)
     outer = Polytope(vertices=(1.0 + 2.0 * n * eta) * S_vertices, check=False)
     inner_margin = containment_margin(Z, inner)
-    outer_margin = containment_margin(outer, Zbody)
+    outer_margin = containment_margin(outer, Z)
     report.update({
         "inner_margin": float(inner_margin),
         "outer_margin": float(outer_margin),

@@ -74,32 +74,26 @@ def _gauss_pdf(x):
 
 
 class TruncatedGaussian:
-    """Gaussian shifted by s and restricted to [0, inf).
+    """Gaussian shifted by s, restricted to [0, inf) and normalised to mass one.
 
-    With ``normalized`` the density integrates to one; otherwise it is the
-    bare indicator * exp(-(t-s)^2/2), whose total mass is sqrt(2 pi) Phi(s)
-    (at least sqrt(2 pi)/2 for s >= 0).
+    The unnormalised density 1{t >= 0} exp(-(t-s)^2/2) has total mass
+    ``gtilde_integral(s)`` = sqrt(2 pi) Phi(s), at least sqrt(2 pi)/2 for
+    s >= 0.
     """
 
-    def __init__(self, s: float, normalized: bool = True):
+    def __init__(self, s: float):
         self.s = float(s)
-        self.normalized = bool(normalized)
-
-    def integral(self) -> float:
-        return 1.0 if self.normalized else gtilde_integral(self.s)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         raw = np.where(x >= 0.0, np.exp(-0.5 * np.square(x - self.s)), 0.0)
-        if self.normalized:
-            return raw / (SQRT_2PI * ndtr(self.s))
-        return raw
+        return raw / (SQRT_2PI * ndtr(self.s))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         mass = ndtr(self.s)
         raw = np.where(x >= 0.0, (ndtr(x - self.s) - ndtr(-self.s)), 0.0)
-        return raw / mass if self.normalized else SQRT_2PI * raw
+        return raw / mass
 
     def quantile(self, p):
         """Inverse CDF of the normalised density."""
@@ -169,12 +163,13 @@ def tail_constants() -> dict:
     return {name: float(-ndtri(target)) for name, target in TAIL_TARGETS.items()}
 
 
-def psi_shift_monotonicity_check(y_grid, s_grid, slack: float = 1e-9) -> dict:
+def psi_shift_monotonicity_check(y_grid, s_grid) -> dict:
     """Check the shift monotonicity of psi along s on the given grids.
 
     For y >= 0 the map s -> psi_s(y) - s is strictly decreasing and positive;
     for y in [0, gamma] the value psi_s(y) is nondecreasing in s.  Returns
-    the worst margins (positive = satisfied with room).
+    the worst margins (positive = satisfied with room); ``ok`` holds when
+    every margin exceeds -1e-9, which forgives rounding.
     """
     y_grid = np.atleast_1d(np.asarray(y_grid, dtype=float))
     s_grid = np.sort(np.atleast_1d(np.asarray(s_grid, dtype=float)))
@@ -193,7 +188,7 @@ def psi_shift_monotonicity_check(y_grid, s_grid, slack: float = 1e-9) -> dict:
         "decreasing_margin": dec_margin,
         "positive_margin": pos_margin,
         "increasing_margin": inc_margin,
-        "ok": dec_margin > -slack and pos_margin > -slack and inc_margin > -slack,
+        "ok": all(margin > -1e-9 for margin in (dec_margin, pos_margin, inc_margin)),
     }
 
 

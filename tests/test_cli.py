@@ -89,6 +89,27 @@ class TestMeasurePipeline:
             assert run_cli(["bl", "verify", "--measure", str(measure), "--s", "0.1",
                             "--samples", "8000", "--seed", "5"]) == 0
 
+    def test_reduce_takes_what_generate_writes(self, tmp_path):
+        # this John contact measure has residual 2.8e-8, within the 1e-6
+        # that generate promises
+        gen = tmp_path / "m.json"
+        assert run_cli(["measure", "generate", "--n", "10", "--k", "40",
+                        "--seed", "0", "--out", str(gen)]) == 0
+        assert json.loads(gen.read_text())["residuals"]["isotropy_residual"] > 1e-8
+        assert run_cli(["measure", "reduce", "--in", str(gen),
+                        "--out", str(tmp_path / "r.json")]) == 0
+
+    def test_bl_verify_counts_direct_samples_in_the_cone(self, tmp_path):
+        gen, out = tmp_path / "m.json", tmp_path / "bl.json"
+        assert run_cli(["measure", "generate", "--n", "2", "--k", "30",
+                        "--seed", "3", "--out", str(gen)]) == 0
+        assert run_cli(["bl", "verify", "--measure", str(gen), "--samples", "8000",
+                        "--seed", "5", "--out", str(out)]) == 0
+        direct = json.loads(out.read_text())["direct"]
+        assert 0 < direct["in_cone"] < 8000
+        assert direct["value"] == pytest.approx(
+            direct["in_cone"] / 8000 * (2.0 * np.pi) ** 1.5, rel=1e-12)
+
     def test_byte_identical_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):

@@ -250,6 +250,14 @@ class TestKhachiyanRankOneUpdates:
         with pytest.raises(el.EllipsoidSolverError):
             el.mvee(X, max_iter=max_iter)
 
+    def test_failure_message_claims_no_step_count(self, monkeypatch):
+        # below 1e-8 the loop stops at 1e-8, far short of max_iter steps;
+        # without the polish the certificate then misses eps
+        monkeypatch.setattr(el, "_newton_polish", lambda Q, p: p)
+        with pytest.raises(el.EllipsoidSolverError,
+                           match=r"^certificate \S+ exceeds eps = 1e-09$"):
+            el.mvee(_CLOUDS["gauss30x2"](), eps=1e-9)
+
     @pytest.mark.parametrize("name", list(_CLOUDS))
     def test_screen_keeps_the_support(self, name):
         X = _CLOUDS[name]()

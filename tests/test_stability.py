@@ -28,20 +28,15 @@ class TestMakeFamily:
         d = g.hausdorff_distance(fam.bodies[0], g.regular_simplex(2))
         assert d < 5e-4
 
-    @pytest.mark.parametrize("n", range(5, 11))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_corner_cut_vertex_count_in_high_dimension(self, n):
-        # each of the n + 1 cut corners leaves n vertices
-        fam = st.make_family("corner-cut", n, [1e-3, 0.05])
+        # each of the n + 1 cut corners leaves n vertices, up to the largest
+        # eps the grid accepts: the cuts never meet
+        fam = st.make_family("corner-cut", n, [1e-3, 0.05, 0.0999])
         for K in fam.bodies:
             assert K.vertices.shape == (n * (n + 1), n)
             A, b = K.halfspaces
             assert (K.vertices @ A.T - b).max() < 1e-9
-
-    def test_corner_cut_overcut_rejected(self):
-        with pytest.raises(st.FamilyError):
-            # cut edge reaching half the full edge: cuts collide
-            st.make_family("corner-cut", 2, [0.09], cut_scale=6.0)
-        st.make_family("corner-cut", 2, [0.05])  # fine at the default scale
 
     def test_eps_range_enforced(self):
         with pytest.raises(st.FamilyError):
@@ -245,6 +240,13 @@ class TestSandwich:
         rep = st.sandwich_check(contacts, 1e-3)
         assert "error" not in rep
         assert rep["ok"]
+
+    def test_unbounded_contact_polytope_is_reported(self):
+        # three contacts within a 90 degree arc leave Z unbounded
+        angles = np.radians([0.0, 40.0, 80.0])
+        rep = st.sandwich_check(np.c_[np.cos(angles), np.sin(angles)], 1e-2)
+        assert not rep["ok"]
+        assert "unbounded" in rep["error"]
 
     def test_far_atom_violates_hypothesis(self):
         far = np.array([math.cos(0.5), math.sin(0.5)])

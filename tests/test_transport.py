@@ -125,8 +125,7 @@ class TestTruncatedGaussian:
     def test_unnormalised_mass(self):
         for s in (0.0, 0.1, 0.15, 0.9):
             got = tr.gtilde_integral(s)
-            val, _ = quad(tr.TruncatedGaussian(s, normalized=False).pdf, 0.0, 14.0,
-                          limit=200)
+            val, _ = quad(lambda t: math.exp(-0.5 * (t - s) ** 2), 0.0, 14.0, limit=200)
             assert abs(got - val) < 1e-12
             if s >= 0:
                 assert got >= SQRT_2PI / 2.0
