@@ -3,20 +3,18 @@ mean of the gauge, and the mean width.
 
 This module is also the package's one Monte-Carlo layer.  Every sampling
 path draws fixed-size chunks of standard normal samples, chunk i from the
-counter-based stream (seed, i) of :mod:`simplexstab.rng`, in one chunk
+SFC64 stream ``chunk_rng(seed, i)`` of :mod:`simplexstab.rng`, in one chunk
 loop, so workers can share the chunks out without changing any value.
 ``sample_mean`` reduces each chunk's per-sample values to per-column
 moments (rows, mean, sum of squared deviations) as it is drawn and merges
 them in chunk order by the pairwise update of Chan, Golub and LeVeque
 (1979), so its memory is one chunk per worker whatever the sample count.
 ``estimate`` is the same merge over ``CHUNK_SAMPLES`` slices of values
-already in hand, so the two give the same bits on the same values.
-``sample_map``, which keeps every per-sample value, is the reference the
-tests hold the streamed means to.  Every Monte-Carlo estimate of the
-package is a mean with its standard error from ``sample_mean``;
-closed-form values carry a zero standard error.  The exact values for the
-ball and the regular simplex serve as independent oracles for the
-sampling paths.
+already in hand, so the two give the same bits on the same values.  Every
+Monte-Carlo estimate of the package is a mean with its standard error from
+``sample_mean``; closed-form values carry a zero standard error.  The exact
+values for the ball and the regular simplex serve as independent oracles
+for the sampling paths.
 """
 from __future__ import annotations
 
@@ -30,24 +28,33 @@ import numpy as np
 from scipy.special import ndtr
 
 from .geometry import Ball, gauge_many, polar, support_many
-from .rng import make_rng
+from .rng import chunk_rng
 
 __all__ = [
     "FunctionalEstimate", "ell_ball", "gaussian_max_mean", "simplex_ell_oracle",
     "gaussian_mass", "ell_norm", "mean_width", "mean_ell_crosscheck",
-    "default_workers", "sample_map", "sample_mean", "estimate",
+    "default_workers", "sample_mean", "estimate",
 ]
 
 DEFAULT_SAMPLES = 200_000
-# samples per counter-based stream of the Gaussian sampler
+# samples per chunk (one SFC64 stream each) of the Gaussian sampler
 CHUNK_SAMPLES = 1 << 16
 
 
 def default_workers() -> int:
-    """Worker count from SIMPLEXSTAB_WORKERS, else the available parallelism."""
+    """Worker count from SIMPLEXSTAB_WORKERS, else the available parallelism.
+
+    A set value must be an integer of at least 1, as ``--workers`` must.
+    """
     env = os.environ.get("SIMPLEXSTAB_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"SIMPLEXSTAB_WORKERS must be an integer >= 1, got {env!r}")
+        return workers
     return max(1, os.cpu_count() or 1)
 
 
@@ -106,31 +113,20 @@ def _map_chunks(fn, n_samples: int, dim: int, seed: int, workers: int) -> list:
     """``fn`` of each Gaussian chunk, listed by chunk index.
 
     Chunk i holds the samples [i CHUNK_SAMPLES, (i + 1) CHUNK_SAMPLES),
-    drawn from stream (seed, i).  ``workers`` only sets how many threads
+    drawn from ``chunk_rng(seed, i)``.  ``workers`` only sets how many threads
     map over the chunks, so the list does not depend on it.
     """
     n_samples = int(n_samples)
 
     def one(stream):
         rows = min(CHUNK_SAMPLES, n_samples - stream * CHUNK_SAMPLES)
-        return fn(make_rng(seed, stream).standard_normal((rows, dim)))
+        return fn(chunk_rng(seed, stream).standard_normal((rows, dim)))
 
     streams = range(-(-n_samples // CHUNK_SAMPLES))
     if workers <= 1 or len(streams) <= 1:
         return [one(stream) for stream in streams]
     with ThreadPoolExecutor(max_workers=min(workers, len(streams))) as ex:
         return list(ex.map(one, streams))
-
-
-def sample_map(fn, n_samples: int, dim: int, seed: int, workers: int = 1) -> np.ndarray:
-    """Per-sample values of ``fn`` over standard Gaussian samples in R^dim.
-
-    ``fn`` maps each (rows, dim) chunk to one value per row (a 1-D array,
-    or 2-D with one column per paired quantity), and the chunk values are
-    concatenated in chunk order, so every value is held at once; callers
-    that only need means use ``sample_mean``.
-    """
-    return np.concatenate(_map_chunks(fn, n_samples, dim, seed, workers))
 
 
 def _moments(values):
@@ -173,7 +169,8 @@ def sample_mean(fn, n_samples: int, dim: int, seed: int, scale=1.0,
                 workers: int = 1):
     """Monte-Carlo mean of ``fn`` over standard Gaussian samples in R^dim.
 
-    ``fn`` maps each chunk as in ``sample_map``; each chunk is reduced to
+    ``fn`` maps each (rows, dim) chunk to one value per row (a 1-D array,
+    or 2-D with one column per paired quantity); each chunk is reduced to
     its moments as soon as it is mapped, so memory stays at one chunk per
     worker.  The result has the bits of ``estimate`` on the concatenated
     values: one estimate for 1-D values, a list with one per column for

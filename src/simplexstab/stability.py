@@ -73,6 +73,7 @@ class ExperimentRow:
     delta_H: float
     delta_vol: float
     bound_margin_log10: float
+    used_in_fit: bool         # above the noise floor with a positive distance
 
 
 @dataclass
@@ -85,12 +86,14 @@ class ExperimentReport:
     r_squared: float
     distance_used: str        # delta_vol | delta_H
 
-    CSV_COLUMNS = ("eps_nominal", "eps_measured", "delta_H", "delta_vol", "bound_margin")
+    CSV_COLUMNS = ("eps_nominal", "eps_measured", "eps_stderr", "delta_H", "delta_vol",
+                   "bound_margin", "used_in_fit")
 
     def as_csv_rows(self):
         for r in self.rows:
-            yield dict(zip(self.CSV_COLUMNS, (r.eps_nominal, r.eps_measured, r.delta_H,
-                                              r.delta_vol, r.bound_margin_log10)))
+            yield dict(zip(self.CSV_COLUMNS, (r.eps_nominal, r.eps_measured, r.eps_stderr,
+                                              r.delta_H, r.delta_vol,
+                                              r.bound_margin_log10, r.used_in_fit)))
 
 
 def _rotate_towards(v: np.ndarray, away_from: np.ndarray, angle: float) -> np.ndarray:
@@ -443,10 +446,10 @@ def fit_exponent(family: ExtremalFamily, n_samples: int = fn.DEFAULT_SAMPLES,
             eps_stderr=float(d_stderr), delta_H=float(res.delta_H),
             delta_vol=float(dvol),
             bound_margin_log10=stability_bound_log10(n, deficit, delta),
+            used_in_fit=bool(deficit > 3.0 * d_stderr and delta > 0),
         ))
         deltas.append(delta)
-    usable = [(r.eps_measured, delta) for r, delta in zip(rows, deltas)
-              if r.eps_measured > 3.0 * r.eps_stderr and delta > 0]
+    usable = [(r.eps_measured, delta) for r, delta in zip(rows, deltas) if r.used_in_fit]
     if len(usable) < 5:
         raise InsufficientSignalError(
             f"only {len(usable)} grid points above the noise floor")

@@ -42,6 +42,17 @@ class TestExitCodes:
                         "--workers", workers]) == cli.EXIT_USAGE
         assert "--workers: must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_workers_variable_is_usage_error(self, value, tmp_path, capsys,
+                                                 monkeypatch):
+        body = tmp_path / "b.json"
+        body.write_text(json.dumps(g.regular_simplex_polar(2).to_json()))
+        monkeypatch.setenv("SIMPLEXSTAB_WORKERS", value)
+        assert run_cli(["functional", "ell", "--body", str(body),
+                        "--n-samples", "1000", "--seed", "1"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "SIMPLEXSTAB_WORKERS" in err[0]
+
     def test_seed_is_mandatory_for_stochastic_commands(self):
         assert run_cli(["measure", "generate", "--n", "2", "--k", "8"]) == cli.EXIT_USAGE
 
@@ -182,9 +193,22 @@ class TestStabilityCommand:
         assert code == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 6
-        assert set(rows[0]) == {"eps_nominal", "eps_measured", "delta_H",
-                                "delta_vol", "bound_margin"}
+        assert set(rows[0]) == {"eps_nominal", "eps_measured", "eps_stderr", "delta_H",
+                                "delta_vol", "bound_margin", "used_in_fit"}
         assert all(float(r["bound_margin"]) > 0 for r in rows)
+
+    def test_used_in_fit_marks_the_rows_above_the_noise_floor(self, tmp_path, capsys):
+        # at 8000 samples the two smallest deficits fall under 3 standard errors
+        out = tmp_path / "report.csv"
+        assert run_cli(["stability", "run", "--family", "corner-cut", "--n", "2",
+                        "--eps", "1e-6..9e-2:9", "--samples", "8000", "--seed", "4",
+                        "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        flags = [r["used_in_fit"] for r in rows]
+        want = [str(float(r["eps_measured"]) > 3.0 * float(r["eps_stderr"])
+                    and float(r["delta_H"]) > 0) for r in rows]
+        assert flags == want
+        assert "True" in flags and "False" in flags
 
     @pytest.mark.parametrize("eps", ["1e-3..1e-2:0", "2e-3..9e-2:3"])
     def test_empty_or_short_grid_is_one_error_line(self, eps, tmp_path, capsys):

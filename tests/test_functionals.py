@@ -10,7 +10,13 @@ from simplexstab import functionals as fn
 from simplexstab import geometry as g
 from simplexstab import isotropic as iso
 from simplexstab import stability as st
-from simplexstab.rng import make_rng
+from simplexstab.rng import chunk_rng, make_rng
+
+
+def sample_map(f, n_samples, dim, seed, workers=1):
+    """Every per-sample value of ``f`` over the sampler's chunks, in chunk
+    order: the reference the streamed means are held to."""
+    return np.concatenate(fn._map_chunks(f, n_samples, dim, seed, workers))
 
 
 class TestClosedForms:
@@ -160,19 +166,19 @@ class TestEstimateInvariants:
 
 
 class TestSampler:
-    """Every sampling path draws chunk i of 2^16 samples from stream (seed, i)."""
+    """Every sampling path draws chunk i of 2^16 samples from chunk_rng(seed, i)."""
     N = fn.CHUNK_SAMPLES + 1000
 
     def _chunks(self, seed, dim):
-        return [make_rng(seed, 0).standard_normal((fn.CHUNK_SAMPLES, dim)),
-                make_rng(seed, 1).standard_normal((1000, dim))]
+        return [chunk_rng(seed, 0).standard_normal((fn.CHUNK_SAMPLES, dim)),
+                chunk_rng(seed, 1).standard_normal((1000, dim))]
 
     def test_rows_come_from_one_stream_per_chunk(self):
-        X = fn.sample_map(lambda X: X, self.N, 3, seed=4)
+        X = sample_map(lambda X: X, self.N, 3, seed=4)
         assert np.array_equal(X, np.vstack(self._chunks(4, 3)))
 
     def test_paired_columns_stay_paired(self):
-        V = fn.sample_map(lambda X: X[:, ::-1], self.N, 2, seed=4, workers=2)
+        V = sample_map(lambda X: X[:, ::-1], self.N, 2, seed=4, workers=2)
         assert V.shape == (self.N, 2)
         assert np.array_equal(V, np.vstack(self._chunks(4, 2))[:, ::-1])
 
@@ -245,6 +251,45 @@ class TestSampler:
             np.concatenate(widths))
 
 
+class TestChunkStreams:
+    """chunk_rng: SFC64 streams from SeedSequence children, seeds modulo 2^64."""
+
+    @staticmethod
+    def _draw(seed, chunk):
+        return chunk_rng(seed, chunk).standard_normal(64)
+
+    def test_chunk_i_is_child_i_of_the_seed_sequence(self):
+        child = np.random.SeedSequence(3).spawn(3)[2]
+        want = np.random.Generator(np.random.SFC64(child)).standard_normal(64)
+        assert np.array_equal(self._draw(3, 2), want)
+
+    def test_negative_seed_is_taken_modulo_two_to_the_64(self):
+        assert np.array_equal(self._draw(-1, 0), self._draw(2 ** 64 - 1, 0))
+        assert np.array_equal(self._draw(-1, 1), self._draw(2 ** 64 - 1, 1))
+        est = fn.ell_norm(g.regular_simplex_polar(2), n_samples=1000, seed=-1)
+        assert est == fn.ell_norm(g.regular_simplex_polar(2), n_samples=1000,
+                                  seed=2 ** 64 - 1)
+
+    def test_distinct_chunks_and_seeds_differ(self):
+        draws = [self._draw(seed, chunk) for seed in (0, 1, 5, 2 ** 32 + 5)
+                 for chunk in range(3)]
+        assert len({d.tobytes() for d in draws}) == len(draws)
+        # concatenated (seed, chunk) entropy words would make these two equal
+        assert not np.array_equal(self._draw(5, 1), self._draw(5 + 2 ** 32, 0))
+
+
+class TestDefaultWorkers:
+    def test_environment_value_is_used(self, monkeypatch):
+        monkeypatch.setenv("SIMPLEXSTAB_WORKERS", "3")
+        assert fn.default_workers() == 3
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
+    def test_bad_environment_value_names_the_variable(self, value, monkeypatch):
+        monkeypatch.setenv("SIMPLEXSTAB_WORKERS", value)
+        with pytest.raises(ValueError, match="SIMPLEXSTAB_WORKERS"):
+            fn.default_workers()
+
+
 class TestStreamedMoments:
     """Means are merged from per-chunk moments, streamed or from values in hand."""
     N = 2 * fn.CHUNK_SAMPLES + 777          # three chunks, the last one ragged
@@ -257,7 +302,7 @@ class TestStreamedMoments:
         one = fn.sample_mean(self._pair, self.N, 2, seed=15, scale=[1.0, 2.0], workers=1)
         three = fn.sample_mean(self._pair, self.N, 2, seed=15, scale=[1.0, 2.0], workers=3)
         assert len(one) == 2 and one == three
-        assert one == fn.estimate(fn.sample_map(self._pair, self.N, 2, seed=15),
+        assert one == fn.estimate(sample_map(self._pair, self.N, 2, seed=15),
                                   [1.0, 2.0])
         assert all(est.samples == self.N for est in one)
 
