@@ -1,8 +1,8 @@
 """Minimum-volume enclosing ellipsoids and John contact measures.
 
-The first-order solver identifies the contact set, a Newton polish drives
-the optimality certificate to machine precision, and the dual weights
-become a centered isotropic measure on the sphere.
+An interior-point solver, run on an active set of points grown from a core
+set, drives the optimality certificate to about machine precision, and the
+dual weights become a centered isotropic measure on the sphere.
 """
 import numpy as np
 

@@ -1,14 +1,15 @@
 """Loewner ellipsoids, John ellipsoids via polarity, and contact measures.
 
-The minimum-volume enclosing ellipsoid (MVEE) is computed on the lifted
-point set by first-order Khachiyan iterations with away steps, which carry
-the inverse design matrix and the leverage scores by rank-one updates, with
-a fresh check at the stop.  The iterations start from the Kumar-Yildirim
-core set (Kumar and Yildirim 2005, J. Optim. Theory Appl. 126) plus every
-point that the Harman-Pronzato bound (Harman and Pronzato 2007, Stat.
-Probab. Lett. 77) cannot exclude from the optimal support.  The
-identified contact set is then polished by Newton iterations on the
-optimality system, which drives the duality gap to machine precision.
+The minimum-volume enclosing ellipsoid (MVEE) of points x_i comes from the
+D-optimal design problem: maximise log det sum_i p_i q_i q_i^T over the
+simplex, where q_i are the rows of the lift.  The lift is the orthonormal
+basis of the column span of [X, 1] (thin QR), which has the same leverage
+scores as [X, 1] and a well-conditioned design matrix.  One primal-dual
+interior-point method (Sun and Freund 2004, Oper. Res. 52) solves the
+problem on an active set of rows that starts at the Kumar-Yildirim core set
+(Kumar and Yildirim 2005, J. Optim. Theory Appl. 126) and grows by the rows
+whose leverage exceeds d = n + 1.  The certificate max_i kappa_i / d - 1,
+computed on the lift, bounds how far the ellipsoid is from optimal.
 Contact points and dual weights are converted into a centered isotropic
 measure on the sphere certifying that the unit ball is the Loewner
 (equivalently, on the polar side, the John) ellipsoid of the normalised
@@ -16,11 +17,11 @@ body.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from .geometry import (DegenerateBodyError, Ellipsoid, GeometryError,
                        Polytope, polar)
@@ -39,12 +40,30 @@ class EllipsoidSolverError(GeometryError):
     """The ellipsoid solver failed to reach its certificate."""
 
 
-def _leverage(Q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Leverage scores kappa_i = q_i^T M^{-1} q_i of the rows of Q under the
-    design matrix M = sum_i p_i q_i q_i^T, and M^{-1}, from scratch."""
-    M = (Q * p[:, None]).T @ Q
-    Minv = np.linalg.inv(M)
-    return np.einsum("ij,jk,ik->i", Q, Minv, Q), Minv
+def _lift(X: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (thin QR) of the column span of the lift [X, 1].
+
+    Leverage scores depend only on the column span, so they equal those of
+    [X, 1] exactly, while the design matrix stays well conditioned on
+    affinely ill-conditioned clouds.
+    """
+    return np.linalg.qr(np.hstack([X, np.ones((X.shape[0], 1))]))[0]
+
+
+def _whiten(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """W = L^{-1} Q^T, where L L^T is the Cholesky factorisation of the
+    design matrix M = sum_i p_i q_i q_i^T, so that Q M^{-1} Q^T = W^T W.
+
+    The triangular solves here and in ``_interior_point`` call LAPACK
+    directly: at these sizes the scipy.linalg wrappers cost more than the
+    solves."""
+    return dtrtrs(np.linalg.cholesky((Q * p[:, None]).T @ Q), Q.T, lower=1)[0]
+
+
+def _leverage(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Leverage scores kappa_i = q_i^T M^{-1} q_i of the rows of Q."""
+    W = _whiten(Q, p)
+    return np.einsum("ij,ij->j", W, W)
 
 
 def _core_set(X: np.ndarray) -> np.ndarray:
@@ -72,185 +91,106 @@ def _core_set(X: np.ndarray) -> np.ndarray:
     return np.unique(chosen)
 
 
-# a point is screened out only when its leverage is below the Harman-Pronzato
-# bound by this relative margin, so rounding never screens a support point
-_SCREEN_MARGIN = 1e-9
+# the design is optimal once max kappa_i / d - 1 is at most _CERT_TOL; an
+# interior-point solve also waits until its next Newton step would move no
+# leverage score by more than _STEP_TOL d, which puts the contacts' leverage
+# at d to about that accuracy
+_CERT_TOL = 1e-13
+_STEP_TOL = 1e-14
+# Newton steps per interior-point solve, centring parameter sigma and
+# fraction-to-boundary step
+_IPM_STEPS = 100
+_SIGMA = 0.1
+_TO_BOUNDARY = 0.99
 
 
-def _screened_start(Q: np.ndarray) -> np.ndarray:
-    """Start weights for the Khachiyan loop on the lifted points Q = [X, 1].
+def _interior_point(Q: np.ndarray) -> np.ndarray:
+    """Primal-dual interior-point method for the D-optimal design on the rows of Q.
 
-    Under the uniform design on the core set (``_core_set``) with leverage
-    scores kappa, e = max kappa - d and
-    h = d (1 + e/2 - sqrt(e (4 + e - 4/d)) / 2), every point with
-    kappa < h is certified not to support the optimal design (Harman and
-    Pronzato 2007).  The start is uniform on the core and on the points
-    kept by that screen.
+    Maximises log det M(p), M(p) = sum_i p_i q_i q_i^T, over the simplex
+    (Sun and Freund 2004, Oper. Res. 52).  With a rows, leverage scores
+    kappa(p) and K = Q M^{-1} Q^T (so d kappa / dp = -(K o K)), each Newton
+    step solves kappa(p) + z = nu 1, p o z = sigma (p^T z) / a,
+    1^T p = 1 with the matrix (K o K) + diag(z / p), which is positive
+    definite even when the optimal design is not unique, and one Schur
+    step for nu.  The loop stops once the certificate max kappa / d - 1 is
+    at most ``_CERT_TOL`` and the next step would change kappa by at most
+    ``_STEP_TOL`` d, after ``_IPM_STEPS`` steps, or when a Cholesky
+    factorisation fails; it returns the iterate with the best certificate.
     """
+    a, d = Q.shape
+    p, z, nu = np.full(a, 1.0 / a), np.ones(a), float(d)
+    best_p, best_cert = p, np.inf
+    for step in range(_IPM_STEPS + 1):
+        try:
+            W = _whiten(Q, p)
+            K = W.T @ W
+            kappa = np.diag(K)
+            cert = float(kappa.max()) / d - 1.0
+            if cert < best_cert:
+                best_p, best_cert = p, cert
+            if step == _IPM_STEPS:
+                break
+            KK = K * K
+            L = np.linalg.cholesky(KK + np.diag(z / p))
+        except np.linalg.LinAlgError:
+            break
+        mu = _SIGMA * float(p @ z) / a
+        Y = dpotrs(L, np.column_stack([kappa + mu / p - nu, np.ones(a)]), lower=1)[0]
+        dnu = (Y[:, 0].sum() + p.sum() - 1.0) / Y[:, 1].sum()
+        dp = Y[:, 0] - dnu * Y[:, 1]
+        if cert <= _CERT_TOL and np.abs(KK @ dp).max() <= _STEP_TOL * d:
+            break
+        dz = mu / p - z - z / p * dp
+        ratios = np.concatenate([-p[dp < 0] / dp[dp < 0], -z[dz < 0] / dz[dz < 0]])
+        alpha = min(1.0, _TO_BOUNDARY * ratios.min()) if ratios.size else 1.0
+        p, z, nu = p + alpha * dp, z + alpha * dz, nu + alpha * dnu
+    return best_p / best_p.sum()
+
+
+def _design_weights(X: np.ndarray) -> tuple[np.ndarray, float]:
+    """Optimal design weights on the lift of the rows of X, by active sets,
+    and their certificate (``mvee_support_residual``).
+
+    The active set starts at the Kumar-Yildirim core set (``_core_set``).
+    Each round solves the design on the active rows from a cold start
+    (``_interior_point``), then adds the d rows of largest leverage among
+    the inactive rows whose leverage exceeds d (1 + ``_CERT_TOL``); the
+    rounds stop when no inactive row does.
+    """
+    Q = _lift(X)
     m, d = Q.shape
-    core = _core_set(Q[:, :-1])
-    p = np.zeros(m)
-    p[core] = 1.0 / core.size
-    try:
-        kappa, _ = _leverage(Q, p)
-    except np.linalg.LinAlgError:
-        raise DegenerateBodyError("point set does not span the space")
-    e = max(float(kappa.max()) - d, 0.0)
-    h = d * (1.0 + e / 2.0 - math.sqrt(e * (4.0 + e - 4.0 / d)) / 2.0)
-    keep = kappa >= h * (1.0 - _SCREEN_MARGIN)
-    keep[core] = True
-    return keep / np.count_nonzero(keep)
-
-
-def _khachiyan_weights(Q: np.ndarray, eps: float, max_iter: int) -> np.ndarray:
-    """Away-step Frank-Wolfe on the lifted log-det design problem.
-
-    The loop starts from ``_screened_start``: uniform weight on a
-    Kumar-Yildirim core set (Kumar and Yildirim 2005) and on the points that
-    the Harman-Pronzato bound (Harman and Pronzato 2007) cannot exclude from
-    the optimal support.  Screened points start at weight 0 but stay in Q,
-    so a Frank-Wolfe step can still add them: the bound only saves the drop
-    steps that a uniform start spends on non-support points.
-
-    Each step p <- a p + b e_j changes M by a rank-one term, so M^{-1} and
-    the leverage scores are carried by Sherman-Morrison: with u = M^{-1} q_j,
-    g = Q u and c = b / (a + b kappa_j), kappa <- (kappa - c g^2) / a and
-    M^{-1} <- (M^{-1} - c u u^T) / a, O(m d) per step.  When the carried
-    scores pass the stop test they are recomputed from scratch and tested
-    again, so rounding drift never ends the loop early.  At most
-    ``max_iter`` steps are taken.
-    """
-    d = Q.shape[1]
-    p = _screened_start(Q)
-    kappa, steps = None, 0
+    active = np.zeros(m, dtype=bool)
+    active[_core_set(X)] = True
     while True:
-        fresh = kappa is None
-        if fresh:
-            try:
-                kappa, Minv = _leverage(Q, p)
-            except np.linalg.LinAlgError:
-                raise DegenerateBodyError("point set does not span the space")
-        i_up = int(np.argmax(kappa))
-        eps_up = kappa[i_up] / d - 1.0
-        kappa_act = np.where(p > 1e-300, kappa, np.inf)
-        i_dn = int(np.argmin(kappa_act))
-        eps_dn = 1.0 - kappa[i_dn] / d
-        if max(eps_up, eps_dn) <= eps:
-            if fresh:
-                break
-            kappa = None
-            continue
-        if steps >= max_iter:
-            break
-        steps += 1
-        away = eps_up < eps_dn
-        if away:
-            j, kap = i_dn, kappa[i_dn]
-            step_cap = p[j] / (1.0 - p[j]) if p[j] < 1.0 else np.inf
-            step = -min((d - kap) / (d * (kap - 1.0)), step_cap)
-        else:
-            j, kap = i_up, kappa[i_up]
-            step = (kap - d) / (d * (kap - 1.0))
-        a, b = 1.0 - step, step
-        p = a * p
-        p[j] += b
-        if away:
-            p = np.maximum(p, 0.0)
-            p /= p.sum()
-        u = Minv @ Q[j]
-        g = Q @ u
-        c = b / (a + b * kap)
-        kappa = (kappa - c * g * g) / a
-        Minv = (Minv - c * np.outer(u, u)) / a
-    return p
-
-
-def _design_certificate(Q: np.ndarray, p: np.ndarray) -> float:
-    return float(_leverage(Q, p)[0].max() / Q.shape[1] - 1.0)
-
-
-def _newton_polish(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Drive the design optimality system to (near) machine precision.
-
-    On the active set the optimal weights satisfy kappa_i(p) = d; damped
-    least-squares Newton steps on that system converge even when the
-    optimal face is degenerate (e.g. many co-spherical contacts).  The
-    active set is seeded from the kappa values of the first-order solution
-    and revised between at most 12 rounds of at most 100 steps, each round
-    stopping once max |kappa_i - d| < 1e-13 d; the result is never worse
-    than the input.
-    """
-    m, d = Q.shape
-    best_p = p
-    try:
-        best_cert = _design_certificate(Q, p)
-    except np.linalg.LinAlgError:
-        return p
-    for _ in range(12):
-        try:
-            kappa, _ = _leverage(Q, p)
-        except np.linalg.LinAlgError:
-            break
-        support = np.flatnonzero((kappa >= d * (1.0 - 1e-3)) | (p > 1e-6))
-        if support.size < d:
-            support = np.argsort(kappa)[-d:]
-        ps = np.maximum(p[support], 1e-12)
-        ps /= ps.sum()
-        Qs = Q[support]
-        errs = []
-        for _ in range(100):
-            Ms = (Qs * ps[:, None]).T @ Qs
-            try:
-                K = Qs @ np.linalg.inv(Ms) @ Qs.T
-            except np.linalg.LinAlgError:
-                break
-            F = np.diag(K) - d
-            errs.append(np.abs(F).max())
-            if errs[-1] < 1e-13 * d:
-                break
-            # on affinely ill-conditioned clouds max|F| stalls far above 1e-13 d:
-            # stop once it has not halved from its best within 5 steps
-            if len(errs) > 5 and min(errs[-5:]) > 0.5 * min(errs[:-5]):
-                break
-            step, *_ = np.linalg.lstsq(-(K ** 2), -F, rcond=1e-10)
-            lam = 1.0
-            while (ps + lam * step).min() < -1e-3 and lam > 1e-6:
-                lam *= 0.5
-            ps = np.maximum(ps + lam * step, 0.0)
-            total = ps.sum()
-            if total <= 0:
-                break
-            ps /= total
-        new_p = np.zeros(m)
-        new_p[support] = ps
-        try:
-            cert = _design_certificate(Q, new_p)
-        except np.linalg.LinAlgError:
-            break
-        if cert < best_cert:
-            best_p, best_cert = new_p, cert
-        if best_cert < 1e-12:
-            break
-        p = 0.5 * p + 0.5 * new_p
-    return best_p
+        p = np.zeros(m)
+        p[active] = _interior_point(Q[active])
+        kappa = _leverage(Q, p)
+        above = np.flatnonzero(~active & (kappa > d * (1.0 + _CERT_TOL)))
+        if above.size == 0:
+            return p, float(kappa.max()) / d - 1.0
+        active[above[np.argsort(kappa[above], kind="stable")[-d:]]] = True
 
 
 def mvee_support_residual(points: np.ndarray, p: np.ndarray) -> float:
-    """Duality-gap style certificate max_i kappa_i/d - 1 for design weights p."""
-    X = np.atleast_2d(points)
-    return _design_certificate(np.hstack([X, np.ones((X.shape[0], 1))]), p)
+    """Duality-gap certificate max_i kappa_i / d - 1 of design weights p.
+
+    The leverage scores are computed on the orthonormal lift of the points
+    (``_lift``), so the value is that of [X, 1] without its conditioning.
+    """
+    Q = _lift(np.atleast_2d(points))
+    return float(_leverage(Q, p).max() / Q.shape[1] - 1.0)
 
 
-def mvee(points, eps: float = 1e-7, max_iter: int = 100_000):
+def mvee(points, eps: float = 1e-7):
     """Minimum-volume enclosing ellipsoid of a point set.
 
     Returns (Ellipsoid, dual_weights).  The weights are nonnegative, sum to
-    one and are supported on (near-)contact points; the ellipsoid satisfies
-    the (1+eps) optimality certificate, and after the Newton polish the
-    certificate is usually at machine precision.  The shape matrix is
+    one and are supported on (near-)contact points.  Their certificate
+    ``mvee_support_residual`` is usually below 1e-13 and must be at most
+    eps, else ``EllipsoidSolverError`` is raised.  The shape matrix is
     exactly symmetric, and every point passes ``contains_points`` with
-    tol = 0.  Non-centred data is handled by the standard lift to dimension
-    n+1.
+    tol = 0.  Non-centred data is handled by the lift to dimension n+1.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     m, n = X.shape
@@ -258,16 +198,13 @@ def mvee(points, eps: float = 1e-7, max_iter: int = 100_000):
         raise GeometryError("eps must lie in (0, 0.5)")
     if m < n + 1 or np.linalg.matrix_rank(X - X.mean(axis=0)) < n:
         raise DegenerateBodyError("points do not affinely span the space")
-    Q = np.hstack([X, np.ones((m, 1))])
-    p = _khachiyan_weights(Q, max(eps, 1e-8), max_iter)
-    p = _newton_polish(Q, p)
+    p, cert = _design_weights(X)
     center = p @ X
     S = (X * p[:, None]).T @ X - np.outer(center, center)
     try:
         Sinv = np.linalg.inv(S)
     except np.linalg.LinAlgError:
         raise DegenerateBodyError("degenerate point set (singular scatter)")
-    cert = mvee_support_residual(X, p)
     if cert > eps:
         raise EllipsoidSolverError(
             f"certificate {cert:.3g} exceeds eps = {eps:g}")
@@ -348,9 +285,11 @@ def random_isotropic_measure(n: int, k_points: int, seed: int) -> DiscreteMeasur
     """Centered isotropic measure from the Loewner contacts of a random polytope.
 
     Gaussian points are drawn with the given seed, their convex hull is
-    normalised through the John route, and the resulting contact measure
-    (isotropic and centered to ~1e-6 or better) is returned.  Identical
-    seeds give identical measures.
+    normalised through the John route, and the resulting contact measure is
+    returned.  Its isotropy and centring residuals are those of the NNLS
+    weight fit on the contacts, usually far below the 1e-6 of
+    ``JohnDecomposition.ok``; ``john_contact_measure`` warns when they are
+    not.  Identical seeds give identical measures.
     """
     if k_points < n + 1:
         raise GeometryError("need at least n+1 points")

@@ -8,6 +8,8 @@ import pytest
 
 from simplexstab import cli
 from simplexstab import geometry as g
+from simplexstab import isotropic as iso
+from simplexstab.rng import make_rng
 
 
 def run_cli(args):
@@ -101,14 +103,30 @@ class TestMeasurePipeline:
                             "--samples", "8000", "--seed", "5"]) == 0
 
     def test_reduce_takes_what_generate_writes(self, tmp_path):
-        # this John contact measure has residual 2.8e-8, within the 1e-6
-        # that generate promises
-        gen = tmp_path / "m.json"
+        # generate promises residuals within 1e-6; reduce takes a measure
+        # whose residual lies above 1e-8 but within that promise
+        P = make_rng(4).standard_normal((6, 3))
+        P /= np.linalg.norm(P, axis=1)[:, None]
+        mu = iso.isotropize(np.vstack([P, -P]), np.ones(12))
+        weights = mu.weights.copy()
+        weights[0] *= 1.0 + 1e-7
+        mu = iso.DiscreteMeasure(mu.points, weights)
+        assert 1e-8 < mu.validate().max_residual < 1e-6
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(mu.to_json()))
+        assert run_cli(["measure", "reduce", "--in", str(path),
+                        "--out", str(tmp_path / "r.json")]) == 0
+
+    def test_bl_verify_takes_a_generate_report_at_n10(self, tmp_path):
+        # the lift needs residuals within 1e-8, which this John contact
+        # measure of 40 points in R^10 meets
+        gen, out = tmp_path / "m.json", tmp_path / "bl.json"
         assert run_cli(["measure", "generate", "--n", "10", "--k", "40",
                         "--seed", "0", "--out", str(gen)]) == 0
-        assert json.loads(gen.read_text())["residuals"]["isotropy_residual"] > 1e-8
-        assert run_cli(["measure", "reduce", "--in", str(gen),
-                        "--out", str(tmp_path / "r.json")]) == 0
+        assert run_cli(["bl", "verify", "--measure", str(gen), "--samples", "8000",
+                        "--seed", "5", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["direct_ok"] and report["reverse_ok"]
 
     def test_bl_verify_counts_direct_samples_in_the_cone(self, tmp_path):
         gen, out = tmp_path / "m.json", tmp_path / "bl.json"

@@ -167,35 +167,6 @@ class TestRandomIsotropicMeasure:
             el.random_isotropic_measure(3, 3, seed=0)
 
 
-def _khachiyan_from_scratch(Q, eps, max_iter, p):
-    """Reference: the Khachiyan loop from start weights p that rebuilds M,
-    its inverse and every leverage score at each iteration."""
-    m, d = Q.shape
-    for _ in range(int(max_iter)):
-        M = (Q * p[:, None]).T @ Q
-        kappa = np.einsum("ij,jk,ik->i", Q, np.linalg.inv(M), Q)
-        i_up = int(np.argmax(kappa))
-        eps_up = kappa[i_up] / d - 1.0
-        i_dn = int(np.argmin(np.where(p > 1e-300, kappa, np.inf)))
-        eps_dn = 1.0 - kappa[i_dn] / d
-        if max(eps_up, eps_dn) <= eps:
-            break
-        if eps_up >= eps_dn:
-            kap = kappa[i_up]
-            step = (kap - d) / (d * (kap - 1.0))
-            p = (1.0 - step) * p
-            p[i_up] += step
-        else:
-            kap = kappa[i_dn]
-            step_cap = p[i_dn] / (1.0 - p[i_dn]) if p[i_dn] < 1.0 else np.inf
-            step = min((d - kap) / (d * (kap - 1.0)), step_cap)
-            p = (1.0 + step) * p
-            p[i_dn] -= step
-            p = np.maximum(p, 0.0)
-            p /= p.sum()
-    return p
-
-
 def _cross_polytope_cloud(n, seed):
     """A random affine image of the cross-polytope with 23 n interior points."""
     rng = make_rng(seed)
@@ -225,55 +196,129 @@ _CLOUDS = {
 }
 
 
+def _full_row_weights(X):
+    """Reference: one interior-point solve on every lifted row, no active set."""
+    return el._interior_point(el._lift(X))
+
+
+def _full_row_design(X):
+    w = _full_row_weights(X)
+    return w, el.mvee_support_residual(X, w)
+
+
+def _design_matrix(X, w):
+    Q = el._lift(X)
+    return (Q * w[:, None]).T @ Q
+
+
+def _raw_certificate(X, w):
+    """The certificate on the plain lift [X, 1], through an explicit inverse."""
+    Q = np.hstack([X, np.ones((X.shape[0], 1))])
+    Minv = np.linalg.inv((Q * w[:, None]).T @ Q)
+    return np.einsum("ij,jk,ik->i", Q, Minv, Q).max() / Q.shape[1] - 1.0
+
+
 class TestKhachiyanRankOneUpdates:
+    """Named for the Khachiyan loop with rank-one updates that the
+    interior-point solver replaced; each test checks the same property of
+    the new solver: agreement with a solve on every row, the step budget
+    and its error, the rows left out, the core-set start and flat input."""
+
     @pytest.mark.parametrize("name", list(_CLOUDS))
     def test_weights_follow_the_from_scratch_loop(self, name):
+        # the optimal design matrix is unique even where the weights are not
         X = _CLOUDS[name]()
-        Q = np.hstack([X, np.ones((X.shape[0], 1))])
-        expected = _khachiyan_from_scratch(Q, 1e-7, 100_000, el._screened_start(Q))
-        assert np.abs(el._khachiyan_weights(Q, 1e-7, 100_000) - expected).max() <= 1e-12
+        _, w = el.mvee(X)
+        w_ref = _full_row_weights(X)
+        assert el.mvee_support_residual(X, w_ref) <= 1e-12
+        assert np.abs(_design_matrix(X, w) - _design_matrix(X, w_ref)).max() <= 1e-12
 
     @pytest.mark.parametrize("name", ["cross4", "gauss200x3", "sphere0", "cube3"])
     def test_mvee_matches_the_from_scratch_route(self, name, monkeypatch):
         X = _CLOUDS[name]()
-        E, w = el.mvee(X)
-        monkeypatch.setattr(el, "_khachiyan_weights", lambda Q, eps, max_iter:
-                            _khachiyan_from_scratch(Q, eps, max_iter, el._screened_start(Q)))
-        E_ref, w_ref = el.mvee(X)
-        assert np.abs(w - w_ref).max() <= 1e-12
+        E, _ = el.mvee(X)
+        monkeypatch.setattr(el, "_design_weights", _full_row_design)
+        E_ref, _ = el.mvee(X)
         assert np.abs(E.shape - E_ref.shape).max() <= 1e-12 * np.abs(E_ref.shape).max()
         assert np.abs(E.center - E_ref.center).max() <= 1e-12
 
-    @pytest.mark.parametrize("max_iter", [0, 1, 5])
-    def test_exhausted_iterations_raise(self, max_iter):
-        X = _CLOUDS["gauss30x2"]()
+    @pytest.mark.parametrize("steps", [0, 1, 5])
+    def test_exhausted_iterations_raise(self, steps, monkeypatch):
+        monkeypatch.setattr(el, "_IPM_STEPS", steps)
         with pytest.raises(el.EllipsoidSolverError):
-            el.mvee(X, max_iter=max_iter)
+            el.mvee(_CLOUDS["gauss30x2"]())
 
     def test_failure_message_claims_no_step_count(self, monkeypatch):
-        # below 1e-8 the loop stops at 1e-8, far short of max_iter steps;
-        # without the polish the certificate then misses eps
-        monkeypatch.setattr(el, "_newton_polish", lambda Q, p: p)
+        monkeypatch.setattr(el, "_IPM_STEPS", 0)
         with pytest.raises(el.EllipsoidSolverError,
-                           match=r"^certificate \S+ exceeds eps = 1e-09$"):
-            el.mvee(_CLOUDS["gauss30x2"](), eps=1e-9)
+                           match=r"^certificate \S+ exceeds eps = 1e-07$"):
+            el.mvee(_CLOUDS["gauss30x2"]())
 
     @pytest.mark.parametrize("name", list(_CLOUDS))
     def test_screen_keeps_the_support(self, name):
+        # a row left out of the active set is never needed: its leverage is
+        # within the stop tolerance, and if the solve on every row weighs it,
+        # it is a contact point
         X = _CLOUDS[name]()
         _, w = el.mvee(X)
-        start = el._screened_start(np.hstack([X, np.ones((X.shape[0], 1))]))
-        assert np.all(start[w > 1e-9] > 0.0)
+        Q = el._lift(X)
+        d = Q.shape[1]
+        kappa = el._leverage(Q, w)
+        out = w == 0.0
+        assert np.all(kappa[out] <= d * (1.0 + el._CERT_TOL))
+        needed = out & (_full_row_weights(X) > 1e-9)
+        assert np.all(kappa[needed] >= d * (1.0 - 1e-9))
 
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_cross_polytope_core_set_is_optimal(self, n):
+    def test_cross_polytope_core_set_is_optimal(self, n, monkeypatch):
         X = _CLOUDS[f"cross{n}"]()
         assert np.array_equal(el._core_set(X), np.arange(2 * n))
-        _, w = el.mvee(X, max_iter=0)
+        monkeypatch.setattr(el, "_IPM_STEPS", 0)
+        _, w = el.mvee(X)
         assert el.mvee_support_residual(X, w) <= 1e-7
 
     def test_rank_deficient_lift_raises(self):
         flat = np.hstack([make_rng(0).standard_normal((6, 2)), np.zeros((6, 1))])
-        Q = np.hstack([flat, np.ones((6, 1))])
         with pytest.raises(g.DegenerateBodyError):
-            el._khachiyan_weights(Q, 1e-7, 10)
+            el._design_weights(flat)
+
+
+def _co_spherical_cloud(n, seed):
+    """30 + 5n Gaussian directions: every point is on the unit sphere."""
+    return _sphere_cloud(n, 30 + 5 * n, seed)
+
+
+class TestDesignSolver:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_co_spherical_clouds(self, n):
+        # seeds 502 and 507 at n = 6 and 507 at n = 7 have more contacts
+        # than d(d+1)/2, so their optimal design is not unique
+        for seed in range(500, 510):
+            X = _co_spherical_cloud(n, seed)
+            E, w = el.mvee(X)
+            assert el.mvee_support_residual(X, w) <= 1e-12
+            assert np.all(E.contains_points(X, tol=0.0))
+            assert el.john_contact_measure(g.Polytope(vertices=X)).ok()
+
+    @pytest.mark.parametrize("name", list(_CLOUDS))
+    def test_clouds_certify_on_the_lift(self, name):
+        X = _CLOUDS[name]()
+        _, w = el.mvee(X)
+        cert = el.mvee_support_residual(X, w)
+        assert cert <= 1e-12
+        # the clouds are well conditioned, so the plain lift agrees
+        assert abs(_raw_certificate(X, w) - cert) <= 1e-12
+
+    def test_active_set_stays_small(self, monkeypatch):
+        rows = []
+        solve = el._interior_point
+
+        def counted(Q):
+            rows.append(Q.shape[0])
+            return solve(Q)
+
+        monkeypatch.setattr(el, "_interior_point", counted)
+        X = make_rng(20005).standard_normal((20000, 5))
+        _, w = el.mvee(X)
+        assert el.mvee_support_residual(X, w) <= 1e-12
+        assert max(rows) <= 100
