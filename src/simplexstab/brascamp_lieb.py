@@ -41,7 +41,7 @@ import numpy as np
 from scipy.optimize import nnls
 from scipy.special import ndtr
 
-from .functionals import FunctionalEstimate, sample_mean
+from .functionals import FunctionalEstimate, _gap_columns, sample_mean
 from .geometry import (Polytope, contains_points, gauge_many, regular_simplex,
                        support_many)
 from .isotropic import DiscreteMeasure, LiftedMeasure
@@ -411,11 +411,11 @@ def smoothing_inequality_check(mu: DiscreteMeasure, tau_grid,
         # functions); one direct and one polar margin column per tau
         g_simplex, g_hull = gauge_many(simplex, X), gauge_many(hull, X)
         gp_simplex, gp_hull = support_many(simplex, X), support_many(hull, X)
-        cols = []
-        for tau in tau_grid:
-            cols.append(smoothed(g_simplex, tau, 1.0 / n) - smoothed(g_hull, tau, 1.0 / n))
-            cols.append(smoothed(gp_hull, tau, float(n)) - smoothed(gp_simplex, tau, float(n)))
-        return np.column_stack(cols)
+        pairs = ((smoothed(upper, tau, rate), smoothed(lower, tau, rate))
+                 for tau in tau_grid
+                 for upper, lower, rate in ((g_simplex, g_hull, 1.0 / n),
+                                            (gp_hull, gp_simplex, float(n))))
+        return _gap_columns(2 * len(tau_grid), len(X), pairs)
 
     ests = sample_mean(margins, n_samples, n, seed)
     rows = []

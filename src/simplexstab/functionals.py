@@ -129,10 +129,29 @@ def _map_chunks(fn, n_samples: int, dim: int, seed: int, workers: int) -> list:
         return list(ex.map(one, streams))
 
 
+def _gap_columns(count: int, rows: int, pairs) -> np.ndarray:
+    """Per-sample columns upper - lower, one for each of the ``count``
+    (upper, lower) pairs of per-row values that ``pairs`` yields.
+
+    The columns are written into one (count, rows) array, which is returned
+    as its (rows, count) transpose: ``_moments`` then reduces each column
+    as one contiguous row, and no column is copied.  One pair is held at a
+    time, the next drawn from ``pairs`` after the last is subtracted.
+    """
+    out = np.empty((count, rows))
+    pairs = iter(pairs)
+    for col in out:
+        np.subtract(*next(pairs), out=col)
+    return out.T
+
+
 def _moments(values):
     """(rows, means, sums of squared deviations) of one chunk of per-sample
     values, per column for 2-D values.  Each column is reduced as a 1-D
-    view, whose summation order does not depend on the column count."""
+    view, whose summation order depends neither on the column count nor
+    on the layout: a column of a (rows, columns) array in C order gives
+    the bits of the same values stored as one row of a (columns, rows)
+    array."""
     values = np.asarray(values, dtype=float)
     cols = values.reshape(len(values), -1).T
     means = np.array([col.mean() for col in cols])
@@ -156,7 +175,11 @@ def _merge(a, b):
 def _estimates(chunk_moments, scale):
     """Chunk moments merged in chunk order into a mean with the standard
     error scale * s / sqrt(N) (s the sample standard deviation); one
-    estimate per column for 2-D values, ``scale`` a scalar or per column."""
+    estimate per column for 2-D values, ``scale`` a scalar or per column.
+    The standard deviation needs 2 samples at least."""
+    total = sum(rows for rows, _, _ in chunk_moments)
+    if total < 2:
+        raise ValueError(f"a Monte-Carlo estimate needs at least 2 samples, got {total}")
     n, means, m2 = functools.reduce(_merge, chunk_moments)
     stderr = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
     scales = np.broadcast_to(np.asarray(scale, dtype=float), means.shape)
@@ -174,7 +197,7 @@ def sample_mean(fn, n_samples: int, dim: int, seed: int, scale=1.0,
     its moments as soon as it is mapped, so memory stays at one chunk per
     worker.  The result has the bits of ``estimate`` on the concatenated
     values: one estimate for 1-D values, a list with one per column for
-    2-D values.
+    2-D values.  Fewer than 2 samples raise ValueError.
     """
     return _estimates(_map_chunks(lambda X: _moments(fn(X)), n_samples, dim,
                                   seed, workers), scale)
@@ -187,7 +210,7 @@ def estimate(values, scale=1.0):
     The values are reduced in slices of ``CHUNK_SAMPLES`` rows whose moments
     are merged in order, exactly as ``sample_mean`` merges its chunks.  2-D
     values give a list with one estimate per column; ``scale`` is a scalar
-    or one factor per column.
+    or one factor per column.  Fewer than 2 values raise ValueError.
     """
     values = np.asarray(values)
     return _estimates([_moments(values[start:start + CHUNK_SAMPLES])

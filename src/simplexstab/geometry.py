@@ -326,56 +326,73 @@ def support_function(K, u) -> float:
     return float(support_many(K, np.asarray(u, dtype=float)[None, :])[0])
 
 
-# elements of one block of facet-by-sample products: bounds the temporary
-# of the per-sample reductions at 16 MiB whatever the facet count
-FACET_BLOCK = 1 << 21
+# rows of one tile of facet-by-sample products, a multiple of the BLAS's
+# row unroll; the last tile also takes the rows past the last full tile
+TILE_ROWS = 1 << 13
+# elements of one tile: a tile of TILE_ROWS rows holds up to 32 facets, and
+# more facets are split into blocks
+TILE_ELEMENTS = 1 << 18
 
 
-def _facet_products(X: np.ndarray, M: np.ndarray):
-    """The products M @ X.T, one (facets, rows) block at a time.
+def _tiles(X: np.ndarray, M: np.ndarray):
+    """The products M @ X.T, one (facets, rows) tile at a time.
 
-    Yields (facet slice, block).  The facets are split into the fewest
-    blocks of at most FACET_BLOCK elements (one facet at least), with sizes
-    differing by at most one, so the reductions below never hold the whole
-    (m, rows) product.  The facet-major layout puts each facet's values for
-    all rows in one contiguous row, so reducing over the short facet axis
-    is an elementwise pass over long rows; numpy's reduce along rows of
-    only m = 3..12 values costs several times more.
+    Yields (row slice, facet slice, tile).  The rows go in tiles of
+    TILE_ROWS, the last taking the remainder too, so no tile is shorter
+    than TILE_ROWS unless it is all of X: the BLAS computes a product a few
+    rows long in other kernels (one row in gemv), whose rounding differs
+    from that of the same rows inside a long product.  Within a tile the
+    facets are split into the fewest blocks of at most TILE_ELEMENTS
+    elements (one facet at least), with sizes differing by at most one.
+    Every tile is written into one buffer, so a tile is valid only until
+    the next is yielded.  The facet-major layout puts each facet's values
+    for all rows of a tile in one contiguous row, so reducing over the
+    short facet axis is an elementwise pass over long rows; numpy's reduce
+    along rows of only m = 3..12 values costs several times more.
     """
-    m = M.shape[0]
-    per_block = max(1, FACET_BLOCK // max(1, X.shape[0]))
-    blocks = max(1, -(-m // per_block))
-    edges = [j * m // blocks for j in range(blocks + 1)]
-    for lo, hi in zip(edges, edges[1:]):
-        yield slice(lo, hi), M[lo:hi] @ X.T
+    rows, m = X.shape[0], M.shape[0]
+    row_edges = [k * TILE_ROWS for k in range(max(1, rows // TILE_ROWS))] + [rows]
+    buf = np.empty(0)
+    for r0, r1 in zip(row_edges, row_edges[1:]):
+        XT, span = X[r0:r1].T, r1 - r0
+        blocks = -(-m // max(1, TILE_ELEMENTS // max(1, span)))
+        facet_edges = [j * m // blocks for j in range(blocks + 1)]
+        need = -(-m // blocks) * span
+        if buf.size < need:
+            buf = np.empty(need)
+        for lo, hi in zip(facet_edges, facet_edges[1:]):
+            tile = buf[:(hi - lo) * span].reshape(hi - lo, span)
+            yield slice(r0, r1), slice(lo, hi), np.matmul(M[lo:hi], XT, out=tile)
 
 
 def _max_rows(X: np.ndarray, M: np.ndarray) -> np.ndarray:
     """max over the rows a_j of M of <a_j, x>, for each row x of X."""
-    out = None
-    for _, block in _facet_products(X, M):
-        top = np.max(block, axis=0)
-        out = top if out is None else np.maximum(out, top, out=out)
+    out = np.empty(X.shape[0])
+    for r, f, tile in _tiles(X, M):
+        if f.start == 0:
+            np.max(tile, axis=0, out=out[r])
+        else:
+            np.maximum(out[r], np.max(tile, axis=0), out=out[r])
     return out
 
 
 def _all_rows(X: np.ndarray, M: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Whether <a_j, x> <= c_j for every row a_j of M, for each row x of X."""
     out = np.ones(X.shape[0], dtype=bool)
-    for s, block in _facet_products(X, M):
-        out &= np.all(block <= c[s, None], axis=0)
+    for r, f, tile in _tiles(X, M):
+        out[r] &= np.all(tile <= c[f, None], axis=0)
     return out
 
 
 def support_many(K, U: np.ndarray) -> np.ndarray:
     """Vectorised support function over the rows of U.
 
-    Polytopes take the vertex maximum in the facet-major layout of
-    ``_facet_products``: (vertices, rows) products reduced over the short
-    vertex axis, which numpy does several times faster than a reduce along
-    rows of a few values, in blocks that bound the temporary.  An H-rep-only
-    polytope derives its vertices once (cached on the body); an unbounded
-    one raises UnboundedSupportError.
+    Polytopes take the vertex maximum over the tiles of ``_tiles``:
+    (vertices, rows) products of at most TILE_ELEMENTS elements, each
+    reduced over its short vertex axis straight into its slice of the
+    output, so the temporary is one tile of at most 2 MiB whatever the
+    sample count.  An H-rep-only polytope derives its vertices once (cached
+    on the body); an unbounded one raises UnboundedSupportError.
     """
     U = np.atleast_2d(U)
     if isinstance(K, (Ball, Ellipsoid)):
@@ -398,16 +415,18 @@ def gauge_norm(K, x) -> float:
 def gauge_many(K, X: np.ndarray) -> np.ndarray:
     """Vectorised gauge; equals the support function of the polar body.
 
-    Polytopes take max_j <a_j / b_j, x> over the facets in the facet-major
-    layout of ``_facet_products``: (facets, rows) products reduced over the
-    short facet axis, which numpy does several times faster than a reduce
-    along rows of a few values, in blocks that bound the temporary.
+    Polytopes take max_j <a_j / b_j, x> over the tiles of ``_tiles``:
+    (facets, rows) products of at most TILE_ELEMENTS elements, each reduced
+    over its short facet axis straight into its slice of the output, which
+    is then clamped at 0 in place; the temporary is one tile of at most
+    2 MiB whatever the sample count.
     """
     X = np.atleast_2d(X)
     if isinstance(K, (Ball, Ellipsoid)):
         return K.gauge_many(X)
     A, b = _halfspaces_for_gauge(K)
-    return np.maximum(_max_rows(X, A / b[:, None]), 0.0)
+    out = _max_rows(X, A / b[:, None])
+    return np.maximum(out, 0.0, out=out)
 
 
 def _extreme_points(V: np.ndarray) -> np.ndarray:
@@ -548,10 +567,10 @@ def point_set_hausdorff(X: np.ndarray, Y: np.ndarray) -> float:
 def contains_points(K, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Boolean membership of the rows of X in the body K.
 
-    Polytopes test every halfspace in the facet-major layout of
-    ``_facet_products``: (facets, rows) comparisons reduced over the short
-    facet axis, which numpy does several times faster than a reduce along
-    rows of a few values, in blocks that bound the temporary.
+    Polytopes test every halfspace over the tiles of ``_tiles``: (facets,
+    rows) comparisons of at most TILE_ELEMENTS elements, each reduced over
+    its short facet axis into its slice of the output, so the temporary is
+    one tile of at most 2 MiB whatever the sample count.
     """
     X = np.atleast_2d(X)
     if isinstance(K, (Ball, Ellipsoid)):

@@ -399,9 +399,9 @@ def measure_deficits(bodies, side: str, n_samples: int = fn.DEFAULT_SAMPLES,
 
     def gaps(X):
         ref = gauge_many(reference, X)
-        if side == "lowner":
-            return np.column_stack([ref - gauge_many(K, X) for K in bodies])
-        return np.column_stack([gauge_many(K, X) - ref for K in bodies])
+        pairs = ((ref, gauge_many(K, X)) if side == "lowner" else (gauge_many(K, X), ref)
+                 for K in bodies)
+        return fn._gap_columns(len(bodies), len(X), pairs)
 
     return [(est.value, est.stderr)
             for est in fn.sample_mean(gaps, n_samples, n, seed, 1.0 / denom)]
@@ -554,8 +554,10 @@ def extremality_check(mu_points: np.ndarray, n_samples: int = fn.DEFAULT_SAMPLES
     def gaps(X):
         # paired differences on one common sample; the polar gauge is the
         # support function, evaluated directly on both sides
-        return np.column_stack([gauge_many(simplex, X) - gauge_many(C, X),
-                                support_many(C, X) - support_many(simplex, X)])
+        pairs = ((f(upper, X), f(lower, X))
+                 for f, upper, lower in ((gauge_many, simplex, C),
+                                         (support_many, C, simplex)))
+        return fn._gap_columns(2, len(X), pairs)
 
     lowner, john = fn.sample_mean(gaps, n_samples, n, seed,
                                   [1.0 / (n * oracle_polar), 1.0 / oracle_polar])

@@ -55,6 +55,16 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "SIMPLEXSTAB_WORKERS" in err[0]
 
+    @pytest.mark.parametrize("n_samples", ["0", "1"])
+    def test_fewer_than_two_samples_is_usage_error(self, n_samples, tmp_path, capsys):
+        body, out = tmp_path / "b.json", tmp_path / "ell.json"
+        body.write_text(json.dumps(g.regular_simplex_polar(2).to_json()))
+        assert run_cli(["functional", "ell", "--body", str(body), "--n-samples", n_samples,
+                        "--seed", "1", "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "at least 2 samples" in err[0]
+        assert not out.exists()
+
     def test_seed_is_mandatory_for_stochastic_commands(self):
         assert run_cli(["measure", "generate", "--n", "2", "--k", "8"]) == cli.EXIT_USAGE
 

@@ -314,6 +314,33 @@ class TestStreamedMoments:
         want = np.std(values, ddof=1) / math.sqrt(self.N)
         assert abs(est.stderr - want) <= 1e-9 * want
 
+    @pytest.mark.parametrize("rows", [1, 7, fn.CHUNK_SAMPLES, fn.CHUNK_SAMPLES + 3])
+    @pytest.mark.parametrize("cols", [1, 2, 6])
+    def test_moments_do_not_depend_on_the_layout(self, cols, rows):
+        # the integrands return the transpose of a (columns, rows) array,
+        # whose columns are contiguous, not a C-order (rows, columns) one
+        values = 1.0 + 3.0 * make_rng(18, rows + cols).standard_normal((rows, cols))
+        stored = np.ascontiguousarray(values.T).T
+        assert stored.flags.f_contiguous and np.array_equal(stored, values)
+        n_c, mean_c, m2_c = fn._moments(values)
+        n_f, mean_f, m2_f = fn._moments(stored)
+        assert n_c == n_f == rows
+        assert mean_c.tobytes() == mean_f.tobytes() and m2_c.tobytes() == m2_f.tobytes()
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_fewer_than_two_samples_raise(self, n_samples):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            fn.sample_mean(lambda X: X[:, 0], n_samples, 2, seed=19)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            fn.ell_norm(g.regular_simplex_polar(2), n_samples=n_samples, seed=19)
+        for shape in [(n_samples,), (n_samples, 2)]:
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                fn.estimate(np.ones(shape))
+
+    def test_two_samples_give_a_standard_error(self):
+        est = fn.estimate([1.0, 3.0])
+        assert (est.value, est.stderr, est.samples) == (2.0, 1.0, 2)
+
     def test_ell_norm_memory_does_not_grow_with_samples(self):
         body = g.regular_simplex_polar(2)
         tracemalloc.start()

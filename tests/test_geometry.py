@@ -142,28 +142,27 @@ class TestFacetMajorKernel:
     remainder kernels past about 192 facets or rows, at sizes that are not
     a multiple of its unroll), the two differ by that rounding only.
     """
-    # FACET_BLOCK // ROWS = 1024 facets fill one block of products: m = 1024
-    # is one block, m = 1025 two
+    # TILE_ELEMENTS // ROWS = 128 facets fill one block of a tile: m = 1024
+    # is eight blocks, m = 1025 nine
     ROWS = 2047
 
-    def _sample(self, n, m):
+    def _sample(self, n, m, rows=ROWS):
         rng = np.random.default_rng(100 * n + m)
-        return (rng.standard_normal((self.ROWS, n)), rng.standard_normal((m, n)),
+        return (rng.standard_normal((rows, n)), rng.standard_normal((m, n)),
                 rng.uniform(0.5, 2.0, m))
 
     def _check(self, got, ref, X, M):
-        products = np.vstack([block for _, block in g._facet_products(X, M)]).T
+        products = np.empty((X.shape[0], M.shape[0]))
+        for r, f, tile in g._tiles(X, M):
+            products[r, f] = tile.T
         same = np.all(products == X @ M.T, axis=1)
         assert np.array_equal(got[same], ref[same])
         # dot products of n terms differ by at most 2 n eps sum_k |x_k a_jk|
         bound = 2 * X.shape[1] * np.finfo(float).eps * (np.abs(X) @ np.abs(M).T).max(axis=1)
         assert np.all(np.abs(got - ref) <= bound)
 
-    @pytest.mark.parametrize("n", range(2, 11))
-    @pytest.mark.parametrize("m", [None, 12, 64, 193, 1024, 1025, 2000])
-    def test_matches_row_major_reference(self, n, m):
-        m = n + 1 if m is None else m
-        X, A, b = self._sample(n, m)
+    def _compare(self, n, m, rows=ROWS):
+        X, A, b = self._sample(n, m, rows)
         M = A / b[:, None]
         gauges = np.maximum(np.max(X @ M.T, axis=1), 0.0)
         self._check(g.gauge_many(g.Polytope(halfspaces=(A, b)), X), gauges, X, M)
@@ -175,16 +174,36 @@ class TestFacetMajorKernel:
         c = b + 1e-9 * np.maximum(1.0, np.abs(b))
         inside = g.contains_points(g.Polytope(halfspaces=(A, b)), Y)
         assert np.array_equal(inside, np.all(Y @ A.T <= c, axis=1))
-        assert 0 < inside.sum() < self.ROWS
+        assert 0 < inside.sum() < rows
 
-    @pytest.mark.parametrize("m", [1024, 1025, 4097])
-    def test_blocks_cover_the_facets_within_budget(self, m):
-        X, A, _ = self._sample(3, m)
-        blocks = list(g._facet_products(X, A))
-        sizes = [block.shape[0] for _, block in blocks]
-        assert sum(sizes) == m and max(sizes) - min(sizes) <= 1
-        assert all(block.size <= g.FACET_BLOCK for _, block in blocks)
-        assert len(blocks) == -(-m // (g.FACET_BLOCK // self.ROWS))
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("m", [None, 12, 64, 193, 1024, 1025, 2000])
+    def test_matches_row_major_reference(self, n, m):
+        self._compare(n, n + 1 if m is None else m)
+
+    @pytest.mark.parametrize("n", [2, 10])
+    @pytest.mark.parametrize("m", [3, 33])
+    def test_row_tiles_match_row_major_reference(self, n, m):
+        # two tiles: one of TILE_ROWS rows, and one that also takes the
+        # 3616 rows past the second multiple of TILE_ROWS
+        self._compare(n, m, 2 * g.TILE_ROWS + 3616)
+
+    @pytest.mark.parametrize("rows", [1, 8191, 8193, 20000])
+    @pytest.mark.parametrize("m", [1, 32, 33, 4097])
+    def test_tiles_cover_the_grid_once_within_budget(self, m, rows):
+        X, A, _ = self._sample(3, m, rows)
+        count = np.zeros((m, rows), dtype=int)
+        blocks = {}
+        for r, f, tile in g._tiles(X, A):
+            assert tile.shape == (f.stop - f.start, r.stop - r.start)
+            assert tile.size <= g.TILE_ELEMENTS
+            count[f, r] += 1
+            blocks.setdefault((r.start, r.stop), []).append(f.stop - f.start)
+        assert np.all(count == 1)
+        # no tile is shorter than TILE_ROWS unless it is the only one, and
+        # the facet blocks of a tile differ in size by at most one
+        assert len(blocks) == 1 or min(b - a for a, b in blocks) >= g.TILE_ROWS
+        assert all(max(sizes) - min(sizes) <= 1 for sizes in blocks.values())
 
 
 class TestPolarity:

@@ -165,6 +165,21 @@ class TestMeasureDeficit:
         assert all(np.diff(deficits) > 0)
         assert deficits[0] < 1e-3
 
+    def test_six_body_deficits_memory_is_bounded(self):
+        # each chunk's six gauge differences go into one (bodies, rows) array
+        # and the gauges take their products one tile at a time; the first
+        # call imports the oracle's quadrature, which is not sampling memory
+        fam = st.make_family("corner-cut", 2, np.geomspace(1e-3, 0.09, 6))
+        st.measure_deficits(fam.bodies, fam.side, n_samples=1000, seed=5)
+        tracemalloc.start()
+        try:
+            deficits = st.measure_deficits(fam.bodies, fam.side, n_samples=200_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
+        assert len(deficits) == 6 and all(d > 3.0 * se for d, se in deficits)
+
     def test_normalisation_guard(self):
         K = g.Polytope(vertices=0.5 * g.regular_simplex(2).vertices)
         with pytest.raises(st.NormalizationError):
