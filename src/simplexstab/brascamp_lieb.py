@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 from scipy.special import ndtr
 
 from .functionals import FunctionalEstimate, _gap_columns, sample_mean
@@ -86,18 +85,16 @@ def bl_lhs(inst: BLInstance, n_samples: int = 200_000, seed: int = 0) -> Functio
                        (2.0 * math.pi) ** (d / 2.0))
 
 
-# rows within this hull-coordinate distance of a facet of conv(supp mu) go
-# on to the solve, which decides their feasibility
+# rows within this hull-coordinate distance outside a facet of conv(supp mu)
+# go on to Newton; the exact screen decides those it leaves unsolved
 _SCREEN_TOL = 1e-9
 # ridge on the active Gram matrix of a Newton step, which keeps the step
 # finite when the active atoms do not span R^d
 _RIDGE = 1e-8
 # a row is solved once |x - A theta(lambda)| <= _STOP max(1, |x|)
 _STOP = 1e-13
-# Newton steps before a row goes to the support rescue
+# Newton steps after which the exact cone screen decides a row still unsolved
 _NEWTON_STEPS = 50
-# weight W of the residual in the rescue's least squares (1e3 and 1e7 agree)
-_PENALTY = 1e5
 # largest certificate ``rbl_lhs`` accepts
 _KKT_TOL = 1e-8
 
@@ -132,12 +129,11 @@ class _NonnegTransportSolver:
     stationarity, dual feasibility, complementarity and theta >= 0 hold
     exactly for (theta(lambda), lambda, mu), so the KKT residual is
     |A theta(lambda) - x|.  That one residual certifies every row, and a
-    row is solved once it is at most ``_STOP`` max(1, |x|).  Rows still
-    short of it after ``_NEWTON_STEPS`` steps go to ``_solve_on_support``,
-    which picks their support by nonnegative least squares; the Newton
-    loop, run again from that support's multiplier, certifies them.  Only
-    rows within ``_SCREEN_TOL`` of a facet may fail the rescue as
-    infeasible; a failure deeper inside the cone raises ``RuntimeError``.
+    row is solved once it is at most ``_STOP`` max(1, |x|).  The screen
+    again, with zero tolerance, decides the rows still short of it after
+    ``_NEWTON_STEPS`` steps: a row outside the cone has no decomposition,
+    and a row inside keeps Newton's last dual point and its certificate,
+    which ``rbl_lhs`` checks against ``_KKT_TOL``.
     """
 
     def __init__(self, lifted: LiftedMeasure, s: float):
@@ -184,14 +180,8 @@ class _NonnegTransportSolver:
     def _solve_outside_dual_cone(self, X: np.ndarray):
         U, s = self.L.points, self.s
         lam, solved = self._newton(X, X - self.m)
-        rescue = np.flatnonzero(~solved)
-        for i in rescue:
-            lam[i] = self._solve_on_support(X[i])             # NaN where it fails
-        failed = np.isnan(lam[rescue, 0])
-        if self._in_cone(X[rescue[failed]], -_SCREEN_TOL).any():
-            raise RuntimeError("the support rescue failed on a point inside the cone")
-        redo = rescue[~failed]
-        lam[redo] = self._newton(X[redo], lam[redo])[0]
+        unsolved = np.flatnonzero(~solved)
+        lam[unsolved[~self._in_cone(X[unsolved], 0.0)]] = np.nan
         theta = np.maximum(s + lam @ U.T, 0.0)                # NaN where infeasible
         q = self.L.weights @ ((theta - s) ** 2).T
         return q, theta, np.where(np.isnan(q), 0.0, self.certificate(X, lam))
@@ -266,35 +256,6 @@ class _NonnegTransportSolver:
             psi_lo = np.where(j > 0, psi[rows, j - 1], psi0)
             t = np.minimum(b_lo - psi_lo / slope[rows, j], b[rows, j])
             return np.where(below.any(axis=1), t, np.inf)
-
-    def _solve_on_support(self, x: np.ndarray):
-        """Multiplier of the minimiser for one row, NaN when none is found.
-
-        One nonnegative least-squares solve of the penalised problem
-        min |sqrt(c~) (theta - s)|^2 + W^2 |A theta - x|^2 over theta >= 0
-        picks the support F = {theta > 0}.  On F the stationarity system
-        gives theta_F = s + U_F nu, taken when theta_F >= -1e-10 and its
-        clipped decomposition reproduces x to 1e-12 relative; otherwise the
-        atoms at theta_F <= 0 (a nearly dependent atom can enter F there)
-        leave F and it is solved again.
-        """
-        L, s = self.L, self.s
-        root_c = np.sqrt(L.weights)
-        free = nnls(np.vstack([np.diag(root_c), _PENALTY * self.A]),
-                    np.concatenate([root_c * s, _PENALTY * x]))[0] > 0.0
-        while free.any():
-            UF = L.points[free]
-            G = (UF * L.weights[free][:, None]).T @ UF
-            nu = np.linalg.lstsq(G, x - s * (L.weights[free] @ UF), rcond=None)[0]
-            theta_f = s + UF @ nu
-            resid = np.linalg.norm(self.A[:, free] @ np.maximum(theta_f, 0.0) - x)
-            if theta_f.min() >= -1e-10 and resid <= 1e-12 * max(1.0, np.linalg.norm(x)):
-                return nu
-            kept = theta_f > 0.0
-            if kept.all():
-                break
-            free[free] = kept
-        return np.full(L.dim, np.nan)
 
 
 def nonneg_transport_sup(inst: BLInstance, x: np.ndarray):

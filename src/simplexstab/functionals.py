@@ -45,6 +45,8 @@ def default_workers() -> int:
     """Worker count from SIMPLEXSTAB_WORKERS, else the available parallelism.
 
     A set value must be an integer of at least 1, as ``--workers`` must.
+    The available parallelism is the process's CPU affinity set where the
+    platform has one, else the CPU count.
     """
     env = os.environ.get("SIMPLEXSTAB_WORKERS")
     if env:
@@ -55,6 +57,8 @@ def default_workers() -> int:
         if workers < 1:
             raise ValueError(f"SIMPLEXSTAB_WORKERS must be an integer >= 1, got {env!r}")
         return workers
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 

@@ -198,8 +198,7 @@ def _assignment_rotation(directions: np.ndarray, targets: np.ndarray) -> np.ndar
 
 def _align(directions: np.ndarray, targets: np.ndarray, objective,
            n_restarts: int, seed: int, raw_restarts: bool = True,
-           sweeps: int = 3, step0: float = 0.05, min_step: float = 1e-5,
-           lower_bound=None):
+           sweeps: int = 3, step0: float = 0.05, lower_bound=None):
     """Rotation R of the target configuration (targets @ R.T) minimising
     ``objective(R)``; returns (R, value, evaluated, pruned).
 
@@ -208,8 +207,7 @@ def _align(directions: np.ndarray, targets: np.ndarray, objective,
     from ``make_rng(seed)`` with the fit started from ``targets @ Q.T``
     (and Q itself if ``raw_restarts``).  The best is refined by monotone
     +-step Givens rotations in every coordinate plane, the step shrinking
-    from ``step0`` by 0.35 per sweep; refinement stops after ``sweeps``
-    sweeps, or after a sweep without gain once the step is below ``min_step``.
+    from ``step0`` by 0.35 per sweep for ``sweeps`` sweeps.
 
     A candidate replaces the best only when its objective is smaller.  Given
     ``lower_bound(R)``, a bound that never exceeds ``objective(R)``, a
@@ -229,30 +227,24 @@ def _align(directions: np.ndarray, targets: np.ndarray, objective,
     best_R, best = None, math.inf
     evaluated = pruned = 0
 
-    def improves(R):
+    def consider(R):
         nonlocal best_R, best, evaluated, pruned
         if lower_bound is not None and lower_bound(R) >= best * (1.0 + _PRUNE_MARGIN):
             pruned += 1
-            return False
+            return
         evaluated += 1
         val = objective(R)
         if val < best:
             best_R, best = R, val
-            return True
-        return False
 
     for R in candidates:
-        improves(R)
+        consider(R)
     step = step0
     for _ in range(sweeps):
-        improved = False
         for i, j in itertools.combinations(range(n), 2):
             for sign in (+1.0, -1.0):
-                if improves(_plane_rotation(n, i, j, sign * step) @ best_R):
-                    improved = True
+                consider(_plane_rotation(n, i, j, sign * step) @ best_R)
         step *= 0.35
-        if not improved and step < min_step:
-            break
     return best_R, best, evaluated, pruned
 
 
@@ -304,7 +296,7 @@ def align_to_simplex(K: Polytope, target: Polytope, n_restarts: int = 20,
 
     best_R, best_d, evaluated, pruned = _align(
         VK / np.linalg.norm(VK, axis=1)[:, None], VT / np.linalg.norm(VT, axis=1)[:, None],
-        dist_for, n_restarts, seed, sweeps=2, min_step=1e-4, lower_bound=bound_for)
+        dist_for, n_restarts, seed, sweeps=2, lower_bound=bound_for)
     return AlignmentResult(rotation=best_R, delta_H=float(best_d),
                            evaluated=evaluated, pruned=pruned)
 
@@ -339,7 +331,7 @@ def _worst_angle_alignment(points: np.ndarray, n: int, seed: int = 0):
         return float(np.arccos(cos).min(axis=1).max())
 
     return _align(U, W, worst_angle, 10, seed, raw_restarts=False,
-                  sweeps=6, step0=0.02, min_step=1e-7)[:2]
+                  sweeps=6, step0=0.02)[:2]
 
 
 def _check_unit_ball_normalisation(K: Polytope, side: str) -> None:

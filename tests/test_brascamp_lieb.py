@@ -114,9 +114,9 @@ class TestReverseIntegral:
         assert np.linalg.eigvalsh(hessian).max() < 0
 
     def test_enumeration_rescue_for_hard_samples(self):
-        # a 25k-sample draw on a contact measure lifted to R^4: any row the
-        # Newton loop leaves unsolved goes to the enumeration rescue, and
-        # every accepted maximiser must stay KKT-clean
+        # a 25k-sample draw on a contact measure lifted to R^4: a row the
+        # Newton loop leaves unsolved is decided by the exact cone screen,
+        # and every accepted maximiser must stay KKT-clean
         inst = lifted_instance(3, 9, seed=7101, s=0.1)
         est = bl.rbl_lhs(inst, n_samples=25_000, seed=7301)
         assert est.value >= bl.bl_bound(inst) - 3.0 * est.stderr
@@ -212,27 +212,22 @@ class TestReverseIntegral:
                 feasible_outside += kind in ("outside", "near")
         assert feasible_outside >= (12 if inst.lifted.k > inst.lifted.dim else 0)
 
-    @pytest.mark.parametrize("depth", [1e-10, 0.0], ids=["inside-1e-10", "on-facet"])
+    @pytest.mark.parametrize("depth", [1e-10, 1e-13, 0.0],
+                             ids=["inside-1e-10", "inside-1e-13", "on-facet"])
     @pytest.mark.parametrize("build, s", [
         (lambda: iso.lift(el.random_isotropic_measure(2, 9, seed=7), +1), 0.1),
         (lambda: iso.lift(el.random_isotropic_measure(3, 9, seed=7101), +1), 0.0),
         (lambda: iso.lift(iso.simplex_measure(2), +1), 0.15),
         (lambda: iso.lift(iso.simplex_measure(3), +1), 0.1),
-    ], ids=["n2", "n3", "simplex-n2", "simplex-n3"])
+        # atom 0 lies 0.013 from the line of the hull edge {1, 9}
+        (lambda: iso.lift(plus_minus_measure(5, seed=3), +1), 0.1),
+    ], ids=["n2", "n3", "simplex-n2", "simplex-n3", "pm-k10"])
     def test_certificate_holds_at_cone_facets(self, build, s, depth):
         # maximisers with a coefficient of order depth, or a face of active
         # coefficients that leaves the multiplier undetermined
         L = build()
-        n = L.base.n
         solver = bl._NonnegTransportSolver(L, s)
-        rng = make_rng(41)
-        hull = ConvexHull(L.base.points)
-        facet = rng.integers(len(hull.simplices), size=40)
-        corners = L.base.points[hull.simplices[facet]]
-        Y = np.einsum("ij,ijk->ik", rng.dirichlet(np.ones(n), size=40), corners)
-        Y -= depth * hull.equations[facet, :-1]
-        t = rng.uniform(0.5, 1.5, size=(40, 1))
-        X = np.hstack([L.sign * math.sqrt(n) * t * Y, t])
+        X = self._facet_offset_points(L, make_rng(41), 40, -depth)
         q, _, kkt = solver.solve(X)
         assert kkt.max() <= 1e-12
         for x, got in zip(X, q):
@@ -255,46 +250,22 @@ class TestReverseIntegral:
         assert abs(solver.s + face[0] @ u) < 1e-12
         assert solver.certificate(x, face)[0] > 1e-3
 
-    @pytest.mark.parametrize("build, s", [
-        (lambda: iso.lift(el.random_isotropic_measure(2, 9, seed=7), +1), 0.1),
-        (lambda: iso.lift(el.random_isotropic_measure(3, 9, seed=7101), +1), 0.0),
-        # atom 0 lies 0.013 from the line of the hull edge {1, 9}, so for
-        # points on that facet the rescue's first support holds atom 0 too
-        (lambda: iso.lift(plus_minus_measure(5, seed=3), +1), 0.1),
-    ], ids=["n2", "n3", "pm-k10"])
-    def test_rescued_rows_match_enumeration(self, build, s, monkeypatch):
-        # the first Newton pass reports every row unsolved, so all of them go
-        # to the support rescue and restart from its multiplier, which is
-        # not unique for the points on a cone facet
-        inst = bl.BLInstance(build(), s)
-        solver, groups = self._oracle_points(inst, make_rng(43), 12)
-        # one point on each cone facet
-        L, n = inst.lifted, inst.lifted.base.n
-        corners = L.base.points[ConvexHull(L.base.points).simplices]
-        Y = np.einsum("ij,ijk->ik", make_rng(44).dirichlet(np.ones(n), size=len(corners)),
-                      corners)
-        facet = np.hstack([L.sign * math.sqrt(n) * Y, np.ones((len(Y), 1))])
-        X = np.vstack([groups["outside"], groups["near"], facet])
-        newton, passes = solver._newton, []
+    @staticmethod
+    def _facet_offset_points(L, rng, count, offset):
+        """Cone points whose hull coordinates lie ``offset`` outside a random
+        facet of conv(supp mu) (inside for a negative offset)."""
+        n = L.base.n
+        hull = ConvexHull(L.base.points)
+        facet = rng.integers(len(hull.simplices), size=count)
+        corners = L.base.points[hull.simplices[facet]]
+        Y = np.einsum("ij,ijk->ik", rng.dirichlet(np.ones(n), size=count), corners)
+        Y += offset * hull.equations[facet, :-1]
+        t = rng.uniform(0.5, 1.5, size=(count, 1))
+        return np.hstack([L.sign * math.sqrt(n) * t * Y, t])
 
-        def first_pass_fails(X, lam):
-            lam, solved = newton(X, lam)
-            if not passes:
-                solved[:] = False
-            passes.append(len(X))
-            return lam, solved
-
-        monkeypatch.setattr(solver, "_newton", first_pass_fails)
-        q, _, kkt = solver.solve(X)
-        assert passes[0] == passes[1] >= 24
-        assert kkt.max() <= 1e-8
-        for x, got in zip(X, q):
-            want, _ = _solve_by_enumeration(solver, x)
-            assert abs(got - want) <= 1e-9 * max(1.0, want)
-
-    def test_forced_rescue_at_n10(self, monkeypatch):
-        # 38 atoms in R^11: 2^38 supports, one nonnegative least-squares
-        # solve per row
+    def test_newton_certifies_rows_outside_dual_cone_at_n10(self):
+        # 38 atoms in R^11: 2^38 supports, so no enumeration; Newton alone
+        # certifies the feasible rows outside the dual cone
         inst = bl.BLInstance(iso.lift(el.random_isotropic_measure(10, 200, seed=1), +1), 0.1)
         L = inst.lifted
         assert L.k == 38
@@ -302,43 +273,52 @@ class TestReverseIntegral:
         X = make_rng(45).exponential(size=(400, L.k)) ** 3 @ solver.A.T
         X = X[(X @ L.points.T).min(axis=1) < 0.0][:40]
         assert len(X) == 40
-        want, _, _ = solver.solve(X)
-        assert not np.isnan(want).any()
-        newton, passes = solver._newton, []
-
-        def first_pass_fails(X, lam):
-            lam, solved = newton(X, lam)
-            if not passes:
-                solved[:] = False
-            passes.append(len(X))
-            return lam, solved
-
-        monkeypatch.setattr(solver, "_newton", first_pass_fails)
         start = time.perf_counter()
         q, _, kkt = solver.solve(X)
         assert time.perf_counter() - start < 1.0
-        assert passes == [40, 40]
+        assert not np.isnan(q).any()
         assert kkt.max() <= 1e-8
-        assert np.all(np.abs(q - want) <= 1e-9 * np.maximum(1.0, want))
 
-    def test_failed_rescue_raises_only_inside_the_cone(self, monkeypatch):
+    def test_unsolved_rows_are_decided_by_the_exact_screen(self, monkeypatch):
+        # Newton reports every row unsolved: a row in the screen's band
+        # outside a facet is infeasible, and a row inside the cone keeps
+        # Newton's last dual point, whose certificate ``rbl_lhs`` rejects
         inst = lifted_instance(2, 9, seed=7, s=0.1)
         solver, groups = self._oracle_points(inst, make_rng(46), 4)
-        L, n = inst.lifted, inst.lifted.base.n
-        corners = L.base.points[ConvexHull(L.base.points).simplices[0]]
-        on_facet = np.append(L.sign * math.sqrt(n) * corners.mean(axis=0), 1.0)[None, :]
+        in_band = self._facet_offset_points(inst.lifted, make_rng(47), 1, 1e-10)
+        seen = []
 
-        def fails(X, lam):
+        def fails(self, X, lam):
+            seen.append(len(X))
             return lam, np.zeros(len(X), dtype=bool)
 
-        monkeypatch.setattr(solver, "_newton", fails)
-        monkeypatch.setattr(solver, "_solve_on_support", lambda x: np.full(L.dim, np.nan))
-        # a point on a facet is within the screen's band: reported infeasible
-        q, theta, kkt = solver.solve(on_facet)
+        monkeypatch.setattr(bl._NonnegTransportSolver, "_newton", fails)
+        q, theta, kkt = solver.solve(in_band)
+        assert seen == [1]
         assert np.isnan(q).all() and np.isnan(theta).all() and kkt[0] == 0.0
-        # a point strictly inside the cone has a decomposition
+        q, _, kkt = solver.solve(groups["outside"][:1])
+        assert np.isfinite(q).all() and kkt[0] > bl._KKT_TOL
         with pytest.raises(RuntimeError):
-            solver.solve(groups["outside"][:1])
+            bl.rbl_lhs(inst, n_samples=2_000, seed=48)
+        monkeypatch.undo()
+        bl.rbl_lhs(inst, n_samples=2_000, seed=48)
+
+    def test_rounding_level_facet_offsets(self):
+        # 1e-12 outside a facet the dual is unbounded, so Newton cannot
+        # certify these rows; the exact screen calls them infeasible.  The
+        # enumeration oracle is not asked: its 1e-12 reproduction tolerance
+        # calls them feasible.  1e-14 inside, Newton's last iterate certifies
+        L = iso.lift(plus_minus_measure(3, seed=0), +1)
+        solver = bl._NonnegTransportSolver(L, 0.1)
+        outside = self._facet_offset_points(L, make_rng(49), 20, 1e-12)
+        q, theta, kkt = solver.solve(outside)
+        assert np.isnan(q).all() and np.isnan(theta).all() and (kkt == 0.0).all()
+        inside = self._facet_offset_points(L, make_rng(50), 20, -1e-14)
+        q, _, kkt = solver.solve(inside)
+        assert kkt.max() <= 1e-8
+        for x, got in zip(inside, q):
+            want, _ = _solve_by_enumeration(solver, x)
+            assert abs(got - want) <= 1e-9 * max(1.0, want)
 
 
 class TestDilateIdentities:

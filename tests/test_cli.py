@@ -197,6 +197,36 @@ class TestFunctionalCommands:
                         "--out", str(tmp_path / "c.json")]) == 0
 
 
+def run_twice(tmp_path, args):
+    """Run a command twice with --out; return its report after checking
+    that both runs wrote the same bytes."""
+    outs = [tmp_path / f"run-{i}.json" for i in (1, 2)]
+    for out in outs:
+        assert run_cli([*args, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    return json.loads(outs[0].read_text())
+
+
+class TestFunctionalEstimates:
+    @pytest.mark.parametrize("functional, extra", [("mass", ["--t", "1.5"]), ("width", [])],
+                             ids=["mass", "width"])
+    def test_report_is_finite_and_reproducible(self, functional, extra, tmp_path):
+        body = tmp_path / "b.json"
+        body.write_text(json.dumps(g.regular_simplex_polar(2).to_json()))
+        data = run_twice(tmp_path, ["functional", functional, "--body", str(body), *extra,
+                                    "--n-samples", "20000", "--seed", "1"])
+        assert np.isfinite(data["value"]) and np.isfinite(data["stderr"])
+        assert data["stderr"] > 0.0 and data["samples"] == 20000
+
+    def test_bl_identity_rows_pass_and_reproduce(self, tmp_path):
+        data = run_twice(tmp_path, ["bl", "identity", "--n", "2", "--s", "0.1",
+                                    "--samples", "200000", "--seed", "5"])
+        rows = data["identities"]
+        assert [r["variant"] for r in rows] == ["inscribed", "polar"]
+        for r in rows:
+            assert r["ok"] and np.isfinite(r["lhs"]) and np.isfinite(r["stderr"])
+
+
 class TestTransportCommands:
     def test_verify_csv(self, tmp_path):
         out = tmp_path / "margins.csv"

@@ -283,6 +283,18 @@ class TestDefaultWorkers:
         monkeypatch.setenv("SIMPLEXSTAB_WORKERS", "3")
         assert fn.default_workers() == 3
 
+    def test_cpu_affinity_bounds_the_default(self, monkeypatch):
+        monkeypatch.delenv("SIMPLEXSTAB_WORKERS", raising=False)
+        monkeypatch.setattr(fn.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(fn.os, "cpu_count", lambda: 8)
+        assert fn.default_workers() == 1
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("SIMPLEXSTAB_WORKERS", raising=False)
+        monkeypatch.delattr(fn.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(fn.os, "cpu_count", lambda: 8)
+        assert fn.default_workers() == 8
+
     @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
     def test_bad_environment_value_names_the_variable(self, value, monkeypatch):
         monkeypatch.setenv("SIMPLEXSTAB_WORKERS", value)
