@@ -32,7 +32,7 @@ print(f"  rhs          = {rep.rhs:.6f}")
 print(f"  stability factor theta* = {rep.theta_star:.6f} (equals 1 iff all t agree)")
 
 idx, value = iso.big_determinant_subset(reduced)
-print(f"\nlargest weight-determinant subset {idx}: {value:.6f} "
+print(f"\na weight-determinant subset meeting the averaging bound {idx}: {value:.6f} "
       f">= 1/C(k, n) = {1.0 / __import__('math').comb(reduced.k, 2):.6f}")
 
 lifted = iso.lift(mu, +1)

@@ -229,7 +229,7 @@ class JohnDecomposition:
     together with the contact measure certifying it."""
     body: Polytope
     contacts: DiscreteMeasure
-    kind: str                       # "lowner-contacts" or "john-contacts"
+    kind: str                       # always "lowner-contacts" (John side: ROADMAP item 4)
     residuals: IsotropyReport
     boundary_residual: float        # worst |  |u_i| - 1 | before renormalisation
 

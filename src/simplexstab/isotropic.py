@@ -11,11 +11,11 @@ product-inequality machinery.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import qr, solve_triangular
 from scipy.optimize import nnls
 
 __all__ = [
@@ -29,9 +29,6 @@ __all__ = [
 ]
 
 UNIT_NORM_TOL = 1e-12
-SUBSET_ENUM_CAP = 2_000_000
-# rows per block of the subset enumeration in big_determinant_subset
-SUBSET_BLOCK = 1 << 12
 # largest isotropy or centering residual of a measure that LiftedMeasure lifts
 _LIFT_TOL = 1e-8
 
@@ -208,18 +205,6 @@ def reduce_support(mu: DiscreteMeasure, tol: float = 1e-8) -> DiscreteMeasure:
     return DiscreteMeasure(*_nnls_atoms(P, _constraint_matrix(P) @ mu.weights))
 
 
-def _subset_blocks(k: int, n: int):
-    """All n-subsets of range(k) in lexicographic order, as (rows, n) index
-    blocks of at most SUBSET_BLOCK rows each."""
-    total = math.comb(k, n)
-    if total > SUBSET_ENUM_CAP:
-        raise MeasureError(f"C({k}, {n}) = {total} subsets exceed the enumeration "
-                           f"cap {SUBSET_ENUM_CAP}")
-    combos = itertools.combinations(range(k), n)
-    while block := list(itertools.islice(combos, SUBSET_BLOCK)):
-        yield np.array(block, dtype=np.intp)
-
-
 def _subset_products(mu: DiscreteMeasure, idx: np.ndarray) -> np.ndarray:
     """q_S = (prod of weights over S) * det[u_i : i in S]^2 for each subset row."""
     U = mu.points[idx]                       # (S, n, n)
@@ -300,21 +285,32 @@ def ball_barthe_stability_factor(mu: DiscreteMeasure, t, indices) -> dict:
 
 
 def big_determinant_subset(mu: DiscreteMeasure):
-    """The n-subset maximising c_{i1}...c_{in} det^2; its value is >= 1/C(k,n).
+    """An n-subset S whose q_S = c_{i1}...c_{in} det^2 is at least det(M)/C(k, n).
 
-    Enumerates all C(k, n) subsets in blocks, so memory stays bounded, and
-    returns the first maximum in lexicographic order; above SUBSET_ENUM_CAP
-    it raises MeasureError."""
+    M is the moment matrix, so the bound is the averaging bound 1/C(k, n)
+    for an isotropic measure; the subset need not be the maximiser, which
+    is NP-hard to find in general.  The atoms are whitened to
+    w_i = L^{-1} sqrt(c_i) u_i with L L^T = M, so sum_i w_i w_i^T = Id and
+    q_S = det(M) det(w_S)^2.  By Cauchy-Binet the q_S of the completions of
+    a partial subset T sum to det(M) Gram(w_T), so picking the atom with the
+    largest residual off span(w_T) at each of n steps never drops below the
+    average (the method of conditional expectations); these are the first
+    n pivots of one column-pivoted QR of the w_i.  Returns the sorted
+    indices and q_S; a support that does not span R^n raises
+    SingularMomentError.
+    """
     k, n = mu.k, mu.n
     if k > 2 * n * n:
-        raise MeasureError(f"support {k} exceeds the enumeration bound 2n^2 = {2*n*n}")
-    best_idx, best = None, -math.inf
-    for idx in _subset_blocks(k, n):
-        q = _subset_products(mu, idx)
-        j = int(np.argmax(q))
-        if q[j] > best:
-            best_idx, best = idx[j], float(q[j])
-    return tuple(int(i) for i in best_idx), best
+        raise MeasureError(f"support {k} exceeds the bound 2n^2 = {2*n*n}")
+    try:
+        L = np.linalg.cholesky(mu.moment_matrix())
+    except np.linalg.LinAlgError:
+        raise SingularMomentError(
+            "moment matrix is singular: the support does not span R^n") from None
+    W = solve_triangular(L, (mu.points * np.sqrt(mu.weights)[:, None]).T, lower=True)
+    _, pivots = qr(W, mode="r", pivoting=True)
+    idx = np.sort(pivots[:n])
+    return tuple(int(i) for i in idx), float(_subset_products(mu, idx[None, :])[0])
 
 
 class LiftedMeasure(DiscreteMeasure):

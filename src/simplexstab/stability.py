@@ -10,7 +10,6 @@ log-log regressions of distance against the measured deficit.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -241,9 +240,10 @@ def _align(directions: np.ndarray, targets: np.ndarray, objective,
         consider(R)
     step = step0
     for _ in range(sweeps):
-        for i, j in itertools.combinations(range(n), 2):
-            for sign in (+1.0, -1.0):
-                consider(_plane_rotation(n, i, j, sign * step) @ best_R)
+        for i in range(n):
+            for j in range(i + 1, n):
+                for sign in (+1.0, -1.0):
+                    consider(_plane_rotation(n, i, j, sign * step) @ best_R)
         step *= 0.35
     return best_R, best, evaluated, pruned
 

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -296,3 +299,14 @@ class TestSuite:
         data = json.loads(out.read_text())
         assert data["all_pass"]
         assert len(data["checks"]) >= 8
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # gaussian_max_mean imports scipy.integrate lazily, which keeps about 30 ms
+    # and 3 MiB off every process; the test modules load it themselves, so
+    # only a fresh interpreter can see a regression
+    code = "import sys, simplexstab.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 import itertools
 import math
+import time
+import timeit
 import tracemalloc
 
 import numpy as np
@@ -36,6 +38,12 @@ def theta_star_partial_sum(mu, t, lhs, subsets=None):
     q = iso._subset_products(mu, subsets)
     t_sub = np.sqrt(np.prod(t[subsets], axis=1)) / math.sqrt(lhs)
     return 1.0 + 0.5 * float(q @ (t_sub - 1.0) ** 2)
+
+
+def exhaustive_max(mu):
+    """The largest weight-determinant product over all C(k, n) subsets."""
+    rows = np.array(list(itertools.combinations(range(mu.k), mu.n)))
+    return float(iso._subset_products(mu, rows).max())
 
 
 class TestValidate:
@@ -286,7 +294,7 @@ class TestBigDeterminantSubset:
         assert abs(value - 0.5 ** n) < 1e-12
         assert value >= 1.0 / math.comb(2 * n, n) - 1e-12
 
-    def test_blocked_enumeration_memory_and_argmax(self):
+    def test_memory_and_value_between_bound_and_max(self):
         mu = random_centered_isotropic(8, 10, seed=8)  # k = 20, C(20, 8) = 125970
         tracemalloc.start()
         try:
@@ -295,14 +303,41 @@ class TestBigDeterminantSubset:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-        rows = np.array(list(itertools.combinations(range(mu.k), mu.n)))
-        q = np.prod(mu.weights[rows], axis=1) * np.linalg.det(mu.points[rows]) ** 2
-        best = int(np.argmax(q))
-        assert (idx, value) == (tuple(int(i) for i in rows[best]), float(q[best]))
+        bound = np.linalg.det(mu.moment_matrix()) / math.comb(20, 8)
+        assert bound * (1.0 - 1e-12) <= value <= exhaustive_max(mu) * (1.0 + 1e-12)
 
-    def test_enumeration_cap_raises_measure_error(self):
-        mu = random_centered_isotropic(5, 25, seed=4)  # k = 50 <= 2 n^2, C(50, 5) > cap
-        with pytest.raises(iso.MeasureError, match=r"C\(50, 5\) = 2118760 .* cap 2000000"):
+    def test_former_cap_measure_meets_the_bound(self):
+        # C(50, 5) = 2118760 subsets were more than the old enumeration allowed
+        mu = random_centered_isotropic(5, 25, seed=4)
+        assert min(timeit.repeat(lambda: iso.big_determinant_subset(mu), number=1, repeat=3)) < 0.05
+        idx, value = iso.big_determinant_subset(mu)
+        assert value * math.comb(50, 5) >= np.linalg.det(mu.moment_matrix()) * (1.0 - 1e-12)
+
+    def test_meets_the_averaging_bound(self):
+        # q_S C(k, n) >= det(M) for +-P measures at k = 2n and 2n^2, John
+        # contacts and one anisotropic measure on n + 1 atoms per n
+        start = time.perf_counter()
+        for n in range(2, 11):
+            rng = make_rng(700 + n)
+            P = rng.standard_normal((n + 1, n)) * np.exp(rng.uniform(-3.0, 3.0, n))
+            P /= np.linalg.norm(P, axis=1)[:, None]
+            for mu in (random_centered_isotropic(n, n, seed=500 + n),
+                       random_centered_isotropic(n, n * n, seed=600 + n),
+                       random_isotropic_measure(n, 4 * n, seed=n),
+                       iso.DiscreteMeasure(P, np.exp(rng.uniform(-3.0, 3.0, n + 1)))):
+                idx, value = iso.big_determinant_subset(mu)
+                assert list(idx) == sorted(set(idx)) and len(idx) == n
+                assert value == float(iso._subset_products(mu, np.array([idx]))[0])
+                det = np.linalg.det(mu.moment_matrix())
+                assert value * math.comb(mu.k, n) >= det * (1.0 - 1e-12), (n, mu.k)
+                if n <= 5 and math.comb(mu.k, n) <= 200_000:
+                    assert value <= exhaustive_max(mu) * (1.0 + 1e-12), (n, mu.k)
+        assert time.perf_counter() - start < 2.0
+
+    def test_non_spanning_support_raises(self):
+        P = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]])
+        mu = iso.DiscreteMeasure(P, np.full(4, 0.5))
+        with pytest.raises(iso.SingularMomentError, match="moment matrix is singular"):
             iso.big_determinant_subset(mu)
 
     def test_oversized_support_rejected(self):
