@@ -79,10 +79,11 @@ def bl_lhs(inst: BLInstance, n_samples: int = 200_000, seed: int = 0) -> Functio
     L = inst.lifted
     d = L.dim
     m = inst.s * math.sqrt(d) * L.pole
-    # X + m lies in the cone iff <p, X + m> >= 0 for every atom p
+    # X + m lies in the cone iff <p, X + m> >= 0 for every atom p; each chunk
+    # is private to its call, so it is shifted in place
     cone = Polytope(halfspaces=(-L.points, np.zeros(len(L.points))))
-    return sample_mean(lambda X: contains_points(cone, X + m, tol=0.0), n_samples, d, seed,
-                       (2.0 * math.pi) ** (d / 2.0))
+    return sample_mean(lambda X: contains_points(cone, np.add(X, m, out=X), tol=0.0),
+                       n_samples, d, seed, (2.0 * math.pi) ** (d / 2.0))
 
 
 # rows within this hull-coordinate distance outside a facet of conv(supp mu)

@@ -518,8 +518,7 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         sys.stderr.write(f"verification failed: {exc}\n")
         return EXIT_VERIFY
-    except (OSError, json.JSONDecodeError, KeyError, ValueError,
-            st.InsufficientSignalError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

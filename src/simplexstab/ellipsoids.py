@@ -76,18 +76,16 @@ def _core_set(X: np.ndarray) -> np.ndarray:
     R^n.
     """
     n = X.shape[1]
-    chosen, basis = [], np.zeros((0, n))
+    chosen, R = [], np.eye(n)          # projector onto the complement of the chosen differences
     for _ in range(n):
-        R = np.eye(n) - basis.T @ basis
         b = R[int(np.argmax(np.einsum("ij,ij->i", R, R)))]
         s = X @ b
         hi, lo = int(np.argmax(s)), int(np.argmin(s))
         if not s[hi] > s[lo]:
             raise DegenerateBodyError("point set does not span the space")
         chosen += [hi, lo]
-        diff = X[hi] - X[lo]
-        diff -= basis.T @ (basis @ diff)
-        basis = np.vstack([basis, diff / np.linalg.norm(diff)])
+        d = R @ (X[hi] - X[lo])
+        R -= np.outer(d, d) / (d @ d)
     return np.unique(chosen)
 
 

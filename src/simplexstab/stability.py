@@ -334,27 +334,59 @@ def _worst_angle_alignment(points: np.ndarray, n: int, seed: int = 0):
                   sweeps=6, step0=0.02)[:2]
 
 
+@dataclass(frozen=True)
+class _Side:                  # a side of the deficits: how a body K pairs with the simplex S
+    body: object              # K's functional: gauge_many or support_many
+    simplex: object           # the paired functional of the inscribed simplex S
+    body_upper: bool          # K's value is the upper one of the gap
+    oracle_times_n: bool      # gap over n * oracle, the mean of gauge_many(S), else over oracle
+    ellipsoid: str            # lowner | john: the ellipsoid that must be the unit ball
+    fit_simplex: object       # the simplex a fit aligns K to
+
+
+_SIDES = {
+    "lowner": _Side(gauge_many, gauge_many, False, True, "lowner", regular_simplex),
+    "john": _Side(gauge_many, support_many, True, False, "john", regular_simplex_polar),
+    "lowner-width": _Side(support_many, support_many, True, False, "lowner", regular_simplex),
+}
+
+
 def _check_unit_ball_normalisation(K: Polytope, side: str) -> None:
-    if side == "lowner":
-        E, _ = mvee(K.vertices)
-    elif side == "john":
-        E, _ = mvee(polar(K).vertices)
-    else:
-        raise ValueError("side must be 'lowner' or 'john'")
+    ellipsoid = _SIDES[side].ellipsoid
+    E, _ = mvee(K.vertices if ellipsoid == "lowner" else polar(K).vertices)
     resid = max(float(np.abs(E.shape - np.eye(K.n)).max()),
                 float(np.linalg.norm(E.center)))
     if resid > _NORMALISATION_TOL:
-        raise NormalizationError(f"unit ball is not the {side} ellipsoid "
+        raise NormalizationError(f"unit ball is not the {ellipsoid} ellipsoid "
                                  f"(residual {resid:.3g} > {_NORMALISATION_TOL:g})")
 
 
+def _deficits(terms, n_samples: int, seed: int) -> list:
+    """One ``FunctionalEstimate`` per (body, side) term on one Gaussian sample:
+    the mean of the term's paired gap, upper minus lower value of its side's
+    two functionals, over its side's exact simplex mean.  Each simplex
+    functional is evaluated once per chunk; terms do not affect each other."""
+    n = terms[0][0].n
+    simplex, oracle = regular_simplex(n), fn.simplex_ell_oracle(n)
+    rows = [(K, _SIDES[side]) for K, side in terms]
+
+    def gaps(X):
+        values = {f: f(simplex, X) for f in dict.fromkeys(row.simplex for _, row in rows)}
+        pairs = ((row.body(K, X), values[row.simplex]) if row.body_upper
+                 else (values[row.simplex], row.body(K, X)) for K, row in rows)
+        return fn._gap_columns(len(rows), len(X), pairs)
+
+    scales = [1.0 / ((n if row.oracle_times_n else 1) * oracle) for _, row in rows]
+    return fn.sample_mean(gaps, n_samples, n, seed, scales)
+
+
 def measure_deficit(K, side: str, n_samples: int = fn.DEFAULT_SAMPLES, seed: int = 0):
-    """Relative gauge-mean deficit of K against the extremal simplex value.
+    """Relative deficit of K against the extremal simplex value.
 
     ``lowner`` side (K inside the unit ball): 1 - ell(K)/ell(simplex);
     ``john`` side (K containing the unit ball): ell(K)/ell(polar simplex) - 1;
-    ``lowner-width`` (K inside the unit ball): the mean-width deficit,
-    evaluated through the polar identity as ell(K polar)/ell(polar simplex) - 1.
+    ``lowner-width`` (K inside the unit ball): the mean-width deficit
+    w(K)/w(simplex) - 1, from the Gaussian means of the support functions.
     The one-body case of ``measure_deficits``.  Returns (deficit, stderr).
     """
     return measure_deficits([K], side, n_samples=n_samples, seed=seed)[0]
@@ -363,40 +395,20 @@ def measure_deficit(K, side: str, n_samples: int = fn.DEFAULT_SAMPLES, seed: int
 def measure_deficits(bodies, side: str, n_samples: int = fn.DEFAULT_SAMPLES,
                      seed: int = 0) -> list:
     """Deficits (as in ``measure_deficit``) of bodies of one dimension on
-    one common Gaussian sample.
+    one common Gaussian sample, one (deficit, stderr) pair per body.
 
-    The denominators come from the exact oracle.  Each numerator is the
-    paired gauge difference of the body against the reference simplex on
-    the common sample, which cancels most of the Monte-Carlo variance; the
-    reference gauge is evaluated once per chunk, with one column per body.
-    A body's result does not depend on the other bodies.  Returns one
-    (deficit, stderr) pair per body.
+    The side is a row of the side table ``_SIDES``, whose ellipsoid is
+    checked to be the unit ball for every polytope.  The deficits come
+    from ``_deficits``, the kernel ``extremality_check`` shares, with one
+    paired column per body against one simplex evaluation per chunk.
     """
-    bodies = list(bodies)
-    if side not in ("lowner", "john", "lowner-width"):
+    if side not in _SIDES:
         raise ValueError("side must be 'lowner', 'john' or 'lowner-width'")
+    bodies = list(bodies)
     for K in bodies:
         if isinstance(K, Polytope):
-            _check_unit_ball_normalisation(K, "lowner" if side == "lowner-width" else side)
-    n = bodies[0].n
-    oracle_polar = fn.simplex_ell_oracle(n)
-    # the deficit is the mean of gauge(upper, X) - gauge(lower, X) over denom,
-    # with the reference simplex on one side and the body on the other
-    if side == "lowner":
-        reference, denom = regular_simplex(n), n * oracle_polar
-    else:
-        reference, denom = regular_simplex_polar(n), oracle_polar
-    if side == "lowner-width":
-        bodies = [polar(K) for K in bodies]
-
-    def gaps(X):
-        ref = gauge_many(reference, X)
-        pairs = ((ref, gauge_many(K, X)) if side == "lowner" else (gauge_many(K, X), ref)
-                 for K in bodies)
-        return fn._gap_columns(len(bodies), len(X), pairs)
-
-    return [(est.value, est.stderr)
-            for est in fn.sample_mean(gaps, n_samples, n, seed, 1.0 / denom)]
+            _check_unit_ball_normalisation(K, side)
+    return [(e.value, e.stderr) for e in _deficits([(K, side) for K in bodies], n_samples, seed)]
 
 
 def stability_bound_log10(n: int, eps_measured: float, delta: float) -> float:
@@ -422,8 +434,7 @@ def fit_exponent(family: ExtremalFamily, n_samples: int = fn.DEFAULT_SAMPLES,
     ``delta_vol`` as NaN.
     """
     n = family.n
-    inscribed_side = family.side in ("lowner", "lowner-width")
-    target = regular_simplex(n) if inscribed_side else regular_simplex_polar(n)
+    target = _SIDES[family.side].fit_simplex(n)
     use_vol = family.kind in ("vertex-added", "polar-vertex-added")
     rows, deltas = [], []
     deficits = measure_deficits(family.bodies, family.side, n_samples=n_samples, seed=seed)
@@ -529,30 +540,18 @@ def centroid_bound_check(S1: Polytope, eta: float, seed: int = 0) -> dict:
 
 def extremality_check(mu_points: np.ndarray, n_samples: int = fn.DEFAULT_SAMPLES,
                       seed: int = 0) -> dict:
-    """Both extremality deficits of the hull of an isotropic support.
+    """Both extremality deficits of the hull C of an isotropic support.
 
-    For C the hull of the support, the gauge mean of C falls below the
-    inscribed-simplex value and that of the polar exceeds the circumscribed
-    value; the deficits vanish exactly when the support is a regular
-    simplex.  Returns the two measured deficits with standard errors and
-    the point-set distance of the support to the best aligned simplex.
+    The gauge mean of C falls below the inscribed-simplex value and that of
+    its polar exceeds the circumscribed value, both with equality exactly
+    for a regular simplex: C's ``lowner`` and ``lowner-width`` deficits,
+    from the kernel of ``measure_deficits`` on one sample.  Returns them
+    with standard errors and the support's distance to the aligned simplex.
     """
     P = np.atleast_2d(mu_points)
     n = P.shape[1]
     C = Polytope(vertices=P, check=False)
-    simplex = regular_simplex(n)
-    oracle_polar = fn.simplex_ell_oracle(n)
-
-    def gaps(X):
-        # paired differences on one common sample; the polar gauge is the
-        # support function, evaluated directly on both sides
-        pairs = ((f(upper, X), f(lower, X))
-                 for f, upper, lower in ((gauge_many, simplex, C),
-                                         (support_many, C, simplex)))
-        return fn._gap_columns(2, len(X), pairs)
-
-    lowner, john = fn.sample_mean(gaps, n_samples, n, seed,
-                                  [1.0 / (n * oracle_polar), 1.0 / oracle_polar])
+    lowner, john = _deficits([(C, "lowner"), (C, "lowner-width")], n_samples, seed)
     _, dist = align_points_to_simplex_vertices(P, n, seed=seed)
     return {
         "lowner_deficit": lowner.value, "lowner_stderr": lowner.stderr,

@@ -19,6 +19,7 @@ fields built from a lifted measure.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,19 +115,16 @@ def phi(s: float, x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise TransportDomainError("phi requires x > 0")
-    mass = ndtr(s)
-    return ndtri((ndtr(x - s) - ndtr(-s)) / mass)
+    return ndtri(TruncatedGaussian(s).cdf(x))
 
 
 def psi(s: float, y):
     """Inverse transport psi_s(y) = s + Phi^{-1}(Phi(-s) + Phi(s) Phi(y))."""
     y = np.asarray(y, dtype=float)
     if np.any(np.abs(y) > 8.0):
-        import warnings
         warnings.warn("psi evaluated beyond |y| = 8; tail accuracy degrades",
                       RuntimeWarning, stacklevel=2)
-    mass = ndtr(s)
-    return s + ndtri(ndtr(-s) + mass * ndtr(y))
+    return TruncatedGaussian(s).quantile(ndtr(y))
 
 
 def phi_derivs(s: float, x):
@@ -244,8 +242,7 @@ def theta_field(L: LiftedMeasure, s: float, x):
     dots = L.points @ x
     if np.any(dots <= 0.0):
         raise ConeDomainError("point outside the positivity cone of the lifted system")
-    _, first, _ = phi_derivs(s, dots)
-    vals = phi(s, dots)
+    vals, first, _ = phi_derivs(s, dots)
     field = (L.weights * vals) @ L.points
     jac = (L.points * (L.weights * first)[:, None]).T @ L.points
     return field, jac

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from simplexstab import brascamp_lieb as bl
 from simplexstab import cli
 from simplexstab import geometry as g
 from simplexstab import isotropic as iso
@@ -67,6 +68,23 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "at least 2 samples" in err[0]
         assert not out.exists()
+
+    def test_failed_reverse_certificate_is_one_error_line(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # Newton leaves every row unsolved at its start point, so the rows of
+        # the cone outside its dual miss the KKT certificate and rbl_lhs
+        # raises RuntimeError; a +-P measure has many such rows
+        P = make_rng(7).standard_normal((4, 2))
+        P /= np.linalg.norm(P, axis=1)[:, None]
+        gen = tmp_path / "m.json"
+        gen.write_text(json.dumps(iso.isotropize(np.vstack([P, -P]), np.ones(8)).to_json()))
+        monkeypatch.setattr(bl._NonnegTransportSolver, "_newton",
+                            lambda self, X, lam: (np.array(lam, dtype=float),
+                                                  np.zeros(len(X), dtype=bool)))
+        assert run_cli(["bl", "verify", "--measure", str(gen), "--samples", "8000",
+                        "--seed", "5"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: inner optimiser KKT residual")
 
     def test_seed_is_mandatory_for_stochastic_commands(self):
         assert run_cli(["measure", "generate", "--n", "2", "--k", "8"]) == cli.EXIT_USAGE

@@ -185,6 +185,15 @@ class TestMeasureDeficit:
         with pytest.raises(st.NormalizationError):
             st.measure_deficit(K, "lowner", n_samples=1000, seed=6)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_width_side_is_the_john_side_of_the_polar(self, n):
+        # a body's support function is, bit for bit, the gauge of its polar,
+        # so the width deficits equal the John deficits of the polar bodies
+        fam = st.make_family("stretched-vertex", n, np.geomspace(1e-3, 0.09, 4))
+        widths = st.measure_deficits(fam.bodies, "lowner-width", n_samples=20_000, seed=7)
+        assert widths == [st.measure_deficit(g.polar(K), "john", n_samples=20_000, seed=7)
+                          for K in fam.bodies]
+
 
 class TestFitExponent:
     def test_vertex_added_slope_near_one(self):
@@ -349,6 +358,16 @@ class TestExtremality:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
         assert rep["lowner_deficit"] > 0.0 and rep["john_deficit"] > 0.0
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_deficits_are_the_hull_lowner_and_width_deficits(self, seed):
+        mu = el.random_isotropic_measure(3, 12, seed=seed)
+        rep = st.extremality_check(mu.points, n_samples=30_000, seed=4)
+        C = g.Polytope(vertices=mu.points)
+        assert st.measure_deficits([C], "lowner", n_samples=30_000, seed=4) == [
+            (rep["lowner_deficit"], rep["lowner_stderr"])]
+        assert st.measure_deficits([C], "lowner-width", n_samples=30_000, seed=4) == [
+            (rep["john_deficit"], rep["john_stderr"])]
 
     def test_support_distance_bound_is_vacuous(self):
         # the distance bound with constant n^(28 n) is astronomically slack
