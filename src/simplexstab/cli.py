@@ -467,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     tv = tsub.add_parser("verify-lemma61",
                          help="margins of the derivative bounds on the "
                               "certified boxes, as CSV")
-    tv.add_argument("--grid", type=int, default=200)
+    tv.add_argument("--grid", type=int, default=200,
+                    help="lattice nodes per box side, at least 2")
     add_common(tv, seed=False)
     tv.set_defaults(func=cmd_transport_verify)
     tc = tsub.add_parser("constants")

@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+# lattice nodes per block of s rows in _lattice_extremes (20 rows at grid 200)
+_LATTICE_BLOCK = 4096
 
 # verification boxes for the derivative bounds: s-range x argument-range,
 # together with the certified bounds on the two boxes
@@ -80,10 +82,15 @@ class TruncatedGaussian:
     The unnormalised density 1{t >= 0} exp(-(t-s)^2/2) has total mass
     ``gtilde_integral(s)`` = sqrt(2 pi) Phi(s), at least sqrt(2 pi)/2 for
     s >= 0.
+
+    s is a float, or an array that broadcasts against the argument (a column
+    of s values against a row of x gives one row per s); a scalar s is
+    stored as a float.
     """
 
-    def __init__(self, s: float):
-        self.s = float(s)
+    def __init__(self, s):
+        s = np.asarray(s, dtype=float)
+        self.s = float(s) if s.ndim == 0 else s
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -110,7 +117,7 @@ def gtilde_integral(s: float) -> float:
     return SQRT_2PI * float(ndtr(s))
 
 
-def phi(s: float, x):
+def phi(s, x):
     """Forward transport phi_s(x) = Phi^{-1}(G_s(x)) for x > 0."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
@@ -118,7 +125,7 @@ def phi(s: float, x):
     return ndtri(TruncatedGaussian(s).cdf(x))
 
 
-def psi(s: float, y):
+def psi(s, y):
     """Inverse transport psi_s(y) = s + Phi^{-1}(Phi(-s) + Phi(s) Phi(y))."""
     y = np.asarray(y, dtype=float)
     if np.any(np.abs(y) > 8.0):
@@ -127,8 +134,11 @@ def psi(s: float, y):
     return TruncatedGaussian(s).quantile(ndtr(y))
 
 
-def phi_derivs(s: float, x):
-    """(phi, phi', phi'') with f = g_s and h = g in the derivative formulas."""
+def phi_derivs(s, x):
+    """(phi, phi', phi'') with f = g_s and h = g in the derivative formulas.
+
+    Every step is an elementwise ufunc, so an array s broadcasts against x.
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise TransportDomainError("phi requires x > 0")
@@ -141,8 +151,11 @@ def phi_derivs(s: float, x):
     return val, first, second
 
 
-def psi_derivs(s: float, y):
-    """(psi, psi', psi'') with f = g and h = g_s in the derivative formulas."""
+def psi_derivs(s, y):
+    """(psi, psi', psi'') with f = g and h = g_s in the derivative formulas.
+
+    Every step is an elementwise ufunc, so an array s broadcasts against y.
+    """
     y = np.asarray(y, dtype=float)
     val = psi(s, y)
     gval = _gauss_pdf(y)
@@ -174,7 +187,7 @@ def psi_shift_monotonicity_check(y_grid, s_grid) -> dict:
     if np.any(y_grid < 0) or np.any(s_grid < 0):
         raise TransportDomainError("grids must be nonnegative")
     gamma = tail_constants()["gamma"]
-    vals = np.array([psi(s, y_grid) for s in s_grid])      # (S, Y)
+    vals = psi(s_grid[:, None], y_grid)                    # (S, Y)
     shifted = vals - s_grid[:, None]
     dec_margin = float(np.min(shifted[:-1] - shifted[1:])) if len(s_grid) > 1 else math.inf
     pos_margin = float(np.min(shifted))
@@ -192,13 +205,17 @@ def psi_shift_monotonicity_check(y_grid, s_grid) -> dict:
 
 def _lattice_extremes(derivs, s_grid, x_grid):
     """Minima and maxima of the value, first and second derivative returned
-    by ``derivs(s, x_grid)`` over the s_grid x x_grid lattice, reduced one
-    row of s at a time so that no lattice-sized array is held."""
+    by ``derivs(s, x_grid)`` over the s_grid x x_grid lattice.
+
+    s broadcasts against x, so each call evaluates a block of s rows of at
+    most _LATTICE_BLOCK nodes (one row if a row is longer); the blocks are
+    reduced one at a time, so memory does not grow with the lattice."""
+    rows = max(1, _LATTICE_BLOCK // len(x_grid))
     lo, hi = np.full(3, np.inf), np.full(3, -np.inf)
-    for s in s_grid:
-        rows = derivs(s, x_grid)
-        lo = np.minimum(lo, [r.min() for r in rows])
-        hi = np.maximum(hi, [r.max() for r in rows])
+    for i in range(0, len(s_grid), rows):
+        block = derivs(s_grid[i:i + rows, None], x_grid)
+        lo = np.minimum(lo, [b.min() for b in block])
+        hi = np.maximum(hi, [b.max() for b in block])
     return lo.tolist(), hi.tolist()
 
 
@@ -207,8 +224,11 @@ def derivative_box_margins(grid: int = 200) -> dict:
 
     Each entry maps a bound name to (worst value, margin); all margins must
     be positive for the bounds to hold on every node of the grid x grid
-    lattice over the box.
+    lattice over the box.  The grid must be at least 2, so that both
+    endpoints of each box side are nodes.
     """
+    if grid < 2:
+        raise ValueError(f"grid must be at least 2 to cover both box endpoints, got {grid}")
     (v_lo, f_lo, _), (v_hi, f_hi, s_hi) = _lattice_extremes(
         phi_derivs, np.linspace(*PHI_BOX["s"], grid), np.linspace(*PHI_BOX["x"], grid))
     out = {

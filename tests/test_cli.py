@@ -257,6 +257,17 @@ class TestTransportCommands:
         assert len(rows) == 15  # ten derivative bounds + five tail brackets
         assert all(row["pass"] == "True" for row in rows)
 
+    @pytest.mark.parametrize("grid", ["-3", "0", "1"])
+    def test_grid_below_two_is_one_error_line(self, grid, tmp_path, capsys):
+        # a grid of 0 or 1 would leave a box endpoint unchecked and pass
+        out = tmp_path / "margins.csv"
+        assert run_cli(["transport", "verify-lemma61", "--grid", grid,
+                        "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: grid must be at least 2")
+        assert err[0].endswith(f"got {grid}")
+        assert not out.exists()
+
     def test_constants_json(self, capsys):
         assert run_cli(["transport", "constants"]) == 0
         data = json.loads(capsys.readouterr().out)

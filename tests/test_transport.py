@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,82 @@ class TestBoxBounds:
         assert margins["psi_second_lower"][0] >= 0.07
 
 
+def _row_by_row_extremes(derivs, s_grid, x_grid):
+    # the lattice reduction one s value per call
+    lo, hi = np.full(3, np.inf), np.full(3, -np.inf)
+    for s in s_grid:
+        rows = derivs(float(s), x_grid)
+        lo = np.minimum(lo, [r.min() for r in rows])
+        hi = np.maximum(hi, [r.max() for r in rows])
+    return lo.tolist(), hi.tolist()
+
+
+def _box_grids(box, arg, grid):
+    return np.linspace(*box["s"], grid), np.linspace(*box[arg], grid)
+
+
+class TestBroadcastS:
+    """A column of s values gives, bit for bit, the rows of one call per s."""
+
+    BOXES = [(tr.phi_derivs, tr.PHI_BOX, "x"), (tr.psi_derivs, tr.PSI_BOX, "y")]
+
+    @pytest.mark.parametrize("derivs, box, arg", BOXES)
+    def test_derivatives_match_per_row_calls(self, derivs, box, arg):
+        s_grid, x_grid = _box_grids(box, arg, 37)
+        lattice = derivs(s_grid[:, None], x_grid)
+        for got, want in zip(lattice, zip(*(derivs(s, x_grid) for s in s_grid))):
+            assert got.shape == (37, 37)
+            np.testing.assert_array_equal(got, np.array(want))
+
+    @pytest.mark.parametrize("box, arg", [(tr.PHI_BOX, "x"), (tr.PSI_BOX, "y")])
+    def test_truncated_gaussian_matches_per_row_calls(self, box, arg):
+        s_grid, x_grid = _box_grids(box, arg, 23)
+        column = tr.TruncatedGaussian(s_grid[:, None])
+        p = np.linspace(0.0, 1.0, 23)
+        for method, argument in (("pdf", x_grid), ("cdf", x_grid), ("quantile", p)):
+            got = getattr(column, method)(argument)
+            want = np.array([getattr(tr.TruncatedGaussian(s), method)(argument)
+                             for s in s_grid])
+            np.testing.assert_array_equal(got, want)
+
+    def test_scalar_s_stays_a_float(self):
+        for s in (0.1, np.float64(0.1), np.array(0.1), 1):
+            assert type(tr.TruncatedGaussian(s).s) is float
+
+
+class TestLatticeBlocks:
+    @pytest.mark.parametrize("grid", [2, 3, 17, 200, 301])
+    def test_margins_match_row_by_row_reference(self, grid):
+        # 301 is not a multiple of the block's s rows, so the last block is short
+        (pv_lo, pf_lo, _), (pv_hi, pf_hi, ps_hi) = _row_by_row_extremes(
+            tr.phi_derivs, *_box_grids(tr.PHI_BOX, "x", grid))
+        (qv_lo, qf_lo, qs_lo), (qv_hi, qf_hi, _) = _row_by_row_extremes(
+            tr.psi_derivs, *_box_grids(tr.PSI_BOX, "y", grid))
+        margins = tr.derivative_box_margins(grid)
+        worst = {name: payload[0] for name, payload in margins.items() if name != "ok"}
+        assert worst == {
+            "phi_lower": pv_lo, "phi_upper": pv_hi, "phi_first_lower": pf_lo,
+            "phi_first_upper": pf_hi, "phi_second_upper": ps_hi,
+            "psi_lower": qv_lo, "psi_upper": qv_hi, "psi_first_lower": qf_lo,
+            "psi_first_upper": qf_hi, "psi_second_lower": qs_lo,
+        }
+
+    def test_peak_memory_does_not_grow_with_the_lattice(self):
+        tr.derivative_box_margins(1000)
+        tracemalloc.start()
+        try:
+            tr.derivative_box_margins(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("grid", [-3, 0, 1])
+    def test_grid_below_two_raises(self, grid):
+        with pytest.raises(ValueError, match=rf"^grid must be at least 2 .*, got {grid}$"):
+            tr.derivative_box_margins(grid)
+
+
 class TestMonotonicity:
     def test_shifted_map_decreases_and_stays_positive(self):
         rep = tr.psi_shift_monotonicity_check(
@@ -110,6 +187,18 @@ class TestMonotonicity:
         assert rep["decreasing_margin"] > 0
         assert rep["positive_margin"] > 0
         assert rep["increasing_margin"] > 0
+
+    def test_margins_match_per_s_reference(self):
+        y_grid = np.linspace(0.0, 0.3, 13)
+        s_grid = np.array([0.0, 0.02, 0.05, 0.1, 0.12, 0.15])
+        vals = np.array([tr.psi(s, y_grid) for s in s_grid])
+        shifted = vals - s_grid[:, None]
+        in_range = y_grid <= tr.tail_constants()["gamma"]
+        rep = tr.psi_shift_monotonicity_check(y_grid, s_grid[::-1])
+        assert rep["decreasing_margin"] == float(np.min(shifted[:-1] - shifted[1:]))
+        assert rep["positive_margin"] == float(np.min(shifted))
+        assert rep["increasing_margin"] == float(
+            np.min(vals[1:, in_range] - vals[:-1, in_range]))
 
     def test_zero_argument_values(self):
         for s in (0.0, 0.05, 0.1, 0.15):
