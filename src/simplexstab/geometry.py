@@ -2,8 +2,8 @@
 
 Bodies are immutable after construction.  Polytopes carry a vertex
 representation (V-rep), a halfspace representation (H-rep ``A x <= b``),
-or both; missing representations are derived on demand and cached
-(vertices from an H-rep by Qhull on the polar point set).
+or both; missing representations are derived on demand and cached, with at
+most one Qhull hull per polytope (vertices from an H-rep: the polar's hull).
 """
 from __future__ import annotations
 
@@ -63,6 +63,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _convex_hull(P: np.ndarray):
+    """(A, b, extreme, volume) of conv(P): facets A x <= b, one row each (Qhull's
+    simplices of a facet repeat its equation bit for bit), sorted indices of
+    the extreme points, volume.  A flat P raises DegenerateBodyError."""
+    try:
+        hull = ConvexHull(P)
+    except QhullError:
+        raise DegenerateBodyError("point set spans no full-dimensional hull") from None
+    E = hull.equations                      # first copies by bytes, each row one void record
+    E = E[np.sort(np.unique(E.view(f"V{E.itemsize * E.shape[1]}"), return_index=True)[1])]
+    return _readonly(E[:, :-1]), _readonly(-E[:, -1]), np.sort(hull.vertices), float(hull.volume)
+
+
 class Polytope:
     """Convex polytope with vertex and/or halfspace representation.
 
@@ -83,6 +96,7 @@ class Polytope:
         self._vertices = None
         self._A = None
         self._b = None
+        self._hull = None
         if vertices is not None:
             V = _readonly(np.atleast_2d(vertices))
             if not np.all(np.isfinite(V)):
@@ -137,13 +151,16 @@ class Polytope:
 
     @property
     def halfspaces(self):
-        """H-rep (A, b), derived from the convex hull of the V-rep when absent."""
+        """H-rep (A, b), when absent the facets of the V-rep's hull, one row per facet."""
         if self._A is None:
-            hull = ConvexHull(self.vertices)
-            A = hull.equations[:, :-1]
-            b = -hull.equations[:, -1]
-            self._A, self._b = _readonly(A), _readonly(b)
+            self._A, self._b = self._vertex_hull()[:2]
         return self._A, self._b
+
+    def _vertex_hull(self):
+        """``_convex_hull`` of the V-rep, built once and cached."""
+        if self._hull is None:
+            self._hull = _convex_hull(self.vertices)
+        return self._hull
 
     def to_json(self) -> dict:
         out = {"n": int(self._n), "vertices": None, "halfspaces": None}
@@ -429,27 +446,14 @@ def gauge_many(K, X: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def _extreme_points(V: np.ndarray) -> np.ndarray:
-    """Extreme points of conv(V); falls back to deduplication for high n."""
-    scale = max(1.0, float(np.abs(V).max()))
-    _, idx = np.unique(np.round(V / scale, 9), axis=0, return_index=True)
-    V = V[np.sort(idx)]
-    if V.shape[0] <= V.shape[1] + 1:
-        return V
-    try:
-        hull = ConvexHull(V)
-    except Exception:
-        return V
-    return V[np.sort(hull.vertices)]
-
-
 def polar(K):
     """Polar body {y : <x, y> <= 1 for all x in K}; origin must be interior.
 
-    For polytopes, vertices map to halfspaces and halfspaces (with positive
-    offsets) map to vertices, so the polar carries both representations and
-    the bipolar returns the original body up to representation.  Balls
-    invert their radius.  The polar of E = {x : (x-c)^T A (x-c) <= 1} is
+    Polytopes build no hull: the rows a/b of K's H-rep are the polar's
+    vertices (a redundant row of a given H-rep is a harmless non-extreme
+    generator) and K's vertices, only the extreme ones when the H-rep came
+    from K's hull, its halfspaces; the bipolar returns K up to representation.
+    Balls invert their radius.  The polar of E = {x : (x-c)^T A (x-c) <= 1} is
     again an ellipsoid: completing the square in <y, c> + |A^{-1/2} y| <= 1
     gives its center and shape matrix, the inverse of A when c = 0.
     """
@@ -465,9 +469,11 @@ def polar(K):
         Minv = np.linalg.inv(M)
         return Ellipsoid(-Minv @ c, M / (1.0 + float(c @ Minv @ c)))
     A, b = _halfspaces_for_gauge(K)
-    V = _extreme_points(A / b[:, None])
-    H = (K.vertices, np.ones(K.vertices.shape[0])) if K.has_vertices else None
-    return Polytope(vertices=V, halfspaces=H, check=False)
+    V = K._vertices
+    if K._hull is not None and A is K._hull[0]:     # K's H-rep came from its hull
+        V = V[K._hull[2]]
+    return Polytope(vertices=A / b[:, None], check=False,
+                    halfspaces=None if V is None else (V, np.ones(V.shape[0])))
 
 
 # vertex_enumeration's tolerance, in units of the offset scale max(1, |b|)
@@ -479,15 +485,17 @@ def vertex_enumeration(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The body is dualised about a centre c well inside it: about c it is
     {y : <d_i, y> <= 1} with dual points d_i = a_i / (b_i - <a_i, c>), the
-    polar of conv{d_i}.  Each facet {z : <e, z> + off = 0} of that hull is
-    the vertex c - e / off, and the body is bounded exactly when the
-    origin is interior to the hull, i.e. every facet offset is negative.
-    The centre is the origin when every facet lies farther than
-    ``_VERTEX_TOL`` times the offset scale from it (min b_i / |a_i|), which
-    needs no LP; otherwise one LP finds the Chebyshev centre.  Raises
-    RepresentationError when the body is unbounded (an error that is also
-    an UnboundedSupportError), empty or flat (inradius at most
-    ``_VERTEX_TOL`` times the offset scale).
+    polar of conv{d_i}.  Each facet {z : <e, z> <= off} of that hull is the
+    vertex c + e / off, and the body is bounded exactly when every offset is
+    positive.  The vertices are in stable lexicographic order of their
+    coordinates rounded to 1e-9 of the offset scale, not in Qhull's facet
+    order, because ``stability.align_to_simplex`` depends on the order.  The
+    centre is the origin when every facet lies farther than ``_VERTEX_TOL``
+    times the offset scale from it (min b_i / |a_i|), which needs no LP;
+    otherwise one LP finds the Chebyshev centre.  Raises RepresentationError
+    when the body is unbounded (an error that is also an
+    UnboundedSupportError), empty or flat (inradius at most ``_VERTEX_TOL``
+    times the offset scale).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -509,17 +517,13 @@ def vertex_enumeration(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             raise RepresentationError("halfspace intersection is flat")
         dual = A / (b - A @ center)[:, None]
     try:
-        hull = ConvexHull(dual)
-    except QhullError:
-        # the dual points span no full-dimensional hull: the body holds a line
+        E, off, _, _ = _convex_hull(dual)
+    except DegenerateBodyError:     # flat dual points: the body holds a line
         raise _UnboundedBodyError("halfspace intersection is unbounded") from None
-    offsets = hull.equations[:, -1]
-    if not np.all(offsets < 0.0):
+    if not np.all(off > 0.0):
         raise _UnboundedBodyError("halfspace intersection is unbounded")
-    V = center - hull.equations[:, :-1] / offsets[:, None]
-    # coplanar facets of the triangulated hull share one vertex
-    _, idx = np.unique(np.round(V / scale, 9), axis=0, return_index=True)
-    return V[idx]
+    V = center + E / off[:, None]
+    return V[np.lexsort(np.round(V / scale, 9).T[::-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +598,8 @@ def containment_margin(K, C) -> float:
 
 
 def polytope_volume(K) -> float:
-    """Exact volume of a bounded polytope from its V-rep (Qhull)."""
-    return float(ConvexHull(K.vertices).volume)
+    """Exact volume of a bounded polytope, from the cached hull of its V-rep."""
+    return K._vertex_hull()[3]
 
 
 def intersection(K: Polytope, C: Polytope) -> Polytope:

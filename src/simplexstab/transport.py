@@ -104,9 +104,10 @@ class TruncatedGaussian:
         return raw / mass
 
     def quantile(self, p):
-        """Inverse CDF of the normalised density."""
+        """Inverse CDF of the normalised density; p outside [0, 1] or NaN raises
+        TransportDomainError."""
         p = np.asarray(p, dtype=float)
-        if np.any((p < 0) | (p > 1)):
+        if not np.all((p >= 0) & (p <= 1)):       # NaN fails both tests
             raise TransportDomainError("quantile argument outside [0, 1]")
         mass = ndtr(self.s)
         return self.s + ndtri(ndtr(-self.s) + p * mass)
@@ -126,7 +127,10 @@ def phi(s, x):
 
 
 def psi(s, y):
-    """Inverse transport psi_s(y) = s + Phi^{-1}(Phi(-s) + Phi(s) Phi(y))."""
+    """Inverse transport psi_s(y) = s + Phi^{-1}(Phi(-s) + Phi(s) Phi(y)).
+
+    A NaN y raises TransportDomainError (Phi(NaN) fails the quantile's range
+    check)."""
     y = np.asarray(y, dtype=float)
     if np.any(np.abs(y) > 8.0):
         warnings.warn("psi evaluated beyond |y| = 8; tail accuracy degrades",
@@ -180,10 +184,14 @@ def psi_shift_monotonicity_check(y_grid, s_grid) -> dict:
     For y >= 0 the map s -> psi_s(y) - s is strictly decreasing and positive;
     for y in [0, gamma] the value psi_s(y) is nondecreasing in s.  Returns
     the worst margins (positive = satisfied with room); ``ok`` holds when
-    every margin exceeds -1e-9, which forgives rounding.
+    every margin exceeds -1e-9, which forgives rounding.  An empty grid
+    raises TransportDomainError.
     """
     y_grid = np.atleast_1d(np.asarray(y_grid, dtype=float))
     s_grid = np.sort(np.atleast_1d(np.asarray(s_grid, dtype=float)))
+    for name, grid in (("y", y_grid), ("s", s_grid)):
+        if grid.size == 0:
+            raise TransportDomainError(f"empty {name} grid")
     if np.any(y_grid < 0) or np.any(s_grid < 0):
         raise TransportDomainError("grids must be nonnegative")
     gamma = tail_constants()["gamma"]

@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from simplexstab import geometry as g
+from simplexstab import stability as st
 
 
 def _lp_support(K, u):
@@ -484,3 +485,124 @@ class TestVolumeGapLowerBounds:
             excess = ConvexHull(M2).volume - V_S
             eps = 0.99 * tau
             assert excess >= eps / (n + 1.0) * V_S - 1e-12
+
+
+@pytest.fixture
+def hull_builds(monkeypatch):
+    """The point counts of the Qhull hulls that geometry builds, in order."""
+    calls = []
+
+    def counting(points, *args, **kwargs):
+        calls.append(len(points))
+        return ConvexHull(points, *args, **kwargs)
+
+    monkeypatch.setattr(g, "ConvexHull", counting)
+    return calls
+
+
+def _rounded_dedup_vertex_enumeration(A, b):
+    """Reference vertex enumeration: Qhull on the dual points about the same
+    centre, one vertex per simplex of the triangulated hull, then np.unique
+    on the coordinates rounded to 1e-9 of the offset scale."""
+    n = A.shape[1]
+    scale = max(1.0, float(np.abs(b).max()))
+    norms = np.linalg.norm(A, axis=1)
+    if np.all(b > g._VERTEX_TOL * scale * norms):
+        center, dual = np.zeros(n), A / b[:, None]
+    else:
+        res = linprog(np.r_[np.zeros(n), -1.0], A_ub=np.hstack([A, norms[:, None]]), b_ub=b,
+                      bounds=[(None, None)] * n + [(0.0, None)], method="highs")
+        center = res.x[:n]
+        dual = A / (b - A @ center)[:, None]
+    hull = ConvexHull(dual)
+    V = center - hull.equations[:, :-1] / hull.equations[:, -1:]
+    _, idx = np.unique(np.round(V / scale, 9), axis=0, return_index=True)
+    return V[idx]
+
+
+def _off_centre_hreps():
+    box_A, box_b = g.cube(3).halfspaces
+    P = np.random.default_rng(11).standard_normal((12, 3)) + [0.4, -0.2, 0.1]
+    cloud_A, cloud_b = g.Polytope(vertices=P).halfspaces
+    # translated so that the origin lies outside: the Chebyshev-centre LP route
+    return [(A, b + A @ t) for (A, b), t in (((box_A, box_b), np.array([3.0, -2.0, 5.0])),
+                                             ((cloud_A, cloud_b), np.full(3, 10.0)))]
+
+
+class TestOneHullPerBody:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_vertex_only_cube_has_one_row_per_facet(self, n):
+        K = g.Polytope(vertices=g.cube(n).vertices)
+        A, b = K.halfspaces
+        assert A.shape == (2 * n, n) and b.shape == (2 * n,)
+        P = g.polar(K).vertices
+        cross = g.cross_polytope(n).vertices
+        assert P.shape == (2 * n, n)
+        assert np.abs(P[np.lexsort(P.T)] - cross[np.lexsort(cross.T)]).max() < 1e-12
+
+    def test_vertex_only_body_builds_one_hull(self, hull_builds, rng):
+        # the cube's corners and interior points
+        V = np.vstack([g.cube(3).vertices, 0.5 * rng.uniform(-1.0, 1.0, (5, 3))])
+        K = g.Polytope(vertices=V)
+        assert K.halfspaces[0].shape == (6, 3)
+        assert abs(g.polytope_volume(K) - 8.0) < 1e-12
+        P = g.polar(K)
+        assert hull_builds == [13]
+        # the polar's halfspaces are K's extreme vertices, in their order
+        assert P.halfspaces[0].tobytes() == V[:8].tobytes()
+        assert P.vertices.shape == (6, 3)
+        assert abs(g.polytope_volume(P) - 4.0 / 3.0) < 1e-12
+        assert hull_builds == [13, 6]
+
+    def test_corner_cut_vertices_and_polar_build_one_hull(self, hull_builds):
+        K = st.make_family("corner-cut", 3, [1e-3]).bodies[0]
+        V = K.vertices
+        P = g.polar(K)
+        assert len(hull_builds) == 1
+        A, b = K.halfspaces
+        assert P.vertices.tobytes() == (A / b[:, None]).tobytes()
+        assert P.halfspaces[0] is V
+
+    @pytest.mark.parametrize("body", [f"corner-cut-{n}" for n in range(2, 7)]
+                             + [f"cube-{n}" for n in range(2, 7)] + ["box-lp", "cloud-lp"])
+    def test_vertex_enumeration_matches_the_rounded_dedup(self, body):
+        kind, _, arg = body.rpartition("-")
+        if kind == "corner-cut":
+            A, b = st.make_family("corner-cut", int(arg), [1e-3]).bodies[0].halfspaces
+        elif kind == "cube":
+            A, b = g.cube(int(arg)).halfspaces
+        else:
+            A, b = _off_centre_hreps()[0 if kind == "box" else 1]
+            assert np.any(b <= 0.0)
+        V = g.vertex_enumeration(A, b)
+        W = _rounded_dedup_vertex_enumeration(A, b)
+        assert V.shape == W.shape
+        assert V.tobytes() == W.tobytes()
+
+    def test_redundant_row_is_a_harmless_polar_generator(self, rng):
+        A, b = g.cube(3).halfspaces
+        K = g.Polytope(halfspaces=(np.vstack([A, [1.0, 1.0, 0.0]]), np.r_[b, 5.0]))
+        P = g.polar(K)
+        assert P.vertices.shape == (7, 3)
+        X = rng.standard_normal((2000, 3))
+        assert np.abs(g.support_many(P, X) - g.gauge_many(K, X)).max() < 1e-12
+
+
+class TestFlatPointSets:
+    # six points on a great circle of the sphere in R^3
+    FLAT = np.c_[np.cos(np.arange(6) * np.pi / 3), np.sin(np.arange(6) * np.pi / 3), np.zeros(6)]
+
+    def test_gauge_and_volume_raise_degenerate(self):
+        K = g.Polytope(vertices=self.FLAT, check=False)
+        with pytest.raises(g.DegenerateBodyError):
+            g.gauge_many(K, np.eye(3))
+        with pytest.raises(g.DegenerateBodyError):
+            g.polytope_volume(g.Polytope(vertices=self.FLAT, check=False))
+
+    def test_flat_dual_points_are_an_unbounded_body(self):
+        # the strip -1 <= x <= 1/2: its dual points lie on one line
+        A = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]])
+        with pytest.raises(g.UnboundedSupportError) as info:
+            g.vertex_enumeration(A, np.ones(3))
+        assert isinstance(info.value, g.RepresentationError)
+        assert not isinstance(info.value, g.DegenerateBodyError)

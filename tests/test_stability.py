@@ -384,3 +384,12 @@ class TestBoundMargins:
         want = 52.0 * math.log10(2.0) + 0.25 * math.log10(1e-4) - math.log10(0.1)
         assert abs(got - want) < 1e-12
         assert st.stability_bound_log10(2, 0.0, 0.1) == math.inf
+
+
+class TestFlatSupport:
+    def test_extremality_of_a_flat_support_raises_degenerate(self):
+        # six points on a great circle of the sphere: their hull is flat
+        t = np.arange(6) * np.pi / 3
+        P = np.c_[np.cos(t), np.sin(t), np.zeros(6)]
+        with pytest.raises(g.DegenerateBodyError):
+            st.extremality_check(P, n_samples=1000, seed=0)

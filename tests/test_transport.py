@@ -289,3 +289,18 @@ def _sym_points(seed, n, k_half):
     P /= np.linalg.norm(P, axis=1)[:, None]
     w = rng.uniform(0.5, 2.0, k_half)
     return np.vstack([P, -P]), np.tile(w, 2)
+
+
+class TestDomainChecks:
+    @pytest.mark.parametrize("y_grid, s_grid, empty", [([0.1], [], "s"), ([], [0.1], "y")])
+    def test_empty_monotonicity_grid_is_named(self, y_grid, s_grid, empty):
+        with pytest.raises(tr.TransportDomainError, match=f"empty {empty} grid"):
+            tr.psi_shift_monotonicity_check(y_grid, s_grid)
+
+    def test_nan_quantile_raises(self):
+        gst = tr.TruncatedGaussian(0.1)
+        for p in (math.nan, [0.2, math.nan]):
+            with pytest.raises(tr.TransportDomainError):
+                gst.quantile(p)
+        with pytest.raises(tr.TransportDomainError):
+            tr.psi(0.1, math.nan)
