@@ -536,14 +536,24 @@ def point_polytope_distance(x: np.ndarray, V: np.ndarray):
     Minimises |E u - f| over u >= 0 (Lawson-Hanson active set, finite) with
     E = [(V - x)^T; 1^T] and f = (0, ..., 0, 1).  For u = t lam with lam in
     the unit simplex the optimum over t is a/(1+a), a = |(V - x)^T lam|^2,
-    so lam = u / sum(u) weights the nearest point p = lam V.  A failed solve
-    raises GeometryError.  Returns (distance, projection).
+    so lam = u / sum(u) weights the nearest point p = lam V.  An empty V, a
+    point of another dimension and a failed solve raise GeometryError (the
+    empty case before the solve, which aborts the interpreter on a matrix
+    with no columns).  Returns (distance, projection).
     """
     x = np.asarray(x, dtype=float)
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    E = np.vstack([(V - x).T, np.ones(V.shape[0])])
+    k, n = V.shape
+    if k == 0:
+        raise GeometryError("point-to-hull projection needs at least one hull point")
+    if x.shape != (n,):
+        raise GeometryError(f"point of shape {x.shape} against hull points in dimension {n}")
+    E = np.ones((n + 1, k))
+    np.subtract(V.T, x[:, None], out=E[:n])
+    f = np.zeros(n + 1)
+    f[n] = 1.0
     try:
-        u, _ = nnls(E, np.r_[np.zeros(x.size), 1.0])
+        u, _ = nnls(E, f)
     except (RuntimeError, ValueError) as exc:
         raise GeometryError(f"point-to-hull projection failed: {exc}") from exc
     total = u.sum()
@@ -553,12 +563,93 @@ def point_polytope_distance(x: np.ndarray, V: np.ndarray):
     return float(np.linalg.norm(p - x)), p
 
 
+# absolute slack of the distance upper bounds of ``_hausdorff``, in units of
+# the bodies' coordinate scale, for the rounding of the projections and of
+# the foot test: a point inside the hull read up to 12 ulps of the scale
+# over 44,682 projections of random pairs at n = 2..4, so this leaves a
+# margin of 10^4 over that, and costs projections only at distances below it
+_HAUSDORFF_SLACK = 2.0 ** -32
+# relative margin of those bounds, for the rounding of larger distances
+_HAUSDORFF_MARGIN = 1e-9
+
+
+def _unit_halfspaces(P: Polytope):
+    """P's H-rep (A, b) with each row scaled to a unit normal."""
+    A, b = P.halfspaces
+    norms = np.linalg.norm(A, axis=1)
+    return A / norms[:, None], b / norms
+
+
+def _distance_upper_bounds(X: np.ndarray, H, W: np.ndarray) -> np.ndarray:
+    """Upper bounds on dist(x, P) for each row x of X, where P = conv(W) has
+    the H-rep H = (A, b) with unit rows a_j (None: no bound, +inf).
+
+    lb = max_j (<a_j, x> - b_j) is a lower bound on the distance.  The bound
+    is 0 when lb <= 0 (x is in P), lb itself when the foot x - lb a_j on the
+    most violated facet satisfies every row (the foot is then the nearest
+    point of P), and otherwise the distance from x to P's nearest vertex.
+    """
+    if H is None:
+        return np.full(X.shape[0], math.inf)
+    A, b = H
+    S = X @ A.T - b
+    j, lb = S.argmax(axis=1), S.max(axis=1)
+    bound = np.maximum(lb, 0.0)
+    off = lb > 0.0
+    if off.any():
+        off &= ~((X - lb[:, None] * A[j]) @ A.T <= b).all(axis=1)
+        if off.any():
+            D = X[off, None, :] - W
+            bound[off] = np.sqrt((D * D).sum(axis=2).min(axis=1))
+    return bound
+
+
+def _hausdorff(VK: np.ndarray, HK, VC: np.ndarray, HC):
+    """(Hausdorff distance of conv(VK) and conv(VC), projections run), given
+    H-reps HK, HC with unit rows (or None) as in ``_distance_upper_bounds``.
+
+    The distance is the largest ``point_polytope_distance`` of a vertex of
+    either body to the other body.  The vertices are projected in decreasing
+    order of ``_distance_upper_bounds``, and the projections stop at the
+    first vertex whose bound, widened by ``_HAUSDORFF_MARGIN`` relative and
+    ``_HAUSDORFF_SLACK`` times the coordinate scale absolute, falls below
+    the largest distance so far: no later vertex can reach it, so the result
+    is the all-vertex maximum bit for bit.
+    """
+    points = np.vstack([VK, VC])
+    hulls = [VC] * VK.shape[0] + [VK] * VC.shape[0]
+    bound = np.concatenate([_distance_upper_bounds(VK, HC, VC), _distance_upper_bounds(VC, HK, VK)])
+    reach = bound * (1.0 + _HAUSDORFF_MARGIN) + _HAUSDORFF_SLACK * float(np.abs(points).max())
+    best, projections = -math.inf, 0
+    for i in np.argsort(-bound, kind="stable"):
+        if reach[i] < best:
+            break
+        best = max(best, point_polytope_distance(points[i], hulls[i])[0])
+        projections += 1
+    return best, projections
+
+
 def hausdorff_distance(K, C) -> float:
-    """Hausdorff distance between two bounded polytopes (via their V-reps)."""
-    VK, VC = K.vertices, C.vertices
-    d1 = max(point_polytope_distance(v, VC)[0] for v in VK)
-    d2 = max(point_polytope_distance(w, VK)[0] for w in VC)
-    return max(d1, d2)
+    """Hausdorff distance between two bounded polytopes of one dimension.
+
+    The largest exact point-to-hull distance of a vertex of either body to
+    the other (``point_polytope_distance``), found bound-first by
+    ``_hausdorff``: the H-rep of each body (its cached hull when only
+    vertices were given) bounds each vertex's distance from above, and only
+    the vertices whose bound can reach the maximum are projected.  A flat
+    body has no H-rep, and every vertex is projected against it.  Bodies of
+    different dimensions raise GeometryError.
+    """
+    if K.n != C.n:
+        raise GeometryError(f"Hausdorff distance between dimensions {K.n} and {C.n}")
+
+    def rows(P):
+        try:
+            return _unit_halfspaces(P)
+        except DegenerateBodyError:
+            return None
+
+    return _hausdorff(K.vertices, rows(K), C.vertices, rows(C))[0]
 
 
 def point_set_hausdorff(X: np.ndarray, Y: np.ndarray) -> float:

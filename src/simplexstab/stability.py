@@ -18,10 +18,10 @@ from scipy.optimize import linear_sum_assignment
 
 from . import functionals as fn
 from .ellipsoids import mvee
-from .geometry import (GeometryError, Polytope, containment_margin,
-                       gauge_many, hausdorff_distance, point_set_hausdorff,
-                       polar, regular_simplex, regular_simplex_polar,
-                       support_many, symdiff_volume)
+from .geometry import (GeometryError, Polytope, _hausdorff, _unit_halfspaces,
+                       containment_margin, gauge_many, point_set_hausdorff, polar,
+                       regular_simplex, regular_simplex_polar, support_many,
+                       symdiff_volume)
 from .rng import make_rng
 
 __all__ = [
@@ -162,6 +162,7 @@ class AlignmentResult:
     delta_H: float
     evaluated: int            # candidates whose exact distance was computed
     pruned: int               # candidates skipped by the facet-violation bound
+    projections: int          # point-to-hull projections run in the evaluated candidates
 
 
 # a candidate is skipped only when its lower bound beats the best distance
@@ -250,10 +251,7 @@ def _align(directions: np.ndarray, targets: np.ndarray, objective,
 
 def _unit_rows(K: Polytope) -> Polytope:
     """K with both representations, its halfspace rows scaled to unit normals."""
-    A, b = K.halfspaces
-    norms = np.linalg.norm(A, axis=1)
-    return Polytope(vertices=K.vertices, halfspaces=(A / norms[:, None], b / norms),
-                    check=False)
+    return Polytope(vertices=K.vertices, halfspaces=_unit_halfspaces(K), check=False)
 
 
 def _facet_violation(VK: np.ndarray, HK, VC: np.ndarray, HC) -> float:
@@ -280,16 +278,24 @@ def align_to_simplex(K: Polytope, target: Polytope, n_restarts: int = 20,
     candidate by monotone coordinate-plane rotations.  Candidates whose
     facet violation (``_facet_violation``, less a few ulps at the bodies'
     scale) already exceeds the best distance are pruned without the exact
-    distance; the result is bit-identical to the unpruned search.
+    distance; the result is bit-identical to the unpruned search.  An
+    evaluated candidate's exact distance (``geometry._hausdorff``) takes its
+    rotated vertices V_T R^T and H-rep (A_T R^T, b_T) as arrays, so it builds
+    no hull, and projects only the vertices whose distance bound can attain
+    the maximum; ``projections`` counts the projections run.
     """
     VK = K.vertices
     HK, Tu = _unit_rows(K).halfspaces, _unit_rows(target)
     VT, (AT, bT) = Tu.vertices, Tu.halfspaces
     scale = max(float(np.abs(x).max()) for x in (VK, VT, HK[1], bT))
     slack = _PRUNE_ULPS * np.finfo(float).eps * scale
+    projections = 0
 
     def dist_for(R):
-        return hausdorff_distance(K, Polytope(vertices=VT @ R.T, check=False))
+        nonlocal projections
+        d, count = _hausdorff(VK, HK, VT @ R.T, (AT @ R.T, bT))
+        projections += count
+        return d
 
     def bound_for(R):
         return _facet_violation(VK, HK, VT @ R.T, (AT @ R.T, bT)) - slack
@@ -298,7 +304,7 @@ def align_to_simplex(K: Polytope, target: Polytope, n_restarts: int = 20,
         VK / np.linalg.norm(VK, axis=1)[:, None], VT / np.linalg.norm(VT, axis=1)[:, None],
         dist_for, n_restarts, seed, sweeps=2, lower_bound=bound_for)
     return AlignmentResult(rotation=best_R, delta_H=float(best_d),
-                           evaluated=evaluated, pruned=pruned)
+                           evaluated=evaluated, pruned=pruned, projections=projections)
 
 
 def align_points_to_simplex_vertices(points: np.ndarray, n: int, seed: int = 0):

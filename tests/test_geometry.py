@@ -1,8 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
@@ -250,6 +256,46 @@ class TestHausdorff:
             d02 = g.hausdorff_distance(bodies[0], bodies[2])
             assert d02 <= d01 + d12 + 1e-9
 
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(g.GeometryError, match="dimensions 2 and 3"):
+            g.hausdorff_distance(g.regular_simplex(2), g.regular_simplex(3))
+
+    @staticmethod
+    def _pair(kind, n, rng):
+        """Two polytopes of one of the kinds the bound-first search must keep exact."""
+        K = g.Polytope(vertices=rng.standard_normal((n + 1 + int(rng.integers(0, 6)), n)))
+        if kind == "nested":
+            centre = K.vertices.mean(axis=0)
+            return K, g.Polytope(vertices=centre + rng.uniform(0.2, 0.9) * (K.vertices - centre))
+        if kind == "disjoint":
+            return K, g.Polytope(vertices=K.vertices + 4.0 + rng.standard_normal(n))
+        if kind == "identical":
+            return K, g.Polytope(vertices=K.vertices.copy())
+        if kind == "rotated-simplex":
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            S = g.regular_simplex(n)
+            return g.Polytope(vertices=S.vertices @ Q.T), S
+        if kind == "polar-target":
+            # H-rep rows (vertices, ones) that are not unit normals
+            P = rng.standard_normal((n + 1, n))
+            T = g.polar(g.Polytope(vertices=np.vstack([P, -rng.uniform(0.2, 1.0) * P])))
+            return K, T
+        if kind == "flat":      # no H-rep bounds the distances to a flat body
+            flat = rng.standard_normal((n + 2, n)) * np.r_[np.ones(n - 1), 0.0]
+            return K, g.Polytope(vertices=flat, check=False)
+        return K, g.Polytope(vertices=rng.standard_normal((n + 3, n)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=hst.integers(2, 4), seed=hst.integers(0, 2 ** 32 - 1),
+           kind=hst.sampled_from(["nested", "disjoint", "identical", "rotated-simplex",
+                                  "polar-target", "flat", "random"]))
+    def test_bound_first_equals_every_vertex_projected(self, n, seed, kind):
+        K, C = self._pair(kind, n, np.random.default_rng(seed))
+        reference = max(max(g.point_polytope_distance(v, C.vertices)[0] for v in K.vertices),
+                        max(g.point_polytope_distance(w, K.vertices)[0] for w in C.vertices))
+        assert g.hausdorff_distance(K, C) == reference
+        assert g.hausdorff_distance(C, K) == reference
+
 
 def _annulus_body(rng, n, n_points=8):
     """Random polytope with ball(1/n) inside and ball(n) outside."""
@@ -451,6 +497,23 @@ class TestPointProjection:
         V = g.regular_simplex(2).vertices
         with pytest.raises(g.GeometryError):
             g.point_polytope_distance(np.array([np.nan, 0.0]), V)
+
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros(1), np.zeros((1, 2))])
+    def test_point_of_another_shape_raises(self, x):
+        with pytest.raises(g.GeometryError, match="dimension 2"):
+            g.point_polytope_distance(x, g.regular_simplex(2).vertices)
+
+    def test_empty_hull_raises(self):
+        # the NNLS solve of a matrix with no columns aborts the interpreter
+        # (a double free), so the call runs in a fresh one
+        code = ("import numpy as np; from simplexstab import geometry as g\n"
+                "try:\n    g.point_polytope_distance(np.zeros(2), np.zeros((0, 2)))\n"
+                "except g.GeometryError as exc:\n    print(exc)")
+        env = {**os.environ, "PYTHONPATH": str(Path(g.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "point-to-hull projection needs at least one hull point"
 
 
 class TestVolumeGapLowerBounds:

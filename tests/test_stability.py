@@ -133,6 +133,13 @@ class TestAlignment:
             assert a.evaluated + a.pruned == b.evaluated
         assert sum(a.pruned for a in pruned) > 0
 
+    def test_projection_count_is_pinned(self):
+        # 14 evaluated candidates of 6 + 3 vertices: projecting every vertex
+        # would take 126 projections
+        K = st.make_family("corner-cut", 2, [1e-2]).bodies[0]
+        res = st.align_to_simplex(K, g.regular_simplex_polar(2), n_restarts=12, seed=5)
+        assert (res.evaluated, res.pruned, res.projections) == (14, 16, 46)
+
     def test_point_alignment_exact_on_simplex(self):
         V = g.regular_simplex(3).vertices
         _, d = st.align_points_to_simplex_vertices(V, 3, seed=2)
