@@ -25,7 +25,7 @@ from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from .geometry import (DegenerateBodyError, Ellipsoid, GeometryError,
                        Polytope, polar)
-from .isotropic import DiscreteMeasure, IsotropyReport, _nnls_atoms
+from .isotropic import DiscreteMeasure, IsotropyReport, _isotropic_contact_fit
 from .rng import make_rng
 
 __all__ = [
@@ -258,9 +258,7 @@ def john_contact_measure(K: Polytope, eps: float = 1e-7) -> JohnDecomposition:
     if contact_idx.size < n + 1:
         contact_idx = np.argsort(np.abs(norms - 1.0))[:n + 1]
     boundary_residual = float(np.abs(norms[contact_idx] - 1.0).max())
-    U = mapped[contact_idx] / norms[contact_idx, None]
-    target = np.concatenate([np.eye(n).ravel(), np.zeros(n), [float(n)]])
-    mu = DiscreteMeasure(*_nnls_atoms(U, target))
+    mu = _isotropic_contact_fit(mapped[contact_idx] / norms[contact_idx, None])
     decomp = JohnDecomposition(body=Polytope(vertices=mapped, check=False), contacts=mu,
                                kind="lowner-contacts", residuals=mu.validate(),
                                boundary_residual=boundary_residual)

@@ -173,11 +173,24 @@ def _nnls_atoms(P: np.ndarray, target: np.ndarray):
     ``_constraint_matrix(P) @ w`` to ``target``.  Its passive columns stay
     linearly independent, so at most the matrix rank, n(n+3)/2, of the
     weights are positive; returns the atoms with weight above 1e-12 as
-    (points, weights).
+    (points, weights).  An empty atom set raises ``MeasureError``: scipy's
+    nnls aborts the interpreter on a matrix with no columns.
     """
+    if P.shape[0] == 0:
+        raise MeasureError("no atoms to fit weights on")
     w, _ = nnls(_constraint_matrix(P), target)
     keep = w > 1e-12
     return P[keep], w[keep]
+
+
+def _isotropic_contact_fit(U: np.ndarray) -> DiscreteMeasure:
+    """Weights on the unit contact points U (rows) fitted to a centred
+    isotropic measure, sum c_i u_i (x) u_i = Id, sum c_i u_i = 0 and
+    sum c_i = n, by one ``_nnls_atoms`` fit; how well the fit meets the
+    conditions is read from the measure's ``validate``."""
+    n = U.shape[1]
+    target = np.concatenate([np.eye(n).ravel(), np.zeros(n), [float(n)]])
+    return DiscreteMeasure(*_nnls_atoms(U, target))
 
 
 def support_bound(n: int) -> int:

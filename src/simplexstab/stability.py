@@ -17,11 +17,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import functionals as fn
-from .ellipsoids import mvee
-from .geometry import (GeometryError, Polytope, _hausdorff, _unit_halfspaces,
-                       containment_margin, gauge_many, point_set_hausdorff, polar,
-                       regular_simplex, regular_simplex_polar, support_many,
-                       symdiff_volume)
+from .geometry import (GeometryError, Polytope, _halfspaces_for_gauge, _hausdorff,
+                       _unit_halfspaces, containment_margin, gauge_many,
+                       point_set_hausdorff, polar, regular_simplex,
+                       regular_simplex_polar, support_many, symdiff_volume)
+from .isotropic import _isotropic_contact_fit
 from .rng import make_rng
 
 __all__ = [
@@ -38,8 +38,8 @@ FAMILY_KINDS = ("vertex-added", "corner-cut", "polar-vertex-added", "stretched-v
 
 # distance-exponent constant of the stability bounds, as log10(c) = 26 n log10(n)
 BOUND_EXPONENT = 26
-# largest deviation of the Loewner/John ellipsoid from the unit ball that
-# ``measure_deficits`` accepts as normalised
+# tolerance of each condition of the certificate that the unit ball is the
+# Loewner/John ellipsoid, which ``measure_deficits`` checks for every polytope
 _NORMALISATION_TOL = 1e-6
 
 
@@ -358,13 +358,43 @@ _SIDES = {
 
 
 def _check_unit_ball_normalisation(K: Polytope, side: str) -> None:
-    ellipsoid = _SIDES[side].ellipsoid
-    E, _ = mvee(K.vertices if ellipsoid == "lowner" else polar(K).vertices)
-    resid = max(float(np.abs(E.shape - np.eye(K.n)).max()),
-                float(np.linalg.norm(E.center)))
-    if resid > _NORMALISATION_TOL:
-        raise NormalizationError(f"unit ball is not the {ellipsoid} ellipsoid "
-                                 f"(residual {resid:.3g} > {_NORMALISATION_TOL:g})")
+    """Raise ``NormalizationError`` unless John's certificate shows the unit
+    ball B to be the ellipsoid the side names: K's Loewner or John ellipsoid.
+
+    By John's theorem and its converse (Ball 1992, Geom. Dedicata 41), B is
+    the Loewner ellipsoid of a body K exactly when K lies in B and the
+    contact points K ∩ S^{n-1} carry a centred isotropic measure.  The
+    points read are K's vertices; on the John side, where B is the Loewner
+    ellipsoid of the polar K°, they are the polar points a_j / b_j of K's
+    H-rep (a row with b_j <= 0 raises ``GaugeUndefinedError``), so no polar
+    body is built.  Each condition holds to ``_NORMALISATION_TOL``: no point
+    lies farther outside the sphere, at least one point lies that close to
+    it, and the renormalised contacts carry weights, fitted as in
+    ``john_contact_measure``, whose residuals are no larger (the rule of
+    ``JohnDecomposition.ok``).  The error names the condition that failed.
+    """
+    ellipsoid, tol = _SIDES[side].ellipsoid, _NORMALISATION_TOL
+    if ellipsoid == "lowner":
+        P, what = K.vertices, "vertex"
+    else:
+        A, b = _halfspaces_for_gauge(K)
+        P, what = A / b[:, None], "polar point a_j/b_j"
+    norms = np.linalg.norm(P, axis=1)
+    failed = f"unit ball is not the {ellipsoid} ellipsoid"
+    excess = float(norms.max()) - 1.0
+    if excess > tol:
+        raise NormalizationError(
+            f"{failed}: a {what} lies {excess:.3g} outside the sphere (> {tol:g})")
+    contact = norms >= 1.0 - tol
+    if not contact.any():
+        raise NormalizationError(
+            f"{failed}: no contact point, every {what} lies {-excess:.3g} or more "
+            f"inside the sphere (> {tol:g})")
+    fit = _isotropic_contact_fit(P[contact] / norms[contact, None]).validate()
+    if not fit.ok(tol):
+        raise NormalizationError(
+            f"{failed}: the {int(contact.sum())} contact points carry no centred "
+            f"isotropic measure (fit residual {fit.max_residual:.3g} > {tol:g})")
 
 
 def _deficits(terms, n_samples: int, seed: int) -> list:
@@ -404,13 +434,21 @@ def measure_deficits(bodies, side: str, n_samples: int = fn.DEFAULT_SAMPLES,
     one common Gaussian sample, one (deficit, stderr) pair per body.
 
     The side is a row of the side table ``_SIDES``, whose ellipsoid is
-    checked to be the unit ball for every polytope.  The deficits come
+    checked to be the unit ball for every polytope by John's contact
+    certificate (``_check_unit_ball_normalisation``).  The deficits come
     from ``_deficits``, the kernel ``extremality_check`` shares, with one
-    paired column per body against one simplex evaluation per chunk.
+    paired column per body against one simplex evaluation per chunk.  No
+    bodies give no deficits and draw nothing; bodies of several dimensions
+    raise ``GeometryError``.
     """
     if side not in _SIDES:
         raise ValueError("side must be 'lowner', 'john' or 'lowner-width'")
     bodies = list(bodies)
+    if not bodies:
+        return []
+    dims = sorted({K.n for K in bodies})
+    if len(dims) > 1:
+        raise GeometryError(f"bodies of one dimension needed, got dimensions {dims}")
     for K in bodies:
         if isinstance(K, Polytope):
             _check_unit_ball_normalisation(K, side)

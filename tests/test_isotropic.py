@@ -96,6 +96,14 @@ class TestIsotropize:
             iso.isotropize(P, np.ones(5))
 
 
+class TestNnlsAtoms:
+    def test_empty_atom_set_raises(self):
+        # scipy's nnls aborts the interpreter on a matrix with no columns
+        target = np.concatenate([np.eye(2).ravel(), np.zeros(2), [2.0]])
+        with pytest.raises(iso.MeasureError, match="no atoms"):
+            iso._nnls_atoms(np.empty((0, 2)), target)
+
+
 class TestReduceSupport:
     def test_simplex_is_already_minimal(self):
         mu = iso.simplex_measure(3)

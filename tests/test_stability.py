@@ -202,6 +202,111 @@ class TestMeasureDeficit:
                           for K in fam.bodies]
 
 
+def _moved(K, scale, shift):
+    """The image scale * K + shift, with both representations carried over."""
+    A, b = K.halfspaces
+    return g.Polytope(vertices=scale * K.vertices + shift,
+                      halfspaces=(A, scale * b + A @ shift), check=False)
+
+
+def _mvee_verdict(K, side):
+    """Whether mvee puts the side's ellipsoid within 1e-6 of the unit ball
+    (the check the contact certificate replaced), as a test oracle."""
+    lowner = side in ("lowner", "lowner-width")
+    E, _ = el.mvee(K.vertices if lowner else g.polar(K).vertices)
+    resid = max(float(np.abs(E.shape - np.eye(K.n)).max()), float(np.linalg.norm(E.center)))
+    return resid <= 1e-6
+
+
+def _certificate_verdict(K, side):
+    try:
+        st._check_unit_ball_normalisation(K, side)
+    except st.NormalizationError:
+        return False
+    return True
+
+
+# a non-regular triangle inscribed in the unit circle
+_SKEW_TRIANGLE = np.array([[math.cos(t), math.sin(t)] for t in (0.3, 2.2, 4.0)])
+
+
+class TestNormalisationCertificate:
+    @pytest.mark.parametrize("kind", st.FAMILY_KINDS)
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_accepts_every_family_body(self, kind, n):
+        fam = st.make_family(kind, n, np.geomspace(1e-4, 0.09, 5))
+        for K in fam.bodies:
+            st._check_unit_ball_normalisation(K, fam.side)
+
+    @pytest.mark.parametrize("scale, shift, reason", [
+        (0.5, 0.0, r"no contact point, every vertex lies 0\.5 or more inside"),
+        (1.0 + 1e-4, 0.0, r"vertex lies 0\.0001 outside"),
+        (1.0, 1e-4, r"vertex lies 0\.0001 outside"),
+    ])
+    def test_rejects_moved_simplex(self, scale, shift, reason):
+        S = g.regular_simplex(2)
+        K = _moved(S, scale, shift * S.vertices[0])
+        with pytest.raises(st.NormalizationError, match=reason):
+            st._check_unit_ball_normalisation(K, "lowner")
+
+    def test_rejects_skew_inscribed_triangle(self):
+        K = g.Polytope(vertices=_SKEW_TRIANGLE)
+        assert np.abs(np.linalg.norm(K.vertices, axis=1) - 1.0).max() < 1e-15
+        with pytest.raises(st.NormalizationError, match=r"3 contact points.*fit residual 0\.31"):
+            st._check_unit_ball_normalisation(K, "lowner")
+
+    def test_rejects_polar_of_skew_triangle_on_john_side(self):
+        with pytest.raises(st.NormalizationError, match="john ellipsoid.*fit residual"):
+            st._check_unit_ball_normalisation(g.polar(g.Polytope(vertices=_SKEW_TRIANGLE)),
+                                              "john")
+
+    def test_john_side_needs_origin_inside(self):
+        K = _moved(g.regular_simplex_polar(2), 1.0, np.array([5.0, 0.0]))
+        with pytest.raises(g.GaugeUndefinedError):
+            st._check_unit_ball_normalisation(K, "john")
+
+    def test_no_contact_raises_before_the_weight_fit(self, monkeypatch):
+        # scipy's nnls aborts the interpreter on a matrix with no columns, so
+        # the certificate must stop before it fits weights on no contacts
+        def no_fit(U):
+            raise AssertionError("weight fit reached")
+        monkeypatch.setattr(st, "_isotropic_contact_fit", no_fit)
+        K = g.Polytope(vertices=0.5 * g.regular_simplex(2).vertices)
+        with pytest.raises(st.NormalizationError, match="no contact point"):
+            st.measure_deficit(K, "lowner", n_samples=1000, seed=6)
+
+    @pytest.mark.parametrize("kind", st.FAMILY_KINDS)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_agrees_with_mvee(self, kind, n):
+        fam = st.make_family(kind, n, [1e-2])
+        K = fam.bodies[0]
+        u = make_rng(40 + n).standard_normal(n)
+        u /= np.linalg.norm(u)
+        for delta, accept in ((1e-8, True), (1e-4, False)):
+            for scale, shift in ((1.0 + delta, 0.0), (1.0 - delta, 0.0), (1.0, delta)):
+                moved = _moved(K, scale, shift * u)
+                verdict = _certificate_verdict(moved, fam.side)
+                assert verdict == _mvee_verdict(moved, fam.side) == accept, (delta, scale, shift)
+
+
+class TestMeasureDeficitsInputs:
+    def test_no_bodies_draw_nothing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled")
+        monkeypatch.setattr(fn, "sample_mean", no_draw)
+        assert st.measure_deficits([], "lowner") == []
+        assert st.measure_deficits(iter(()), "john") == []
+
+    def test_mixed_dimensions_raise_up_front(self):
+        with pytest.raises(g.GeometryError, match=r"dimensions \[2, 3\]"):
+            st.measure_deficits([g.regular_simplex(2), g.regular_simplex(3)], "lowner",
+                                n_samples=1000)
+
+    def test_unknown_side_still_raises_on_no_bodies(self):
+        with pytest.raises(ValueError, match="side"):
+            st.measure_deficits([], "width")
+
+
 class TestFitExponent:
     def test_vertex_added_slope_near_one(self):
         fam = st.make_family("vertex-added", 2, np.geomspace(2e-3, 0.09, 8))
