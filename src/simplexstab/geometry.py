@@ -563,11 +563,11 @@ def point_polytope_distance(x: np.ndarray, V: np.ndarray):
     return float(np.linalg.norm(p - x)), p
 
 
-# absolute slack of the distance upper bounds of ``_hausdorff``, in units of
-# the bodies' coordinate scale, for the rounding of the projections and of
-# the foot test: a point inside the hull read up to 12 ulps of the scale
-# over 44,682 projections of random pairs at n = 2..4, so this leaves a
-# margin of 10^4 over that, and costs projections only at distances below it
+# absolute slack of the bounds of ``_hausdorff`` (the projection order, the
+# foot test and the facet-violation stop), in units of the bodies' coordinate
+# scale: a point inside the hull read up to 12 ulps of the scale over 44,682
+# projections of random pairs at n = 2..4, so this leaves a margin of 10^4
+# over that, and costs projections or stops only at distances below it
 _HAUSDORFF_SLACK = 2.0 ** -32
 # relative margin of those bounds, for the rounding of larger distances
 _HAUSDORFF_MARGIN = 1e-9
@@ -580,19 +580,19 @@ def _unit_halfspaces(P: Polytope):
     return A / norms[:, None], b / norms
 
 
-def _distance_upper_bounds(X: np.ndarray, H, W: np.ndarray) -> np.ndarray:
+def _distance_upper_bounds(X: np.ndarray, S, H, W: np.ndarray) -> np.ndarray:
     """Upper bounds on dist(x, P) for each row x of X, where P = conv(W) has
-    the H-rep H = (A, b) with unit rows a_j (None: no bound, +inf).
+    the H-rep H = (A, b) with unit rows a_j and S = X A^T - b holds the
+    rows' violations (S None: no bound, +inf).
 
-    lb = max_j (<a_j, x> - b_j) is a lower bound on the distance.  The bound
-    is 0 when lb <= 0 (x is in P), lb itself when the foot x - lb a_j on the
-    most violated facet satisfies every row (the foot is then the nearest
-    point of P), and otherwise the distance from x to P's nearest vertex.
+    lb = max_j S_j is a lower bound on the distance.  The bound is 0 when
+    lb <= 0 (x is in P), lb itself when the foot x - lb a_j on the most
+    violated facet satisfies every row (the foot is then the nearest point
+    of P), and otherwise the distance from x to P's nearest vertex.
     """
-    if H is None:
+    if S is None:
         return np.full(X.shape[0], math.inf)
     A, b = H
-    S = X @ A.T - b
     j, lb = S.argmax(axis=1), S.max(axis=1)
     bound = np.maximum(lb, 0.0)
     off = lb > 0.0
@@ -604,29 +604,37 @@ def _distance_upper_bounds(X: np.ndarray, H, W: np.ndarray) -> np.ndarray:
     return bound
 
 
-def _hausdorff(VK: np.ndarray, HK, VC: np.ndarray, HC):
+def _hausdorff(VK: np.ndarray, HK, VC: np.ndarray, HC, best: float = math.inf):
     """(Hausdorff distance of conv(VK) and conv(VC), projections run), given
-    H-reps HK, HC with unit rows (or None) as in ``_distance_upper_bounds``.
+    H-reps HK, HC with unit rows (or None); (inf, 0) if it cannot fall below ``best``.
 
-    The distance is the largest ``point_polytope_distance`` of a vertex of
-    either body to the other body.  The vertices are projected in decreasing
-    order of ``_distance_upper_bounds``, and the projections stop at the
-    first vertex whose bound, widened by ``_HAUSDORFF_MARGIN`` relative and
-    ``_HAUSDORFF_SLACK`` times the coordinate scale absolute, falls below
-    the largest distance so far: no later vertex can reach it, so the result
-    is the all-vertex maximum bit for bit.
+    A vertex that violates a unit row of the other body by v lies at least v
+    from it.  Both sides' violations S = X A^T - b are computed once; when
+    max S reaches ``best`` widened by ``_HAUSDORFF_MARGIN`` relative and
+    ``_HAUSDORFF_SLACK`` times the coordinate scale absolute, nothing is
+    projected.  Otherwise vertices are projected in decreasing order of
+    ``_distance_upper_bounds``, read from S, until one's bound, widened by
+    the same margins, falls below the largest distance so far: no later
+    vertex can reach it, so the result is the all-vertex maximum of
+    ``point_polytope_distance`` bit for bit, whatever ``best`` is.
     """
     points = np.vstack([VK, VC])
+    slack = _HAUSDORFF_SLACK * float(np.abs(points).max())
+    sides = [(VK, HC, VC), (VC, HK, VK)]    # vertices, the other body's rows and vertices
+    S = [None if H is None else X @ H[0].T - H[1] for X, H, _ in sides]
+    violation = max((float(s.max()) for s in S if s is not None), default=-math.inf)
+    if violation >= best * (1.0 + _HAUSDORFF_MARGIN) + slack:
+        return math.inf, 0
     hulls = [VC] * VK.shape[0] + [VK] * VC.shape[0]
-    bound = np.concatenate([_distance_upper_bounds(VK, HC, VC), _distance_upper_bounds(VC, HK, VK)])
-    reach = bound * (1.0 + _HAUSDORFF_MARGIN) + _HAUSDORFF_SLACK * float(np.abs(points).max())
-    best, projections = -math.inf, 0
+    bound = np.concatenate([_distance_upper_bounds(X, s, H, W) for (X, H, W), s in zip(sides, S)])
+    reach = bound * (1.0 + _HAUSDORFF_MARGIN) + slack
+    dist, projections = -math.inf, 0
     for i in np.argsort(-bound, kind="stable"):
-        if reach[i] < best:
+        if reach[i] < dist:
             break
-        best = max(best, point_polytope_distance(points[i], hulls[i])[0])
+        dist = max(dist, point_polytope_distance(points[i], hulls[i])[0])
         projections += 1
-    return best, projections
+    return dist, projections
 
 
 def hausdorff_distance(K, C) -> float:
@@ -680,12 +688,6 @@ def contains_points(K, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 def contains(K, C, tol: float = 1e-9) -> bool:
     """True iff C subset of K: every vertex of C satisfies every halfspace of K."""
     return bool(np.all(contains_points(K, C.vertices, tol)))
-
-
-def containment_margin(K, C) -> float:
-    """min over vertices/halfspaces of (b - <a, v>); negative iff C not in K."""
-    A, b = K.halfspaces
-    return float(np.min(b[None, :] - C.vertices @ A.T))
 
 
 def polytope_volume(K) -> float:

@@ -64,6 +64,14 @@ class IsotropyReport:
         return self.max_residual <= tol
 
 
+def _check_unit_points(P: np.ndarray) -> None:
+    """Raise MeasureError unless every row of P is a unit vector within UNIT_NORM_TOL."""
+    deviation = np.abs(np.linalg.norm(P, axis=1) - 1.0)
+    if not np.all(deviation <= UNIT_NORM_TOL):
+        raise MeasureError(f"points must be unit vectors within {UNIT_NORM_TOL:g} "
+                           f"(worst deviation {deviation.max():.3g})")
+
+
 class DiscreteMeasure:
     """Unit vectors with positive weights on the sphere S^{n-1}."""
 
@@ -76,11 +84,7 @@ class DiscreteMeasure:
             raise MeasureError("non-finite measure data")
         if np.any(w <= 0):
             raise MeasureError("weights must be positive")
-        norms = np.linalg.norm(P, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-            raise MeasureError(
-                f"points must be unit vectors within {UNIT_NORM_TOL:g} "
-                f"(worst deviation {np.abs(norms - 1.0).max():.3g})")
+        _check_unit_points(P)
         P.flags.writeable = False
         w.flags.writeable = False
         self.points = P

@@ -26,8 +26,9 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Return a Philox-backed generator for (seed, stream).
 
     Distinct ``stream`` values yield statistically independent streams for
-    the same seed, which is how sample batches are partitioned across
-    workers without losing reproducibility.
+    the same seed.  Monte-Carlo chunks do not come from here: ``chunk_rng``
+    draws each chunk from its index alone, which is why the split of chunks
+    across workers does not change the draws.
     """
     key = np.array([np.uint64(seed & _MASK64), np.uint64(stream & _MASK64)],
                    dtype=np.uint64)

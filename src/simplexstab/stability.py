@@ -18,10 +18,10 @@ from scipy.optimize import linear_sum_assignment
 
 from . import functionals as fn
 from .geometry import (GeometryError, Polytope, _halfspaces_for_gauge, _hausdorff,
-                       _unit_halfspaces, containment_margin, gauge_many,
-                       point_set_hausdorff, polar, regular_simplex,
-                       regular_simplex_polar, support_many, symdiff_volume)
-from .isotropic import _isotropic_contact_fit
+                       _unit_halfspaces, gauge_many, point_set_hausdorff, polar,
+                       regular_simplex, regular_simplex_polar, support_many,
+                       symdiff_volume)
+from .isotropic import _check_unit_points, _isotropic_contact_fit
 from .rng import make_rng
 
 __all__ = [
@@ -161,17 +161,8 @@ class AlignmentResult:
     rotation: np.ndarray
     delta_H: float
     evaluated: int            # candidates whose exact distance was computed
-    pruned: int               # candidates skipped by the facet-violation bound
+    pruned: int               # candidates the facet-violation bound skipped
     projections: int          # point-to-hull projections run in the evaluated candidates
-
-
-# a candidate is skipped only when its lower bound beats the best distance
-# by this relative margin; without it, rounding-level ties between the
-# bound and the exact distance change the search path
-_PRUNE_MARGIN = 1e-9
-# absolute slack of the bound, in units of roundoff at the bodies' scale,
-# so that a near-zero best distance is never pruned by rounding in the bound
-_PRUNE_ULPS = 8
 
 
 def _plane_rotation(n: int, i: int, j: int, angle: float) -> np.ndarray:
@@ -198,23 +189,18 @@ def _assignment_rotation(directions: np.ndarray, targets: np.ndarray) -> np.ndar
 
 def _align(directions: np.ndarray, targets: np.ndarray, objective,
            n_restarts: int, seed: int, raw_restarts: bool = True,
-           sweeps: int = 3, step0: float = 0.05, lower_bound=None):
+           sweeps: int = 3, step0: float = 0.05):
     """Rotation R of the target configuration (targets @ R.T) minimising
-    ``objective(R)``; returns (R, value, evaluated, pruned).
+    ``objective(R)``; returns (R, value).
 
     Candidates: the Hungarian/Procrustes fit of ``targets`` to the unit
     ``directions``, the identity, and per restart a random orthogonal Q
     from ``make_rng(seed)`` with the fit started from ``targets @ Q.T``
     (and Q itself if ``raw_restarts``).  The best is refined by monotone
     +-step Givens rotations in every coordinate plane, the step shrinking
-    from ``step0`` by 0.35 per sweep for ``sweeps`` sweeps.
-
-    A candidate replaces the best only when its objective is smaller.  Given
-    ``lower_bound(R)``, a bound that never exceeds ``objective(R)``, a
-    candidate whose bound is at least best * (1 + _PRUNE_MARGIN) cannot win
-    and is skipped without evaluating the objective, so the search path and
-    its result are those of the unpruned search.  ``evaluated`` and
-    ``pruned`` count the candidates evaluated and skipped.
+    from ``step0`` by 0.35 per sweep for ``sweeps`` sweeps.  A candidate
+    replaces the best only when its objective is smaller, so an objective
+    may return +inf for a candidate it knows cannot win.
     """
     n = targets.shape[1]
     rng = make_rng(seed)
@@ -225,14 +211,9 @@ def _align(directions: np.ndarray, targets: np.ndarray, objective,
         if raw_restarts:
             candidates.append(Q)
     best_R, best = None, math.inf
-    evaluated = pruned = 0
 
     def consider(R):
-        nonlocal best_R, best, evaluated, pruned
-        if lower_bound is not None and lower_bound(R) >= best * (1.0 + _PRUNE_MARGIN):
-            pruned += 1
-            return
-        evaluated += 1
+        nonlocal best_R, best
         val = objective(R)
         if val < best:
             best_R, best = R, val
@@ -246,27 +227,7 @@ def _align(directions: np.ndarray, targets: np.ndarray, objective,
                 for sign in (+1.0, -1.0):
                     consider(_plane_rotation(n, i, j, sign * step) @ best_R)
         step *= 0.35
-    return best_R, best, evaluated, pruned
-
-
-def _unit_rows(K: Polytope) -> Polytope:
-    """K with both representations, its halfspace rows scaled to unit normals."""
-    return Polytope(vertices=K.vertices, halfspaces=_unit_halfspaces(K), check=False)
-
-
-def _facet_violation(VK: np.ndarray, HK, VC: np.ndarray, HC) -> float:
-    """Largest violation of either body's halfspaces by the other's vertices,
-    for bodies K and C given by vertex arrays VK, VC and halfspaces
-    HK = (A_K, b_K), HC = (A_C, b_C).
-
-    Every halfspace <a, y> <= b of a body P with |a| = 1 gives
-    dist(v, P) >= <a, v> - b, so for bodies with unit rows this is a lower
-    bound on the Hausdorff distance of K and C.  It is computed from the
-    arrays, with no ``Polytope`` built, and equals
-    -min(containment_margin(K, C), containment_margin(C, K)) bit for bit.
-    """
-    (AK, bK), (AC, bC) = HK, HC
-    return max(float(np.max(VC @ AK.T - bK)), float(np.max(VK @ AC.T - bC)))
+    return best_R, best
 
 
 def align_to_simplex(K: Polytope, target: Polytope, n_restarts: int = 20,
@@ -275,36 +236,29 @@ def align_to_simplex(K: Polytope, target: Polytope, n_restarts: int = 20,
 
     The search seeds orthogonal Procrustes fits from a Hungarian matching
     of the extreme directions plus random restarts, then refines the best
-    candidate by monotone coordinate-plane rotations.  Candidates whose
-    facet violation (``_facet_violation``, less a few ulps at the bodies'
-    scale) already exceeds the best distance are pruned without the exact
-    distance; the result is bit-identical to the unpruned search.  An
-    evaluated candidate's exact distance (``geometry._hausdorff``) takes its
-    rotated vertices V_T R^T and H-rep (A_T R^T, b_T) as arrays, so it builds
-    no hull, and projects only the vertices whose distance bound can attain
-    the maximum; ``projections`` counts the projections run.
+    candidate by monotone coordinate-plane rotations.  Each candidate goes
+    to ``geometry._hausdorff`` as arrays, its rotated vertices V_T R^T and
+    unit rows (A_T R^T, b_T), so no hull is built, with the best distance so
+    far: the kernel skips a candidate whose facet violation already reaches
+    it, which cannot win, so the result is that of the search without skips.
     """
-    VK = K.vertices
-    HK, Tu = _unit_rows(K).halfspaces, _unit_rows(target)
-    VT, (AT, bT) = Tu.vertices, Tu.halfspaces
-    scale = max(float(np.abs(x).max()) for x in (VK, VT, HK[1], bT))
-    slack = _PRUNE_ULPS * np.finfo(float).eps * scale
-    projections = 0
+    VK, HK = K.vertices, _unit_halfspaces(K)
+    VT, (AT, bT) = target.vertices, _unit_halfspaces(target)
+    counts, best = [], math.inf
 
     def dist_for(R):
-        nonlocal projections
-        d, count = _hausdorff(VK, HK, VT @ R.T, (AT @ R.T, bT))
-        projections += count
+        nonlocal best
+        d, count = _hausdorff(VK, HK, VT @ R.T, (AT @ R.T, bT), best)
+        counts.append(count)
+        best = min(best, d)
         return d
 
-    def bound_for(R):
-        return _facet_violation(VK, HK, VT @ R.T, (AT @ R.T, bT)) - slack
-
-    best_R, best_d, evaluated, pruned = _align(
+    best_R, best_d = _align(
         VK / np.linalg.norm(VK, axis=1)[:, None], VT / np.linalg.norm(VT, axis=1)[:, None],
-        dist_for, n_restarts, seed, sweeps=2, lower_bound=bound_for)
+        dist_for, n_restarts, seed, sweeps=2)
     return AlignmentResult(rotation=best_R, delta_H=float(best_d),
-                           evaluated=evaluated, pruned=pruned, projections=projections)
+                           evaluated=sum(c > 0 for c in counts), pruned=counts.count(0),
+                           projections=sum(counts))
 
 
 def align_points_to_simplex_vertices(points: np.ndarray, n: int, seed: int = 0):
@@ -321,14 +275,14 @@ def align_points_to_simplex_vertices(points: np.ndarray, n: int, seed: int = 0):
     def dist_for(R):
         return point_set_hausdorff(P, W @ R.T)
 
-    best_R, best_d, _, _ = _align(P / np.linalg.norm(P, axis=1)[:, None], W, dist_for,
-                                  20, seed, sweeps=4)
+    best_R, best_d = _align(P / np.linalg.norm(P, axis=1)[:, None], W, dist_for,
+                            20, seed, sweeps=4)
     return best_R, float(best_d)
 
 
 def _worst_angle_alignment(points: np.ndarray, n: int, seed: int = 0):
-    """Rotation of the standard simplex minimising the worst angular distance
-    of each given unit point to its nearest rotated vertex."""
+    """Vertices of the rotated standard simplex minimising the worst angular
+    distance of each given unit point to its nearest vertex, and that angle."""
     U = np.atleast_2d(points)
     W = regular_simplex(n).vertices
 
@@ -336,8 +290,8 @@ def _worst_angle_alignment(points: np.ndarray, n: int, seed: int = 0):
         cos = np.clip(U @ (W @ R.T).T, -1.0, 1.0)
         return float(np.arccos(cos).min(axis=1).max())
 
-    return _align(U, W, worst_angle, 10, seed, raw_restarts=False,
-                  sweeps=6, step0=0.02)[:2]
+    R, angle = _align(U, W, worst_angle, 10, seed, raw_restarts=False, sweeps=6, step0=0.02)
+    return W @ R.T, angle
 
 
 @dataclass(frozen=True)
@@ -523,32 +477,28 @@ def sandwich_check(contact_points: np.ndarray, eta: float,
     """Two-sided containment of the contact polytope between simplex dilates.
 
     Given unit contact points u_i whose directions each lie within angle
-    eta of some vertex of an aligned regular simplex, the polytope
+    eta of some vertex w_j of an aligned regular simplex, the polytope
     Z = {x : <u_i, x> <= 1} is squeezed between (1 - n eta) S and
-    (1 + 2 n eta) S for the aligned circumscribed simplex S.  Reports the
-    two containment margins; a failed angle hypothesis is reported, not
-    raised.
+    (1 + 2 n eta) S for the aligned circumscribed simplex
+    S = {x : <w_j, x> <= 1}.  Reports the two containment margins, read
+    from the rows of Z and S with no hull built; a failed angle hypothesis
+    is reported, not raised.
     """
     U = np.atleast_2d(np.asarray(contact_points, dtype=float))
     n = U.shape[1]
-    R, worst_angle = _worst_angle_alignment(U, n, seed=seed)
-    W = regular_simplex(n).vertices @ R.T
+    W, worst_angle = _worst_angle_alignment(U, n, seed=seed)
     report = {"worst_angle": worst_angle, "eta": float(eta),
               "hypothesis_ok": worst_angle <= eta + 1e-12}
-    S_vertices = -n * W
-    Z = Polytope(halfspaces=(U, np.ones(U.shape[0])))
     try:
-        Z.vertices            # derived and cached here; unbounded Z raises
+        VZ = Polytope(halfspaces=(U, np.ones(U.shape[0]))).vertices    # unbounded Z raises
     except GeometryError as exc:
         report.update({"ok": False, "error": str(exc)})
         return report
-    inner = Polytope(vertices=(1.0 - n * eta) * S_vertices, check=False)
-    outer = Polytope(vertices=(1.0 + 2.0 * n * eta) * S_vertices, check=False)
-    inner_margin = containment_margin(Z, inner)
-    outer_margin = containment_margin(outer, Z)
+    inner_margin = float(np.min(1.0 - ((1.0 - n * eta) * (-n * W)) @ U.T))
+    outer_margin = float(np.min((1.0 + 2.0 * n * eta) - VZ @ W.T))
     report.update({
-        "inner_margin": float(inner_margin),
-        "outer_margin": float(outer_margin),
+        "inner_margin": inner_margin,
+        "outer_margin": outer_margin,
         "ok": report["hypothesis_ok"] and inner_margin >= -1e-9 and outer_margin >= -1e-9,
     })
     return report
@@ -569,8 +519,7 @@ def centroid_bound_check(S1: Polytope, eta: float, seed: int = 0) -> dict:
     if np.abs(offsets - 1.0).max() > 1e-9:
         raise GeometryError("facets must touch the unit ball (unit offsets)")
     n = S1.n
-    R, worst_angle = _worst_angle_alignment(U, n, seed=seed)
-    W = regular_simplex(n).vertices @ R.T
+    W, worst_angle = _worst_angle_alignment(U, n, seed=seed)
     sigma = S1.vertices.mean(axis=0)
     # gauge of the aligned circumscribed simplex is the support of the aligned base
     gauge_value = float(np.max(W @ sigma))
@@ -591,8 +540,10 @@ def extremality_check(mu_points: np.ndarray, n_samples: int = fn.DEFAULT_SAMPLES
     for a regular simplex: C's ``lowner`` and ``lowner-width`` deficits,
     from the kernel of ``measure_deficits`` on one sample.  Returns them
     with standard errors and the support's distance to the aligned simplex.
+    Points that are not unit vectors raise ``MeasureError`` before any draw.
     """
     P = np.atleast_2d(mu_points)
+    _check_unit_points(P)
     n = P.shape[1]
     C = Polytope(vertices=P, check=False)
     lowner, john = _deficits([(C, "lowner"), (C, "lowner-width")], n_samples, seed)

@@ -260,6 +260,14 @@ def derivative_box_margins(grid: int = 200) -> dict:
     return out
 
 
+def _lifted_field(L: LiftedMeasure, vals, first):
+    """The field sum c~_i f(<u~_i, x>) u~_i and its Jacobian
+    sum c~_i f'(<u~_i, x>) u~_i (x) u~_i, given f and f' at the products."""
+    field = (L.weights * vals) @ L.points
+    jac = (L.points * (L.weights * first)[:, None]).T @ L.points
+    return field, jac
+
+
 def theta_field(L: LiftedMeasure, s: float, x):
     """Forward vector field Theta(x) = sum c~_i phi_s(<u~_i, x>) u~_i.
 
@@ -270,17 +278,11 @@ def theta_field(L: LiftedMeasure, s: float, x):
     dots = L.points @ x
     if np.any(dots <= 0.0):
         raise ConeDomainError("point outside the positivity cone of the lifted system")
-    vals, first, _ = phi_derivs(s, dots)
-    field = (L.weights * vals) @ L.points
-    jac = (L.points * (L.weights * first)[:, None]).T @ L.points
-    return field, jac
+    return _lifted_field(L, *phi_derivs(s, dots)[:2])
 
 
 def psi_field(L: LiftedMeasure, s: float, y):
     """Inverse vector field Psi(y) = sum c~_i psi_s(<u~_i, y>) u~_i on all of space."""
     y = np.asarray(y, dtype=float)
     dots = L.points @ y
-    vals, first, _ = psi_derivs(s, dots)
-    field = (L.weights * vals) @ L.points
-    jac = (L.points * (L.weights * first)[:, None]).T @ L.points
-    return field, jac
+    return _lifted_field(L, *psi_derivs(s, dots)[:2])

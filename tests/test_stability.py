@@ -87,8 +87,8 @@ class TestAlignment:
 
     @settings(max_examples=60, deadline=None)
     @given(n=hst.integers(2, 4), seed=hst.integers(0, 2 ** 32 - 1),
-           polar_target=hst.booleans())
-    def test_facet_violation_bounds_hausdorff(self, n, seed, polar_target):
+           polar_target=hst.booleans(), fraction=hst.floats(0.0, 1.5))
+    def test_facet_violation_bounds_hausdorff(self, n, seed, polar_target, fraction):
         rng = make_rng(seed)
         K = g.Polytope(vertices=rng.standard_normal((n + 4, n)))
         P = rng.standard_normal((n + 1, n))
@@ -96,12 +96,21 @@ class TestAlignment:
         if polar_target:   # halfspace rows (vertices, ones) are not unit
             T = g.polar(T)
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        Tu = st._unit_rows(T)
-        AT, bT = Tu.halfspaces
-        RT = g.Polytope(vertices=Tu.vertices @ Q.T, halfspaces=(AT @ Q.T, bT), check=False)
-        Ku = st._unit_rows(K)
-        bound = st._facet_violation(Ku.vertices, Ku.halfspaces, RT.vertices, RT.halfspaces)
-        assert bound <= g.hausdorff_distance(K, RT) + 1e-12
+        AT, bT = g._unit_halfspaces(T)
+        args = (K.vertices, g._unit_halfspaces(K), T.vertices @ Q.T, (AT @ Q.T, bT))
+        exact = g._hausdorff(*args)
+        best = fraction * exact[0]
+        d, count = g._hausdorff(*args, best)
+        if count == 0:     # stopped by the facet violation: the exact distance reaches best
+            assert d == math.inf
+            assert exact[0] >= best
+        else:
+            assert (d, count) == exact
+        # a best of 0 stops every pair whose facet violation clears the slack
+        violation = max(float(np.max(args[2] @ args[1][0].T - args[1][1])),
+                        float(np.max(args[0] @ args[3][0].T - args[3][1])))
+        assert (g._hausdorff(*args, 0.0)[1] == 0) == (
+            violation >= g._HAUSDORFF_SLACK * float(np.abs(np.vstack([args[0], args[2]])).max()))
 
     @pytest.mark.parametrize("kind", st.FAMILY_KINDS + ("rotated-simplex",))
     def test_pruned_search_matches_unpruned(self, kind, monkeypatch):
@@ -122,9 +131,9 @@ class TestAlignment:
                     for K, s in zip(bodies, seeds)]
 
         pruned = search()
-        align = st._align
-        monkeypatch.setattr(st, "_align",
-                            lambda *args, lower_bound=None, **kw: align(*args, **kw))
+        hausdorff = st._hausdorff
+        monkeypatch.setattr(st, "_hausdorff",
+                            lambda VK, HK, VC, HC, best=math.inf: hausdorff(VK, HK, VC, HC))
         full = search()
         for a, b in zip(pruned, full):
             assert np.array_equal(a.rotation, b.rotation)
@@ -139,6 +148,13 @@ class TestAlignment:
         K = st.make_family("corner-cut", 2, [1e-2]).bodies[0]
         res = st.align_to_simplex(K, g.regular_simplex_polar(2), n_restarts=12, seed=5)
         assert (res.evaluated, res.pruned, res.projections) == (14, 16, 46)
+
+    def test_projection_count_is_pinned_in_three_dimensions(self):
+        # 16 evaluated candidates of 12 + 4 vertices: projecting every vertex
+        # would take 256 projections
+        K = st.make_family("corner-cut", 3, [1e-2]).bodies[0]
+        res = st.align_to_simplex(K, g.regular_simplex_polar(3), n_restarts=12, seed=5)
+        assert (res.evaluated, res.pruned, res.projections) == (16, 22, 123)
 
     def test_point_alignment_exact_on_simplex(self):
         V = g.regular_simplex(3).vertices
@@ -384,6 +400,20 @@ class TestSandwich:
         assert not rep["ok"]
         assert "unbounded" in rep["error"]
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_margins_match_the_hull_rows(self, n):
+        # the closed-form rows <w_j, x> <= 1 + 2 n eta of the outer dilate
+        # give the margin its Qhull hull gives, up to the hull's rounding
+        eta = 1e-3
+        contacts = _perturbed_contacts(n, eta, seed=7)
+        rep = st.sandwich_check(contacts, eta)
+        W = -n * st._worst_angle_alignment(contacts, n)[0]
+        Z = g.Polytope(halfspaces=(contacts, np.ones(n + 1)))
+        inner = (1.0 - n * eta) * W
+        assert rep["inner_margin"] == float(np.min(1.0 - inner @ contacts.T))
+        A, b = g.Polytope(vertices=(1.0 + 2.0 * n * eta) * W).halfspaces
+        assert abs(rep["outer_margin"] - float(np.min(b - Z.vertices @ A.T))) < 1e-14
+
     def test_far_atom_violates_hypothesis(self):
         far = np.array([math.cos(0.5), math.sin(0.5)])
         far = np.vstack([g.regular_simplex(2).vertices, far / np.linalg.norm(far)])
@@ -496,6 +526,22 @@ class TestBoundMargins:
         want = 52.0 * math.log10(2.0) + 0.25 * math.log10(1e-4) - math.log10(0.1)
         assert abs(got - want) < 1e-12
         assert st.stability_bound_log10(2, 0.0, 0.1) == math.inf
+
+
+class TestExtremalityInputs:
+    @pytest.mark.parametrize("extra", [None, [0.1, 0.1]])
+    def test_points_off_the_sphere_raise_before_any_draw(self, extra, monkeypatch):
+        # twice the simplex read a Loewner deficit of 0.50, and the simplex
+        # with an interior point a support distance of 0.86, both silently
+        V = g.regular_simplex(2).vertices
+        P = 2.0 * V if extra is None else np.vstack([V, extra])
+
+        def draw(*args, **kw):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(fn, "sample_mean", draw)
+        with pytest.raises(iso.MeasureError, match="unit vectors"):
+            st.extremality_check(P, n_samples=1000, seed=0)
 
 
 class TestFlatSupport:
