@@ -311,7 +311,7 @@ def cmd_stability_run(args):
     sys.stderr.write(
         f"family={report.family} n={report.n} slope={report.slope:.4f}"
         f" +- {report.slope_stderr:.4f} R2={report.r_squared:.4f}"
-        f" distance={report.distance_used}\n")
+        f" distance={report.distance_used} deficits={report.deficit_method}\n")
     if any(r["bound_margin"] < 0 for r in rows):
         raise VerificationFailure("a stability bound margin is negative")
     return EXIT_OK

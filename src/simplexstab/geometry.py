@@ -64,16 +64,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _convex_hull(P: np.ndarray):
-    """(A, b, extreme, volume) of conv(P): facets A x <= b, one row each (Qhull's
-    simplices of a facet repeat its equation bit for bit), sorted indices of
-    the extreme points, volume.  A flat P raises DegenerateBodyError."""
+    """(A, b, extreme, volume, area) of conv(P): facets A x <= b, one row each
+    (Qhull's simplices of a facet repeat its equation bit for bit), sorted
+    indices of the extreme points, volume and surface area (the perimeter
+    in the plane).  A flat P raises DegenerateBodyError."""
     try:
         hull = ConvexHull(P)
     except QhullError:
         raise DegenerateBodyError("point set spans no full-dimensional hull") from None
     E = hull.equations                      # first copies by bytes, each row one void record
     E = E[np.sort(np.unique(E.view(f"V{E.itemsize * E.shape[1]}"), return_index=True)[1])]
-    return _readonly(E[:, :-1]), _readonly(-E[:, -1]), np.sort(hull.vertices), float(hull.volume)
+    return (_readonly(E[:, :-1]), _readonly(-E[:, -1]), np.sort(hull.vertices),
+            float(hull.volume), float(hull.area))
 
 
 class Polytope:
@@ -517,7 +519,7 @@ def vertex_enumeration(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             raise RepresentationError("halfspace intersection is flat")
         dual = A / (b - A @ center)[:, None]
     try:
-        E, off, _, _ = _convex_hull(dual)
+        E, off = _convex_hull(dual)[:2]
     except DegenerateBodyError:     # flat dual points: the body holds a line
         raise _UnboundedBodyError("halfspace intersection is unbounded") from None
     if not np.all(off > 0.0):

@@ -17,8 +17,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import functionals as fn
-from .geometry import (GeometryError, Polytope, _halfspaces_for_gauge, _hausdorff,
-                       _unit_halfspaces, gauge_many, point_set_hausdorff, polar,
+from .geometry import (GeometryError, Polytope, _convex_hull, _halfspaces_for_gauge,
+                       _hausdorff, _unit_halfspaces, gauge_many, point_set_hausdorff, polar,
                        regular_simplex, regular_simplex_polar, support_many,
                        symdiff_volume)
 from .isotropic import _check_unit_points, _isotropic_contact_fit
@@ -41,6 +41,9 @@ BOUND_EXPONENT = 26
 # tolerance of each condition of the certificate that the unit ball is the
 # Loewner/John ellipsoid, which ``measure_deficits`` checks for every polytope
 _NORMALISATION_TOL = 1e-6
+# Gaussian mean of a planar body's support function per unit perimeter: by
+# Cauchy's formula E h_L(G) = E|G| per(L) / (2 pi) = per(L) / (2 sqrt(2 pi))
+_PLANAR_MEAN_PER_PERIMETER = 1.0 / (2.0 * math.sqrt(2.0 * math.pi))
 
 
 class FamilyError(GeometryError):
@@ -48,7 +51,7 @@ class FamilyError(GeometryError):
 
 
 class InsufficientSignalError(RuntimeError):
-    """The measured deficits sit below the Monte-Carlo noise floor."""
+    """Too few measured deficits above the noise floor, or too narrow a span."""
 
 
 class NormalizationError(GeometryError):
@@ -72,7 +75,9 @@ class ExperimentRow:
     delta_H: float
     delta_vol: float
     bound_margin_log10: float
-    used_in_fit: bool         # above the noise floor with a positive distance
+    # a positive distance and a deficit above 3 eps_stderr: above the
+    # Monte-Carlo noise floor, or simply positive when closed form (stderr 0)
+    used_in_fit: bool
 
 
 @dataclass
@@ -84,6 +89,7 @@ class ExperimentReport:
     slope_stderr: float
     r_squared: float
     distance_used: str        # delta_vol | delta_H
+    deficit_method: str       # closed-form | mc-direct: how the deficits were measured
 
     CSV_COLUMNS = ("eps_nominal", "eps_measured", "eps_stderr", "delta_H", "delta_vol",
                    "bound_margin", "used_in_fit")
@@ -370,6 +376,26 @@ def _deficits(terms, n_samples: int, seed: int) -> list:
     return fn.sample_mean(gaps, n_samples, n, seed, scales)
 
 
+def _planar_deficit(K: Polytope, row: _Side, reference: float) -> fn.FunctionalEstimate:
+    """Closed-form deficit of a planar polytope K on a side whose simplex
+    mean is ``reference``.
+
+    K's mean is E h_L(G) = per(L) / (2 sqrt(2 pi)) (Cauchy's formula) with
+    L = conv V_K for a support side and L = K° = conv{a_j / b_j}, over K's
+    gauge rows, for a gauge side (g_K = h_K°).  The perimeter is that of
+    K's cached hull or of one hull of the polar points.  The deficit is the
+    side's gap over ``reference``, signed as the gap is, with stderr 0.
+    """
+    if row.body is support_many:
+        perimeter = K._vertex_hull()[4]
+    else:
+        A, b = _halfspaces_for_gauge(K)
+        perimeter = _convex_hull(A / b[:, None])[4]
+    ratio = perimeter * _PLANAR_MEAN_PER_PERIMETER / reference
+    return fn.FunctionalEstimate(ratio - 1.0 if row.body_upper else 1.0 - ratio,
+                                 0.0, "closed-form", 0)
+
+
 def measure_deficit(K, side: str, n_samples: int = fn.DEFAULT_SAMPLES, seed: int = 0):
     """Relative deficit of K against the extremal simplex value.
 
@@ -384,17 +410,25 @@ def measure_deficit(K, side: str, n_samples: int = fn.DEFAULT_SAMPLES, seed: int
 
 def measure_deficits(bodies, side: str, n_samples: int = fn.DEFAULT_SAMPLES,
                      seed: int = 0) -> list:
-    """Deficits (as in ``measure_deficit``) of bodies of one dimension on
-    one common Gaussian sample, one (deficit, stderr) pair per body.
+    """Deficits (as in ``measure_deficit``) of bodies of one dimension, one
+    (deficit, stderr) pair per body.
 
     The side is a row of the side table ``_SIDES``, whose ellipsoid is
     checked to be the unit ball for every polytope by John's contact
-    certificate (``_check_unit_ball_normalisation``).  The deficits come
-    from ``_deficits``, the kernel ``extremality_check`` shares, with one
-    paired column per body against one simplex evaluation per chunk.  No
-    bodies give no deficits and draw nothing; bodies of several dimensions
-    raise ``GeometryError``.
+    certificate (``_check_unit_ball_normalisation``).  A planar polytope's
+    deficit is closed form (``_planar_deficit``) with stderr 0, whatever
+    ``n_samples`` and ``seed``.  The other bodies (balls, ellipsoids, and
+    every body of dimension 3 or more) share one Gaussian sample in
+    ``_deficits``, the kernel ``extremality_check`` samples with, one paired
+    column per body against one simplex evaluation per chunk; a call with
+    none of them draws nothing.  No bodies give no deficits; bodies of
+    several dimensions raise ``GeometryError``.
     """
+    return [(e.value, e.stderr) for e in _deficit_estimates(bodies, side, n_samples, seed)]
+
+
+def _deficit_estimates(bodies, side: str, n_samples: int, seed: int) -> list:
+    """``measure_deficits`` as one ``FunctionalEstimate`` per body."""
     if side not in _SIDES:
         raise ValueError("side must be 'lowner', 'john' or 'lowner-width'")
     bodies = list(bodies)
@@ -406,7 +440,16 @@ def measure_deficits(bodies, side: str, n_samples: int = fn.DEFAULT_SAMPLES,
     for K in bodies:
         if isinstance(K, Polytope):
             _check_unit_ball_normalisation(K, side)
-    return [(e.value, e.stderr) for e in _deficits([(K, side) for K in bodies], n_samples, seed)]
+    planar = {i: K for i, K in enumerate(bodies) if isinstance(K, Polytope) and K.n == 2}
+    sampled = [i for i in range(len(bodies)) if i not in planar]
+    out = {}
+    if sampled:
+        out.update(zip(sampled, _deficits([(bodies[i], side) for i in sampled], n_samples, seed)))
+    if planar:
+        row = _SIDES[side]
+        reference = (2 if row.oracle_times_n else 1) * fn.simplex_ell_oracle(2)
+        out.update((i, _planar_deficit(K, row, reference)) for i, K in planar.items())
+    return [out[i] for i in range(len(bodies))]
 
 
 def stability_bound_log10(n: int, eps_measured: float, delta: float) -> float:
@@ -422,9 +465,12 @@ def fit_exponent(family: ExtremalFamily, n_samples: int = fn.DEFAULT_SAMPLES,
     """Empirical stability exponent of a family: slope of log(distance) against
     log(measured deficit).
 
-    Deficits across the grid are measured together on one Gaussian sample
-    (common random numbers), the rotation comes from the alignment search,
-    and rows whose deficit is below three standard errors are discarded; at
+    Deficits across the grid come from ``measure_deficits``: closed form at
+    n = 2, otherwise measured together on one Gaussian sample (common
+    random numbers).  The rotation comes from the alignment search.  Rows
+    with a non-positive deficit or a zero distance are discarded, and so
+    are sampled rows whose deficit is below three standard errors (the
+    noise floor, which a closed-form row with stderr 0 never meets); at
     least five rows spanning 1.5 decades of measured deficit are required.
     Vertex-added families regress the exact symmetric-difference volume
     between the body and the aligned target; corner-cut and
@@ -435,8 +481,9 @@ def fit_exponent(family: ExtremalFamily, n_samples: int = fn.DEFAULT_SAMPLES,
     target = _SIDES[family.side].fit_simplex(n)
     use_vol = family.kind in ("vertex-added", "polar-vertex-added")
     rows, deltas = [], []
-    deficits = measure_deficits(family.bodies, family.side, n_samples=n_samples, seed=seed)
-    for eps, K, (deficit, d_stderr) in zip(family.eps_grid, family.bodies, deficits):
+    estimates = _deficit_estimates(family.bodies, family.side, n_samples, seed)
+    for eps, K, est in zip(family.eps_grid, family.bodies, estimates):
+        deficit, d_stderr = est.value, est.stderr
         res = align_to_simplex(K, target, n_restarts=align_restarts, seed=seed + 1)
         dvol = (symdiff_volume(K, Polytope(vertices=target.vertices @ res.rotation.T,
                                            check=False))
@@ -452,8 +499,12 @@ def fit_exponent(family: ExtremalFamily, n_samples: int = fn.DEFAULT_SAMPLES,
         deltas.append(delta)
     usable = [(r.eps_measured, delta) for r, delta in zip(rows, deltas) if r.used_in_fit]
     if len(usable) < 5:
+        nonpositive = sum(not (r.eps_measured > 0 and delta > 0)
+                          for r, delta in zip(rows, deltas))
         raise InsufficientSignalError(
-            f"only {len(usable)} grid points above the noise floor")
+            f"only {len(usable)} grid points above the noise floor: "
+            f"{len(rows) - len(usable) - nonpositive} under 3 standard errors, "
+            f"{nonpositive} with a non-positive deficit or zero distance")
     x = np.log10([eps for eps, _ in usable])
     y = np.log10([delta for _, delta in usable])
     if x.max() - x.min() < 1.5:
@@ -469,7 +520,9 @@ def fit_exponent(family: ExtremalFamily, n_samples: int = fn.DEFAULT_SAMPLES,
     return ExperimentReport(family=family.kind, n=n, rows=rows,
                             slope=float(slope), slope_stderr=slope_se,
                             r_squared=r2,
-                            distance_used="delta_vol" if use_vol else "delta_H")
+                            distance_used="delta_vol" if use_vol else "delta_H",
+                            # one dimension and all polytopes: one method for every row
+                            deficit_method=estimates[0].method)
 
 
 def sandwich_check(contact_points: np.ndarray, eta: float,

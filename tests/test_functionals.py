@@ -190,11 +190,12 @@ class TestSampler:
         assert (est.method, est.samples) == ("mc-direct", 4)
 
     def test_measure_deficit_uses_the_chunks(self):
-        K = st.make_family("vertex-added", 2, [0.05]).bodies[0]
-        ref = g.regular_simplex(2)
+        # at n = 3, where the deficits are sampled
+        K = st.make_family("vertex-added", 3, [0.05]).bodies[0]
+        ref = g.regular_simplex(3)
         values = np.concatenate([g.gauge_many(ref, X) - g.gauge_many(K, X)
-                                 for X in self._chunks(5, 2)])
-        want = fn.estimate(values, 1.0 / (2 * fn.simplex_ell_oracle(2)))
+                                 for X in self._chunks(5, 3)])
+        want = fn.estimate(values, 1.0 / (3 * fn.simplex_ell_oracle(3)))
         assert st.measure_deficit(K, "lowner", n_samples=self.N, seed=5) == (
             want.value, want.stderr)
 

@@ -362,6 +362,81 @@ class TestFitExponent:
             st.fit_exponent(fam, n_samples=50_000, seed=13)
 
 
+class TestPlanarClosedForm:
+    """Planar polytope deficits from Cauchy's formula, E h_L(G) = per(L) / (2 sqrt(2 pi))."""
+
+    @pytest.mark.parametrize("side, body", [("lowner", g.regular_simplex),
+                                            ("lowner-width", g.regular_simplex),
+                                            ("john", g.regular_simplex_polar)])
+    def test_simplex_deficits_vanish(self, side, body):
+        [(deficit, stderr)] = st.measure_deficits([body(2)], side)
+        assert abs(deficit) <= 1e-13 and stderr == 0.0
+
+    @pytest.mark.parametrize("kind", st.FAMILY_KINDS)
+    def test_families_agree_with_the_sampled_gap(self, kind):
+        fam = st.make_family(kind, 2, np.geomspace(1e-3, 0.09, 3))
+        exact = st.measure_deficits(fam.bodies, fam.side)
+        sampled = st._deficits([(K, fam.side) for K in fam.bodies], 1 << 20, 31)
+        for (deficit, stderr), est in zip(exact, sampled):
+            assert stderr == 0.0 and est.method == "mc-direct"
+            assert abs(deficit - est.value) <= 3.0 * est.stderr
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_off_centre_polygons_agree_with_the_sampled_means(self, seed):
+        # the closed-form means are read through unit references, where the
+        # upper sides' deficit is the mean minus 1
+        rng = make_rng(seed)
+        K = g.Polytope(vertices=rng.standard_normal((9, 2)) + rng.uniform(-0.2, 0.2, 2))
+        assert np.all(K.halfspaces[1] > 0)
+        gauge = st._planar_deficit(K, st._SIDES["john"], 1.0).value + 1.0
+        support = st._planar_deficit(K, st._SIDES["lowner-width"], 1.0).value + 1.0
+        ell = fn.ell_norm(K, n_samples=1 << 20, seed=seed)
+        assert abs(gauge - ell.value) <= 3.0 * ell.stderr
+        width = fn.mean_width(K, n_samples=1 << 20, seed=seed)
+        half_ell = 0.5 * fn.ell_ball(2)
+        assert abs(support - half_ell * width.value) <= 3.0 * half_ell * width.stderr
+
+    def test_closed_form_draws_no_sample(self, monkeypatch):
+        fam = st.make_family("vertex-added", 2, [1e-3, 0.05])
+        want = st.measure_deficits(fam.bodies, fam.side)
+
+        def no_draw(*args):
+            raise AssertionError("a closed-form deficit drew samples")
+
+        monkeypatch.setattr(st, "_deficits", no_draw)
+        assert st.measure_deficits(fam.bodies, fam.side, n_samples=10, seed=9) == want
+
+    def test_balls_keep_sampling_beside_polytopes(self):
+        K = st.make_family("vertex-added", 2, [0.05]).bodies[0]
+        ball = g.Ball(1.0, 2)
+        mixed = st.measure_deficits([ball, K], "lowner", n_samples=20_000, seed=3)
+        assert mixed == [st.measure_deficit(ball, "lowner", n_samples=20_000, seed=3),
+                         st.measure_deficit(K, "lowner")]
+        assert mixed[0][1] > 0.0 and mixed[1][1] == 0.0
+
+    def test_fit_uses_every_exact_row(self):
+        # 9 points down to 1e-6, where 8000 samples lost two rows to the
+        # noise floor when these deficits were sampled
+        fam = st.make_family("corner-cut", 2, np.geomspace(1e-6, 9e-2, 9))
+        rep = st.fit_exponent(fam, n_samples=20_000, seed=4)
+        assert rep.deficit_method == "closed-form"
+        assert all(r.used_in_fit and r.eps_stderr == 0.0 for r in rep.rows)
+
+    def test_sampled_fit_reports_its_method(self):
+        fam = st.make_family("corner-cut", 3, np.geomspace(2e-3, 9e-2, 6))
+        rep = st.fit_exponent(fam, n_samples=100_000, seed=4, align_restarts=1)
+        assert rep.deficit_method == "mc-direct"
+        assert all(r.eps_stderr > 0.0 for r in rep.rows)
+
+    def test_insufficient_signal_counts_the_rows(self):
+        fam = st.make_family("corner-cut", 3, np.geomspace(1e-6, 1e-3, 6))
+        with pytest.raises(st.InsufficientSignalError,
+                           match=r"only 0 grid points above the noise floor: "
+                                 r"\d+ under 3 standard errors, \d+ with a "
+                                 r"non-positive deficit or zero distance"):
+            st.fit_exponent(fam, n_samples=20_000, seed=3, align_restarts=1)
+
+
 def _perturbed_contacts(n, angle, seed):
     rng = make_rng(seed)
     out = []
