@@ -12,7 +12,8 @@ them in chunk order by the pairwise update of Chan, Golub and LeVeque
 ``estimate`` is the same merge over ``CHUNK_SAMPLES`` slices of values
 already in hand, so the two give the same bits on the same values.  Every
 Monte-Carlo estimate of the package is a mean with its standard error from
-``sample_mean``; closed-form values carry a zero standard error.  The exact
+``sample_mean``; closed-form values draw no sample, and their ``stderr`` is
+a stated bound on their rounding (0 where the value is exact).  The exact
 values for the ball and the regular simplex serve as independent oracles
 for the sampling paths.
 """
@@ -64,7 +65,8 @@ def default_workers() -> int:
 
 @dataclass(frozen=True)
 class FunctionalEstimate:
-    """A functional value with its standard error and provenance."""
+    """A functional value with its error and provenance: a Monte-Carlo
+    standard error, or for a closed form a bound on its rounding."""
     value: float
     stderr: float
     method: str        # "mc-direct" | "closed-form"
@@ -73,8 +75,8 @@ class FunctionalEstimate:
     def __post_init__(self):
         if self.stderr < 0:
             raise ValueError("negative standard error")
-        if self.method == "closed-form" and self.stderr != 0.0:
-            raise ValueError("closed-form estimates carry zero standard error")
+        if self.method == "closed-form" and self.samples != 0:
+            raise ValueError("closed-form estimates draw no samples")
 
 
 def ell_ball(n: int) -> float:

@@ -64,18 +64,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _convex_hull(P: np.ndarray):
-    """(A, b, extreme, volume, area) of conv(P): facets A x <= b, one row each
-    (Qhull's simplices of a facet repeat its equation bit for bit), sorted
-    indices of the extreme points, volume and surface area (the perimeter
-    in the plane).  A flat P raises DegenerateBodyError."""
+    """(A, b, extreme, volume, triangulation) of conv(P): facets A x <= b,
+    one row each, sorted indices of the extreme points, the volume, and
+    Qhull's triangulated boundary as built, with no arithmetic added: the
+    (simplices, neighbors, equations) arrays, neighbour j of a simplex lying
+    opposite its vertex j.  The simplices of one facet repeat its equation
+    bit for bit, which is what merges them into one row of A.  A flat P
+    raises DegenerateBodyError."""
     try:
         hull = ConvexHull(P)
     except QhullError:
         raise DegenerateBodyError("point set spans no full-dimensional hull") from None
     E = hull.equations                      # first copies by bytes, each row one void record
-    E = E[np.sort(np.unique(E.view(f"V{E.itemsize * E.shape[1]}"), return_index=True)[1])]
-    return (_readonly(E[:, :-1]), _readonly(-E[:, -1]), np.sort(hull.vertices),
-            float(hull.volume), float(hull.area))
+    rows = E[np.sort(np.unique(E.view(f"V{E.itemsize * E.shape[1]}"), return_index=True)[1])]
+    return (_readonly(rows[:, :-1]), _readonly(-rows[:, -1]), np.sort(hull.vertices),
+            float(hull.volume), (hull.simplices, hull.neighbors, E))
 
 
 class Polytope:
@@ -132,10 +135,6 @@ class Polytope:
     @property
     def n(self) -> int:
         return self._n
-
-    @property
-    def has_vertices(self) -> bool:
-        return self._vertices is not None
 
     @property
     def has_halfspaces(self) -> bool:

@@ -41,9 +41,14 @@ BOUND_EXPONENT = 26
 # tolerance of each condition of the certificate that the unit ball is the
 # Loewner/John ellipsoid, which ``measure_deficits`` checks for every polytope
 _NORMALISATION_TOL = 1e-6
-# Gaussian mean of a planar body's support function per unit perimeter: by
-# Cauchy's formula E h_L(G) = E|G| per(L) / (2 pi) = per(L) / (2 sqrt(2 pi))
-_PLANAR_MEAN_PER_PERIMETER = 1.0 / (2.0 * math.sqrt(2.0 * math.pi))
+# largest dimension whose polytope deficits are closed form (``_exact_deficit``)
+_EXACT_MAX_DIM = 3
+# Gaussian mean of a body's support function per unit of its first intrinsic
+# volume: Kubota's formula w(L) = 2 kappa_{n-1} V_1(L) / (n kappa_n) times
+# E|G| / 2 gives E h_L(G) = V_1(L) / sqrt(2 pi) in every dimension
+_MEAN_PER_V1 = 1.0 / math.sqrt(2.0 * math.pi)
+# unit roundoff of float64, the unit of the closed forms' rounding bounds
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class FamilyError(GeometryError):
@@ -76,7 +81,7 @@ class ExperimentRow:
     delta_vol: float
     bound_margin_log10: float
     # a positive distance and a deficit above 3 eps_stderr: above the
-    # Monte-Carlo noise floor, or simply positive when closed form (stderr 0)
+    # Monte-Carlo noise floor, or above 3 rounding bounds when closed form
     used_in_fit: bool
 
 
@@ -238,7 +243,10 @@ def _align(directions: np.ndarray, targets: np.ndarray, objective,
 
 def align_to_simplex(K: Polytope, target: Polytope, n_restarts: int = 20,
                      seed: int = 0) -> AlignmentResult:
-    """Best rotation T minimising the Hausdorff distance of K to T target.
+    """A rotation T with small Hausdorff distance of K to T target: the
+    search's local minimum, not the minimum over rotations.  When the
+    distance is small it can stop well above that minimum, because its
+    Givens steps do not shrink with the distance.
 
     The search seeds orthogonal Procrustes fits from a Hungarian matching
     of the extreme directions plus random restarts, then refines the best
@@ -300,6 +308,20 @@ def _worst_angle_alignment(points: np.ndarray, n: int, seed: int = 0):
     return W @ R.T, angle
 
 
+def _vertex_points(K: Polytope):
+    """K's vertices and their triangulated hull (K's cached hull): the
+    body L = conv V_K whose support function is h_K."""
+    return K.vertices, K._vertex_hull()[4]
+
+
+def _polar_points(K: Polytope):
+    """The points a_j / b_j of K's gauge rows and one triangulated hull of
+    them: the body L = K° whose support function is g_K."""
+    A, b = _halfspaces_for_gauge(K)
+    P = A / b[:, None]
+    return P, _convex_hull(P)[4]
+
+
 @dataclass(frozen=True)
 class _Side:                  # a side of the deficits: how a body K pairs with the simplex S
     body: object              # K's functional: gauge_many or support_many
@@ -308,12 +330,16 @@ class _Side:                  # a side of the deficits: how a body K pairs with 
     oracle_times_n: bool      # gap over n * oracle, the mean of gauge_many(S), else over oracle
     ellipsoid: str            # lowner | john: the ellipsoid that must be the unit ball
     fit_simplex: object       # the simplex a fit aligns K to
+    hull: object              # K -> the points and triangulation of L, h_L being K's functional
 
 
 _SIDES = {
-    "lowner": _Side(gauge_many, gauge_many, False, True, "lowner", regular_simplex),
-    "john": _Side(gauge_many, support_many, True, False, "john", regular_simplex_polar),
-    "lowner-width": _Side(support_many, support_many, True, False, "lowner", regular_simplex),
+    "lowner": _Side(gauge_many, gauge_many, False, True, "lowner", regular_simplex,
+                    _polar_points),
+    "john": _Side(gauge_many, support_many, True, False, "john", regular_simplex_polar,
+                  _polar_points),
+    "lowner-width": _Side(support_many, support_many, True, False, "lowner", regular_simplex,
+                          _vertex_points),
 }
 
 
@@ -376,24 +402,79 @@ def _deficits(terms, n_samples: int, seed: int) -> list:
     return fn.sample_mean(gaps, n_samples, n, seed, scales)
 
 
-def _planar_deficit(K: Polytope, row: _Side, reference: float) -> fn.FunctionalEstimate:
-    """Closed-form deficit of a planar polytope K on a side whose simplex
+def _first_intrinsic_volume(P: np.ndarray, triangulation):
+    """(V_1, bound) of conv P at n = 2 or 3 from its Qhull triangulation
+    (``_convex_hull``): the first intrinsic volume and a bound on its
+    floating-point rounding.
+
+    At n = 2, V_1 is half the perimeter, a sum over the hull's edges.  At
+    n = 3 it is sum_e |e| psi_e / (2 pi) over the edges e shared by two
+    neighbouring triangles, psi_e the angle between their outer unit
+    normals, taken as atan2(|u x v|, u . v), which keeps its accuracy near
+    0 where arccos(u . v) loses it (Schneider, Convex Bodies, 2nd ed. 2014,
+    sec. 4.2).  Triangles of one facet repeat its equation bit for bit,
+    so their shared edges add exactly 0.
+
+    The bound counts the operations, in units of the unit roundoff eps: the
+    sum of the m nonnegative terms is off by at most (m - 1) eps of itself;
+    each term and the scalings ``_exact_deficit`` applies to V_1 add at most
+    21 eps relative; and the angles, whose normals Qhull rounds, move by at
+    most 32 eps each, which adds 32 eps sum_e |e| / (2 pi).
+    """
+    simplices, neighbors, equations = triangulation
+    if P.shape[1] == 2:
+        terms = np.linalg.norm(P[simplices[:, 0]] - P[simplices[:, 1]], axis=1)
+        scale, angle_slack = 0.5, 0.0
+    else:
+        i, j = np.nonzero(np.arange(len(simplices))[:, None] < neighbors)
+        k = neighbors[i, j]
+        ends = simplices[i, (j + 1) % 3], simplices[i, (j + 2) % 3]
+        lengths = np.linalg.norm(P[ends[0]] - P[ends[1]], axis=1)
+        u, v = equations[i, :3], equations[k, :3]
+        psi = np.arctan2(np.linalg.norm(np.cross(u, v), axis=1), np.einsum("ij,ij->i", u, v))
+        terms = lengths * psi
+        scale, angle_slack = 0.5 / math.pi, 32.0 * float(lengths.sum())
+    total = float(terms.sum())
+    bound = _UNIT_ROUNDOFF * ((len(terms) + 20) * total + angle_slack)
+    return scale * total, scale * bound
+
+
+def _exact_deficit(K: Polytope, row: _Side, reference: float) -> fn.FunctionalEstimate:
+    """Closed-form deficit of a polytope K at n <= 3 on a side whose simplex
     mean is ``reference``.
 
-    K's mean is E h_L(G) = per(L) / (2 sqrt(2 pi)) (Cauchy's formula) with
+    K's mean is E h_L(G) = V_1(L) / sqrt(2 pi) (``_MEAN_PER_V1``) with
     L = conv V_K for a support side and L = K° = conv{a_j / b_j}, over K's
-    gauge rows, for a gauge side (g_K = h_K°).  The perimeter is that of
-    K's cached hull or of one hull of the polar points.  The deficit is the
-    side's gap over ``reference``, signed as the gap is, with stderr 0.
+    gauge rows, for a gauge side (g_K = h_K°): the side's ``hull``, K's
+    cached hull or one hull of the polar points.  The deficit is the side's
+    gap over ``reference``, signed as the gap is.  Its stderr is the bound
+    of ``_first_intrinsic_volume`` on the rounding, carried through to the
+    deficit, plus one rounding of the final subtraction; no sample is drawn.
     """
-    if row.body is support_many:
-        perimeter = K._vertex_hull()[4]
-    else:
-        A, b = _halfspaces_for_gauge(K)
-        perimeter = _convex_hull(A / b[:, None])[4]
-    ratio = perimeter * _PLANAR_MEAN_PER_PERIMETER / reference
-    return fn.FunctionalEstimate(ratio - 1.0 if row.body_upper else 1.0 - ratio,
-                                 0.0, "closed-form", 0)
+    v1, v1_bound = _first_intrinsic_volume(*row.hull(K))
+    ratio = v1 * _MEAN_PER_V1 / reference
+    deficit = ratio - 1.0 if row.body_upper else 1.0 - ratio
+    bound = ratio * v1_bound / v1 + _UNIT_ROUNDOFF * abs(deficit)
+    return fn.FunctionalEstimate(deficit, bound, "closed-form", 0)
+
+
+def _term_deficits(terms, n_samples: int, seed: int) -> list:
+    """One ``FunctionalEstimate`` per (body, side) term, the bodies of one
+    dimension: closed form (``_exact_deficit``) for a polytope at
+    n <= ``_EXACT_MAX_DIM``, the other terms on one Gaussian sample in
+    ``_deficits``, which draws nothing when every term is closed form.
+    Nothing here checks the normalisation: callers check what they need."""
+    n = terms[0][0].n
+    exact = [isinstance(K, Polytope) and n <= _EXACT_MAX_DIM for K, _ in terms]
+    rest = [t for t, e in zip(terms, exact) if not e]
+    sampled = iter(_deficits(rest, n_samples, seed) if rest else ())
+    oracle = fn.simplex_ell_oracle(n) if any(exact) else None
+    out = []
+    for (K, side), e in zip(terms, exact):
+        row = _SIDES[side]
+        out.append(_exact_deficit(K, row, (n if row.oracle_times_n else 1) * oracle) if e
+                   else next(sampled))
+    return out
 
 
 def measure_deficit(K, side: str, n_samples: int = fn.DEFAULT_SAMPLES, seed: int = 0):
@@ -415,14 +496,15 @@ def measure_deficits(bodies, side: str, n_samples: int = fn.DEFAULT_SAMPLES,
 
     The side is a row of the side table ``_SIDES``, whose ellipsoid is
     checked to be the unit ball for every polytope by John's contact
-    certificate (``_check_unit_ball_normalisation``).  A planar polytope's
-    deficit is closed form (``_planar_deficit``) with stderr 0, whatever
-    ``n_samples`` and ``seed``.  The other bodies (balls, ellipsoids, and
-    every body of dimension 3 or more) share one Gaussian sample in
-    ``_deficits``, the kernel ``extremality_check`` samples with, one paired
-    column per body against one simplex evaluation per chunk; a call with
-    none of them draws nothing.  No bodies give no deficits; bodies of
-    several dimensions raise ``GeometryError``.
+    certificate (``_check_unit_ball_normalisation``).  The deficit of a
+    polytope at n <= 3 is closed form (``_exact_deficit``), whatever
+    ``n_samples`` and ``seed``, and its stderr is a bound on its rounding.
+    The other bodies (balls, ellipsoids, and polytopes at n >= 4) share one
+    Gaussian sample in ``_deficits``, one paired column per body against one
+    simplex evaluation per chunk; a call with none of them draws nothing.
+    ``extremality_check`` takes the same split (``_term_deficits``).  No
+    bodies give no deficits; bodies of several dimensions raise
+    ``GeometryError``.
     """
     return [(e.value, e.stderr) for e in _deficit_estimates(bodies, side, n_samples, seed)]
 
@@ -440,16 +522,7 @@ def _deficit_estimates(bodies, side: str, n_samples: int, seed: int) -> list:
     for K in bodies:
         if isinstance(K, Polytope):
             _check_unit_ball_normalisation(K, side)
-    planar = {i: K for i, K in enumerate(bodies) if isinstance(K, Polytope) and K.n == 2}
-    sampled = [i for i in range(len(bodies)) if i not in planar]
-    out = {}
-    if sampled:
-        out.update(zip(sampled, _deficits([(bodies[i], side) for i in sampled], n_samples, seed)))
-    if planar:
-        row = _SIDES[side]
-        reference = (2 if row.oracle_times_n else 1) * fn.simplex_ell_oracle(2)
-        out.update((i, _planar_deficit(K, row, reference)) for i, K in planar.items())
-    return [out[i] for i in range(len(bodies))]
+    return _term_deficits([(K, side) for K in bodies], n_samples, seed)
 
 
 def stability_bound_log10(n: int, eps_measured: float, delta: float) -> float:
@@ -466,12 +539,12 @@ def fit_exponent(family: ExtremalFamily, n_samples: int = fn.DEFAULT_SAMPLES,
     log(measured deficit).
 
     Deficits across the grid come from ``measure_deficits``: closed form at
-    n = 2, otherwise measured together on one Gaussian sample (common
+    n <= 3, otherwise measured together on one Gaussian sample (common
     random numbers).  The rotation comes from the alignment search.  Rows
     with a non-positive deficit or a zero distance are discarded, and so
-    are sampled rows whose deficit is below three standard errors (the
-    noise floor, which a closed-form row with stderr 0 never meets); at
-    least five rows spanning 1.5 decades of measured deficit are required.
+    are rows whose deficit is below three standard errors (the noise floor;
+    a closed-form row's stderr is its rounding bound); at least five rows
+    spanning 1.5 decades of measured deficit are required.
     Vertex-added families regress the exact symmetric-difference volume
     between the body and the aligned target; corner-cut and
     stretched-vertex families regress the Hausdorff distance and report
@@ -591,18 +664,23 @@ def extremality_check(mu_points: np.ndarray, n_samples: int = fn.DEFAULT_SAMPLES
     The gauge mean of C falls below the inscribed-simplex value and that of
     its polar exceeds the circumscribed value, both with equality exactly
     for a regular simplex: C's ``lowner`` and ``lowner-width`` deficits,
-    from the kernel of ``measure_deficits`` on one sample.  Returns them
-    with standard errors and the support's distance to the aligned simplex.
-    Points that are not unit vectors raise ``MeasureError`` before any draw.
+    split as in ``measure_deficits`` (``_term_deficits``).  At n <= 3 they
+    are closed form, their stderr a bound on the rounding, and no sample is
+    drawn; ``n_samples`` and the sample's ``seed`` act only at n >= 4, where
+    both deficits share one sample.  ``seed`` also seeds the restarts of
+    the alignment.  Returns the deficits with their stderrs, how they were
+    measured (``deficit_method``: closed-form | mc-direct) and the support's
+    distance to the aligned simplex.  Points that are not unit vectors raise
+    ``MeasureError`` before any hull or draw.
     """
     P = np.atleast_2d(mu_points)
     _check_unit_points(P)
     n = P.shape[1]
     C = Polytope(vertices=P, check=False)
-    lowner, john = _deficits([(C, "lowner"), (C, "lowner-width")], n_samples, seed)
+    lowner, john = _term_deficits([(C, "lowner"), (C, "lowner-width")], n_samples, seed)
     _, dist = align_points_to_simplex_vertices(P, n, seed=seed)
     return {
         "lowner_deficit": lowner.value, "lowner_stderr": lowner.stderr,
         "john_deficit": john.value, "john_stderr": john.stderr,
-        "support_distance": dist,
+        "deficit_method": lowner.method, "support_distance": dist,
     }

@@ -288,10 +288,10 @@ class TestStabilityCommand:
         assert all(float(r["bound_margin"]) > 0 for r in rows)
 
     def test_used_in_fit_marks_the_rows_above_the_noise_floor(self, tmp_path, capsys):
-        # at n = 3 the deficits are sampled, and at 200000 samples the
+        # at n = 4 the deficits are sampled, and at 200000 samples the
         # smallest ones fall under 3 standard errors
         out = tmp_path / "report.csv"
-        assert run_cli(["stability", "run", "--family", "corner-cut", "--n", "3",
+        assert run_cli(["stability", "run", "--family", "stretched-vertex", "--n", "4",
                         "--eps", "1e-6..9e-2:9", "--samples", "200000", "--seed", "4",
                         "--out", str(out)]) == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
@@ -302,18 +302,26 @@ class TestStabilityCommand:
         assert "True" in flags and "False" in flags
 
     def test_planar_rows_ignore_the_sample_count(self, tmp_path, capsys):
-        # n = 2 deficits are closed form, so only the sampled rows of n >= 3 see --samples
+        # n = 2 deficits are closed form, so only the sampled rows of n >= 4 see --samples
+        self._assert_rows_ignore_the_sample_count(2, tmp_path, capsys)
+
+    def test_three_dimensional_rows_ignore_the_sample_count(self, tmp_path, capsys):
+        self._assert_rows_ignore_the_sample_count(3, tmp_path, capsys)
+
+    @staticmethod
+    def _assert_rows_ignore_the_sample_count(n, tmp_path, capsys):
         texts = []
         for samples in ("20000", "400000"):
-            out = tmp_path / f"report-{samples}.csv"
-            assert run_cli(["stability", "run", "--family", "corner-cut", "--n", "2",
+            out = tmp_path / f"report-{n}-{samples}.csv"
+            assert run_cli(["stability", "run", "--family", "corner-cut", "--n", str(n),
                             "--eps", "1e-6..9e-2:9", "--samples", samples, "--seed", "4",
                             "--out", str(out)]) == 0
             texts.append(out.read_text())
             assert "deficits=closed-form" in capsys.readouterr().err
         assert texts[0] == texts[1]
         rows = list(csv.DictReader(texts[0].splitlines()))
-        assert {r["eps_stderr"] for r in rows} == {"0.0"}
+        # a closed-form row's stderr is the bound on its rounding
+        assert all(0.0 < float(r["eps_stderr"]) <= 1e-14 for r in rows)
         assert {r["used_in_fit"] for r in rows} == {"True"}
 
     @pytest.mark.parametrize("eps", ["1e-3..1e-2:0", "2e-3..9e-2:3"])

@@ -156,9 +156,12 @@ class TestMeanEllCrosscheck:
 
 
 class TestEstimateInvariants:
-    def test_closed_form_has_zero_stderr(self):
+    def test_closed_form_draws_no_samples(self):
+        # a closed form's stderr is the bound on its rounding, so it may be
+        # positive; what it cannot have is samples
+        assert fn.FunctionalEstimate(1.0, 1e-15, "closed-form", 0).stderr == 1e-15
         with pytest.raises(ValueError):
-            fn.FunctionalEstimate(1.0, 0.1, "closed-form", 0)
+            fn.FunctionalEstimate(1.0, 0.0, "closed-form", 10)
 
     def test_negative_stderr_rejected(self):
         with pytest.raises(ValueError):
@@ -190,31 +193,32 @@ class TestSampler:
         assert (est.method, est.samples) == ("mc-direct", 4)
 
     def test_measure_deficit_uses_the_chunks(self):
-        # at n = 3, where the deficits are sampled
-        K = st.make_family("vertex-added", 3, [0.05]).bodies[0]
-        ref = g.regular_simplex(3)
+        # at n = 4, where the deficits are sampled
+        K = st.make_family("vertex-added", 4, [0.05]).bodies[0]
+        ref = g.regular_simplex(4)
         values = np.concatenate([g.gauge_many(ref, X) - g.gauge_many(K, X)
-                                 for X in self._chunks(5, 3)])
-        want = fn.estimate(values, 1.0 / (3 * fn.simplex_ell_oracle(3)))
+                                 for X in self._chunks(5, 4)])
+        want = fn.estimate(values, 1.0 / (4 * fn.simplex_ell_oracle(4)))
         assert st.measure_deficit(K, "lowner", n_samples=self.N, seed=5) == (
             want.value, want.stderr)
 
     def test_extremality_check_uses_the_chunks(self):
-        P = iso.orthonormal_measure(3).points
-        simplex = g.regular_simplex(3)
+        # at n = 4, where the deficits are sampled
+        P = iso.orthonormal_measure(4).points
+        simplex = g.regular_simplex(4)
         A, b = g.Polytope(vertices=P).halfspaces
         M = A / b[:, None]
         As, bs = simplex.halfspaces
         Ms = As / bs[:, None]
         W = simplex.vertices
         lowner, john = [], []
-        for X in self._chunks(8, 3):
+        for X in self._chunks(8, 4):
             # the row-major expressions of the gauges and support functions
             lowner.append(np.maximum(np.max(X @ Ms.T, axis=1), 0.0)
                           - np.maximum(np.max(X @ M.T, axis=1), 0.0))
             john.append(np.max(X @ P.T, axis=1) - np.max(X @ W.T, axis=1))
-        oracle = fn.simplex_ell_oracle(3)
-        want_lowner = fn.estimate(np.concatenate(lowner), 1.0 / (3 * oracle))
+        oracle = fn.simplex_ell_oracle(4)
+        want_lowner = fn.estimate(np.concatenate(lowner), 1.0 / (4 * oracle))
         want_john = fn.estimate(np.concatenate(john), 1.0 / oracle)
         rep = st.extremality_check(P, n_samples=self.N, seed=8)
         assert (rep["lowner_deficit"], rep["lowner_stderr"]) == (want_lowner.value,
