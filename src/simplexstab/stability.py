@@ -199,10 +199,10 @@ def _assignment_rotation(directions: np.ndarray, targets: np.ndarray) -> np.ndar
 
 
 def _align(directions: np.ndarray, targets: np.ndarray, objective,
-           n_restarts: int, seed: int, raw_restarts: bool = True,
-           sweeps: int = 3, step0: float = 0.05):
-    """Rotation R of the target configuration (targets @ R.T) minimising
-    ``objective(R)``; returns (R, value).
+           n_restarts: int, seed: int, sweeps: int, raw_restarts: bool = True,
+           step0: float = 0.05):
+    """Rotation R of the target configuration (targets @ R.T) with the smallest
+    ``objective(R)`` the local search below finds; returns (R, value).
 
     Candidates: the Hungarian/Procrustes fit of ``targets`` to the unit
     ``directions``, the identity, and per restart a random orthogonal Q
@@ -276,9 +276,9 @@ def align_to_simplex(K: Polytope, target: Polytope, n_restarts: int = 20,
 
 
 def align_points_to_simplex_vertices(points: np.ndarray, n: int, seed: int = 0):
-    """Regular-simplex vertex set (as a rotation of the standard one) closest
-    to the given unit points in point-set Hausdorff distance, from 20
-    random restarts.
+    """Regular-simplex vertex set (as a rotation of the standard one) nearest
+    the given unit points in point-set Hausdorff distance that the local
+    search (``_align``) finds from 20 random restarts.
 
     Returns (rotation, distance); the aligned vertices are the rows of
     regular_simplex(n).vertices @ rotation.T.
@@ -295,8 +295,8 @@ def align_points_to_simplex_vertices(points: np.ndarray, n: int, seed: int = 0):
 
 
 def _worst_angle_alignment(points: np.ndarray, n: int, seed: int = 0):
-    """Vertices of the rotated standard simplex minimising the worst angular
-    distance of each given unit point to its nearest vertex, and that angle."""
+    """Vertices of the rotated standard simplex, found by the local search, with
+    the smallest worst angle of a given unit point to its nearest vertex."""
     U = np.atleast_2d(points)
     W = regular_simplex(n).vertices
 
@@ -308,63 +308,63 @@ def _worst_angle_alignment(points: np.ndarray, n: int, seed: int = 0):
     return W @ R.T, angle
 
 
-def _vertex_points(K: Polytope):
-    """K's vertices and their triangulated hull (K's cached hull): the
-    body L = conv V_K whose support function is h_K."""
-    return K.vertices, K._vertex_hull()[4]
-
-
-def _polar_points(K: Polytope):
-    """The points a_j / b_j of K's gauge rows and one triangulated hull of
-    them: the body L = K° whose support function is g_K."""
+def _support_points(K: Polytope, functional: str) -> np.ndarray:
+    """The points whose hull has K's ``functional`` as its support function:
+    K's vertices for the support, and for the gauge (g_K = h_K°) the points
+    a_j / b_j of K's gauge rows, so no polar body is built (a row with
+    b_j <= 0 raises ``GaugeUndefinedError``)."""
+    if functional == "support":
+        return K.vertices
     A, b = _halfspaces_for_gauge(K)
-    P = A / b[:, None]
-    return P, _convex_hull(P)[4]
+    return A / b[:, None]
 
 
 @dataclass(frozen=True)
-class _Side:                  # a side of the deficits: how a body K pairs with the simplex S
-    body: object              # K's functional: gauge_many or support_many
-    simplex: object           # the paired functional of the inscribed simplex S
+class _Side:                  # a side of the deficits: one functional on K against it on S
+    functional: str           # gauge (Barthe's theorem) | support (Schmuckenschläger's)
+    simplex: str              # regular_simplex | regular_simplex_polar: S, which a fit aligns K to
     body_upper: bool          # K's value is the upper one of the gap
-    oracle_times_n: bool      # gap over n * oracle, the mean of gauge_many(S), else over oracle
-    ellipsoid: str            # lowner | john: the ellipsoid that must be the unit ball
-    fit_simplex: object       # the simplex a fit aligns K to
-    hull: object              # K -> the points and triangulation of L, h_L being K's functional
+
+    # names, looked up in this module when called: a wrapper swapped in for
+    # a binding (a tracer's) is the one called, and no comparison meets it
+    def evaluate(self, body, X: np.ndarray) -> np.ndarray:
+        return globals()[f"{self.functional}_many"](body, X)
+
+    def simplex_mean(self, n: int, oracle: float) -> float:
+        # n oracle for the gauge of the inscribed simplex, else the oracle (the
+        # gauge of the circumscribed one, bit for bit the inscribed one's support)
+        inscribed = self.simplex == "regular_simplex"
+        return (n if inscribed and self.functional == "gauge" else 1) * oracle
 
 
 _SIDES = {
-    "lowner": _Side(gauge_many, gauge_many, False, True, "lowner", regular_simplex,
-                    _polar_points),
-    "john": _Side(gauge_many, support_many, True, False, "john", regular_simplex_polar,
-                  _polar_points),
-    "lowner-width": _Side(support_many, support_many, True, False, "lowner", regular_simplex,
-                          _vertex_points),
+    "lowner": _Side("gauge", "regular_simplex", False),
+    "john": _Side("gauge", "regular_simplex_polar", True),
+    "lowner-width": _Side("support", "regular_simplex", True),
 }
 
 
 def _check_unit_ball_normalisation(K: Polytope, side: str) -> None:
     """Raise ``NormalizationError`` unless John's certificate shows the unit
-    ball B to be the ellipsoid the side names: K's Loewner or John ellipsoid.
+    ball B to be K's Loewner ellipsoid on a side of the inscribed simplex,
+    its John ellipsoid on that of the circumscribed one.
 
     By John's theorem and its converse (Ball 1992, Geom. Dedicata 41), B is
     the Loewner ellipsoid of a body K exactly when K lies in B and the
     contact points K ∩ S^{n-1} carry a centred isotropic measure.  The
     points read are K's vertices; on the John side, where B is the Loewner
     ellipsoid of the polar K°, they are the polar points a_j / b_j of K's
-    H-rep (a row with b_j <= 0 raises ``GaugeUndefinedError``), so no polar
-    body is built.  Each condition holds to ``_NORMALISATION_TOL``: no point
-    lies farther outside the sphere, at least one point lies that close to
-    it, and the renormalised contacts carry weights, fitted as in
-    ``john_contact_measure``, whose residuals are no larger (the rule of
-    ``JohnDecomposition.ok``).  The error names the condition that failed.
+    H-rep (``_support_points``).  Each condition holds to
+    ``_NORMALISATION_TOL``: no point lies farther outside the sphere, at
+    least one point lies that close to it, and the renormalised contacts
+    carry weights, fitted as in ``john_contact_measure``, whose residuals
+    are no larger (the rule of ``JohnDecomposition.ok``).  The error names
+    the condition that failed.
     """
-    ellipsoid, tol = _SIDES[side].ellipsoid, _NORMALISATION_TOL
-    if ellipsoid == "lowner":
-        P, what = K.vertices, "vertex"
-    else:
-        A, b = _halfspaces_for_gauge(K)
-        P, what = A / b[:, None], "polar point a_j/b_j"
+    lowner, tol = _SIDES[side].simplex == "regular_simplex", _NORMALISATION_TOL
+    ellipsoid, functional, what = (("lowner", "support", "vertex") if lowner
+                                   else ("john", "gauge", "polar point a_j/b_j"))
+    P = _support_points(K, functional)
     norms = np.linalg.norm(P, axis=1)
     failed = f"unit ball is not the {ellipsoid} ellipsoid"
     excess = float(norms.max()) - 1.0
@@ -386,19 +386,20 @@ def _check_unit_ball_normalisation(K: Polytope, side: str) -> None:
 def _deficits(terms, n_samples: int, seed: int) -> list:
     """One ``FunctionalEstimate`` per (body, side) term on one Gaussian sample:
     the mean of the term's paired gap, upper minus lower value of its side's
-    two functionals, over its side's exact simplex mean.  Each simplex
-    functional is evaluated once per chunk; terms do not affect each other."""
+    functional on K and on S, over S's exact mean.  Each side's S is
+    evaluated once per chunk; terms do not affect each other."""
     n = terms[0][0].n
-    simplex, oracle = regular_simplex(n), fn.simplex_ell_oracle(n)
-    rows = [(K, _SIDES[side]) for K, side in terms]
+    oracle = fn.simplex_ell_oracle(n)
+    rows = [(K, side, _SIDES[side]) for K, side in terms]
+    simplices = {side: globals()[row.simplex](n) for _, side, row in rows}
 
     def gaps(X):
-        values = {f: f(simplex, X) for f in dict.fromkeys(row.simplex for _, row in rows)}
-        pairs = ((row.body(K, X), values[row.simplex]) if row.body_upper
-                 else (values[row.simplex], row.body(K, X)) for K, row in rows)
+        values = {side: _SIDES[side].evaluate(S, X) for side, S in simplices.items()}
+        pairs = ((row.evaluate(K, X), values[side]) if row.body_upper
+                 else (values[side], row.evaluate(K, X)) for K, side, row in rows)
         return fn._gap_columns(len(rows), len(X), pairs)
 
-    scales = [1.0 / ((n if row.oracle_times_n else 1) * oracle) for _, row in rows]
+    scales = [1.0 / row.simplex_mean(n, oracle) for _, _, row in rows]
     return fn.sample_mean(gaps, n_samples, n, seed, scales)
 
 
@@ -443,15 +444,17 @@ def _exact_deficit(K: Polytope, row: _Side, reference: float) -> fn.FunctionalEs
     """Closed-form deficit of a polytope K at n <= 3 on a side whose simplex
     mean is ``reference``.
 
-    K's mean is E h_L(G) = V_1(L) / sqrt(2 pi) (``_MEAN_PER_V1``) with
-    L = conv V_K for a support side and L = K° = conv{a_j / b_j}, over K's
-    gauge rows, for a gauge side (g_K = h_K°): the side's ``hull``, K's
-    cached hull or one hull of the polar points.  The deficit is the side's
-    gap over ``reference``, signed as the gap is.  Its stderr is the bound
-    of ``_first_intrinsic_volume`` on the rounding, carried through to the
-    deficit, plus one rounding of the final subtraction; no sample is drawn.
+    K's mean is E h_L(G) = V_1(L) / sqrt(2 pi) (``_MEAN_PER_V1``) over the
+    points of L that ``_support_points`` gives for the side's functional:
+    K's vertices, triangulated by K's cached hull, or the polar points
+    a_j / b_j, triangulated by one hull of their own.  The deficit is the
+    side's gap over ``reference``, signed as the gap is, and its stderr the
+    rounding bound of ``_first_intrinsic_volume`` carried to the deficit
+    plus one rounding of the final subtraction; no sample is drawn.
     """
-    v1, v1_bound = _first_intrinsic_volume(*row.hull(K))
+    P = _support_points(K, row.functional)
+    hull = K._vertex_hull() if row.functional == "support" else _convex_hull(P)
+    v1, v1_bound = _first_intrinsic_volume(P, hull[4])
     ratio = v1 * _MEAN_PER_V1 / reference
     deficit = ratio - 1.0 if row.body_upper else 1.0 - ratio
     bound = ratio * v1_bound / v1 + _UNIT_ROUNDOFF * abs(deficit)
@@ -469,12 +472,8 @@ def _term_deficits(terms, n_samples: int, seed: int) -> list:
     rest = [t for t, e in zip(terms, exact) if not e]
     sampled = iter(_deficits(rest, n_samples, seed) if rest else ())
     oracle = fn.simplex_ell_oracle(n) if any(exact) else None
-    out = []
-    for (K, side), e in zip(terms, exact):
-        row = _SIDES[side]
-        out.append(_exact_deficit(K, row, (n if row.oracle_times_n else 1) * oracle) if e
-                   else next(sampled))
-    return out
+    return [_exact_deficit(K, _SIDES[side], _SIDES[side].simplex_mean(n, oracle)) if e
+            else next(sampled) for (K, side), e in zip(terms, exact)]
 
 
 def measure_deficit(K, side: str, n_samples: int = fn.DEFAULT_SAMPLES, seed: int = 0):
@@ -494,7 +493,7 @@ def measure_deficits(bodies, side: str, n_samples: int = fn.DEFAULT_SAMPLES,
     """Deficits (as in ``measure_deficit``) of bodies of one dimension, one
     (deficit, stderr) pair per body.
 
-    The side is a row of the side table ``_SIDES``, whose ellipsoid is
+    The side is a row of ``_SIDES``; the ellipsoid its simplex implies is
     checked to be the unit ball for every polytope by John's contact
     certificate (``_check_unit_ball_normalisation``).  The deficit of a
     polytope at n <= 3 is closed form (``_exact_deficit``), whatever
@@ -551,7 +550,7 @@ def fit_exponent(family: ExtremalFamily, n_samples: int = fn.DEFAULT_SAMPLES,
     ``delta_vol`` as NaN.
     """
     n = family.n
-    target = _SIDES[family.side].fit_simplex(n)
+    target = globals()[_SIDES[family.side].simplex](n)
     use_vol = family.kind in ("vertex-added", "polar-vertex-added")
     rows, deltas = [], []
     estimates = _deficit_estimates(family.bodies, family.side, n_samples, seed)

@@ -218,6 +218,24 @@ class TestMeasureDeficit:
         assert widths == [st.measure_deficit(g.polar(K), "john", n_samples=20_000, seed=7)
                           for K in fam.bodies]
 
+    def test_sampled_deficits_call_the_module_functionals(self, monkeypatch):
+        # a tracer swaps the module's bindings for counting wrappers; the
+        # sampled deficits must call them, per chunk (two at 70,000 samples)
+        # one evaluation of S and one of each body, and keep their values
+        cases = [(st.make_family("vertex-added", 4, [1e-3, 0.05]).bodies, "lowner"),
+                 (st.make_family("stretched-vertex", 4, [0.05]).bodies, "lowner-width")]
+        want = [st.measure_deficits(Ks, side, n_samples=70_000, seed=2) for Ks, side in cases]
+        calls = dict.fromkeys(("gauge_many", "support_many", "regular_simplex",
+                               "regular_simplex_polar"), 0)
+        for name in calls:
+            def counted(*args, name=name, func=getattr(st, name)):
+                calls[name] += 1
+                return func(*args)
+            monkeypatch.setattr(st, name, functools.wraps(getattr(st, name))(counted))
+        assert [st.measure_deficits(Ks, side, n_samples=70_000, seed=2)
+                for Ks, side in cases] == want
+        assert calls["gauge_many"] == 6 and calls["support_many"] == 4
+
 
 def _moved(K, scale, shift):
     """The image scale * K + shift, with both representations carried over."""
@@ -483,7 +501,8 @@ class TestExactDeficits:
         # 12 edges of length 2 at right angles: V_1 = 12 * 2 * (pi / 2) / (2 pi);
         # the edges inside the six square facets add exactly 0
         K = g.cube(3)
-        v1, bound = st._first_intrinsic_volume(*st._vertex_points(K))
+        v1, bound = st._first_intrinsic_volume(st._support_points(K, "support"),
+                                               K._vertex_hull()[4])
         assert abs(v1 - 6.0) <= bound <= 1e-13
 
     def test_wrapped_functionals_leave_the_deficits(self, monkeypatch):
