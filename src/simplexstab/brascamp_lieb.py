@@ -22,27 +22,31 @@ inscribed regular simplex (and its polar on the reversed lifting),
   (2 pi)^{n/2} e^{-(n+1)s^2/2} int_0^inf e^{-r^2/2 + s r sqrt(n+1)}
       gamma_n(r sqrt(n) simplex) dr  =  (int f)^{n+1},
 
-which this module verifies by Monte-Carlo: the r-integral has a closed
-form for each Gaussian sample (the kernel integrated from the sample's
-gauge radius to infinity), and its sample mean estimates the left side.
-Every mean is streamed through ``functionals.sample_mean``, which reduces
-each Gaussian chunk to its moments as it is drawn, so memory stays at one
-chunk whatever the sample count.  The reverse integrand needs q*(x) for
+where the r-integral has a closed form at each point (the kernel
+integrated from the point's gauge radius to infinity).  At n <= 3 the
+module integrates that over the cones of the body's facets by quadrature
+and draws no sample; at n >= 4 its mean over Gaussian samples estimates
+the left side.  Every mean is streamed through ``functionals.sample_mean``,
+which reduces each Gaussian chunk to its moments as it is drawn, so memory
+stays at one chunk whatever the sample count.  The reverse integrand needs q*(x) for
 every sample, which the solver finds for a whole chunk at once by Newton
 ascent on the problem's (n+1)-dimensional Lagrange dual; the dual point
 itself certifies each value.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .functionals import FunctionalEstimate, _gap_columns, sample_mean
+from .functionals import (_EXACT_MAX_DIM, _UNIT_ROUNDOFF, FunctionalEstimate,
+                          _collapsed_simplex_rule, _cone_integral, _gap_columns,
+                          sample_mean)
 from .geometry import (Polytope, contains_points, gauge_many, regular_simplex,
-                       support_many)
+                       regular_simplex_polar, support_many)
 from .isotropic import DiscreteMeasure, LiftedMeasure
 from .transport import gtilde_integral
 
@@ -303,11 +307,62 @@ class IdentityReport:
     rel_gap: float
     stderr: float
     samples: int
+    method: str         # "closed-form" (quadrature, n <= 3) | "mc-direct"
 
 
 def _kernel_tail_integral(a: np.ndarray, c: float) -> np.ndarray:
     """int_{a_j}^inf e^{-r^2/2 + c r} dr in closed form, elementwise."""
     return math.sqrt(2.0 * math.pi) * math.exp(0.5 * c * c) * ndtr(c - a)
+
+
+# (facet, radial) Gauss-Legendre degrees of the two quadrature rules of the
+# dilate identity; the value is the second rule's, and the two differ by at
+# most 6.5e-15 relative on both simplices at n = 2, 3 for s in [-2, 3]
+_IDENTITY_RULES = ((30, 50), (40, 64))
+
+
+def _gauge_tail_mean(V: np.ndarray, c: float):
+    """(value, bound) of (2 pi)^{n/2} E T(g(X)) for X standard Gaussian in
+    R^n, g the gauge of the simplex with vertex rows V (origin inside) and
+    T = ``_kernel_tail_integral(., c)``.
+
+    On the cone over a facet F, g(t y) = t for y in F, so
+    (2 pi)^{n/2} E T(g(X)) = sum_F h_F int_F Psi(|y|^2) dA(y) with
+    Psi(q) = int_0^L T(t) t^(n-1) e^{-q t^2 / 2} dt (``_cone_integral``),
+    L = 10 + max(c, 0).  Gauss-Legendre in t evaluates T once per node.
+    The bound adds three parts, u the unit roundoff:
+    - the gap between the two rules of ``_IDENTITY_RULES``;
+    - the cut at L, at most (2 pi)^{n/2} T(L), as P(g(X) > L) <= 1;
+    - rounding.  The terms are positive, so summing R radial, J facet and
+      F facet terms costs at most (R + J + F) u of the total, and the
+      weights, T and the exponential cost (c^2 + 24) u of each term.  The
+      exponent q t^2 / 2 is off by at most (5n + 2) u M t^2 / 2, M the
+      largest squared vertex norm, as each node's q is rounded to 5n u M;
+      a second radial column sums that error's effect.
+    """
+    n = V.shape[1]
+    facets = V[list(itertools.combinations(range(n + 1), n))]
+    cut = 10.0 + max(c, 0.0)
+    M = float(np.einsum("ij,ij->i", V, V).max())
+    values = []
+    for facet_degree, radial_degree in _IDENTITY_RULES:
+        # the rule on a 1-simplex is Gauss-Legendre on [0, 1]
+        nodes, w = _collapsed_simplex_rule(1, radial_degree)
+        t = cut * nodes[:, 1]
+        radial = cut * w * _kernel_tail_integral(t, c) * t ** (n - 1)
+        columns = np.column_stack([radial, radial * t * t])
+
+        def kernel(Y):
+            E = np.multiply.outer(-0.5 * np.einsum("...d,...d->...", Y, Y), t * t)
+            return np.exp(E, out=E) @ columns
+
+        values.append(_cone_integral(facets, kernel, facet_degree))
+    (lo, _), (value, exponent_term) = values
+    R, J = _IDENTITY_RULES[1][1], _IDENTITY_RULES[1][0] ** (n - 1)
+    rounding = _UNIT_ROUNDOFF * ((R + J + len(facets) + c * c + 24.0) * value
+                                 + (5 * n + 2) * 0.5 * M * exponent_term)
+    truncation = (2.0 * math.pi) ** (n / 2.0) * float(_kernel_tail_integral(cut, c))
+    return float(value), float(abs(value - lo) + rounding + truncation)
 
 
 def simplex_identity_check(n: int, s: float, n_samples: int = 1_000_000,
@@ -318,33 +373,51 @@ def simplex_identity_check(n: int, s: float, n_samples: int = 1_000_000,
     ``inscribed``: gamma_n(r sqrt(n) simplex) under the kernel
     e^{-r^2/2 + s r sqrt(n+1)} integrates to (int f)^{n+1} / ((2 pi)^{n/2}
     e^{-(n+1) s^2 / 2}).  ``polar``: same with gamma_n((r / sqrt(n)) polar).
-    A Gaussian sample X lies in the dilate of radius r exactly when r is at
-    least its gauge radius a(X), so the r-integral of gamma_n is the mean
-    over X of the kernel integrated from a(X) to infinity, which has a
-    closed form.  The left side is that sample mean, with its standard
-    error, over ``n_samples`` samples.
+    A Gaussian point X lies in the dilate of radius r exactly when r is at
+    least its gauge radius a(X), so the r-integral of gamma_n is
+    E T(a(X)), with T(a) the kernel integrated from a to infinity, in
+    closed form.
+
+    At n <= 3 the left side is (2 pi)^{n/2} e^{-(n+1) s^2 / 2} times
+    E T(a(X)) = (2 pi)^{-n/2} sum_F h_F int_F Psi(|y|^2) dA(y), a sum over
+    the facets F of the body (``_gauge_tail_mean``).  It is computed by
+    quadrature, with no sample drawn, so ``n_samples`` and ``seed`` have no
+    effect; ``stderr`` is a stated bound on its error (the gap between two
+    rule degrees, the radial cut and rounding), not a Monte-Carlo error,
+    and ``method`` is "closed-form".  At n >= 4 the left side is the sample
+    mean of T(a(X)) over ``n_samples`` Gaussian samples, with its standard
+    error ("mc-direct").
     """
     if variant not in ("inscribed", "polar"):
         raise ValueError("variant must be 'inscribed' or 'polar'")
     simplex = regular_simplex(n)
     c = s * math.sqrt(n + 1.0)
+    damping = math.exp(-0.5 * (n + 1.0) * s * s)
 
-    def tail(X):
-        if variant == "inscribed":
-            # gauge of r sqrt(n) simplex <= 1  <=>  gauge_simplex(X)/sqrt(n) <= r
-            a = gauge_many(simplex, X) / math.sqrt(n)
-        else:
-            # gauge of the polar at X is the support function of the simplex
-            a = math.sqrt(n) * support_many(simplex, X)
-        return _kernel_tail_integral(a, c)
+    if n <= _EXACT_MAX_DIM:
+        body = (math.sqrt(n) * simplex.vertices if variant == "inscribed"
+                else regular_simplex_polar(n).vertices / math.sqrt(n))
+        value, bound = _gauge_tail_mean(body, c)
+        lhs = FunctionalEstimate(damping * value,
+                                 damping * (bound + _UNIT_ROUNDOFF * value),
+                                 "closed-form", 0)
+    else:
+        def tail(X):
+            if variant == "inscribed":
+                # gauge of r sqrt(n) simplex <= 1  <=>  gauge_simplex(X)/sqrt(n) <= r
+                a = gauge_many(simplex, X) / math.sqrt(n)
+            else:
+                # gauge of the polar at X is the support function of the simplex
+                a = math.sqrt(n) * support_many(simplex, X)
+            return _kernel_tail_integral(a, c)
 
-    prefactor = (2.0 * math.pi) ** (n / 2.0) * math.exp(-0.5 * (n + 1.0) * s * s)
-    lhs = sample_mean(tail, n_samples, n, seed, prefactor)
+        prefactor = (2.0 * math.pi) ** (n / 2.0) * damping
+        lhs = sample_mean(tail, n_samples, n, seed, prefactor)
     rhs = gtilde_integral(s) ** (n + 1)
     gap = lhs.value - rhs
     return IdentityReport(lhs=lhs.value, rhs=float(rhs), gap=float(gap),
                           rel_gap=float(abs(gap) / rhs), stderr=lhs.stderr,
-                          samples=lhs.samples)
+                          samples=lhs.samples, method=lhs.method)
 
 
 def smoothing_inequality_check(mu: DiscreteMeasure, tau_grid,

@@ -13,9 +13,10 @@ them in chunk order by the pairwise update of Chan, Golub and LeVeque
 already in hand, so the two give the same bits on the same values.  Every
 Monte-Carlo estimate of the package is a mean with its standard error from
 ``sample_mean``; closed-form values draw no sample, and their ``stderr`` is
-a stated bound on their rounding (0 where the value is exact).  The exact
-values for the ball and the regular simplex serve as independent oracles
-for the sampling paths.
+a stated bound on their rounding (0 where the value is exact), or for a
+quadrature (``_cone_integral``, over the cones of a polytope's facets) on
+its whole error.  The exact values for the ball and the regular simplex
+serve as independent oracles for the sampling paths.
 """
 from __future__ import annotations
 
@@ -40,6 +41,12 @@ __all__ = [
 DEFAULT_SAMPLES = 200_000
 # samples per chunk (one SFC64 stream each) of the Gaussian sampler
 CHUNK_SAMPLES = 1 << 16
+# largest dimension at which polytope functionals are closed form or by
+# quadrature and draw no sample: the deficits of ``stability`` and the
+# dilate-measure identity of ``brascamp_lieb``
+_EXACT_MAX_DIM = 3
+# unit roundoff of float64, the unit of the closed forms' rounding bounds
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def default_workers() -> int:
@@ -113,6 +120,55 @@ def simplex_ell_oracle(n: int) -> float:
     if n < 2:
         raise ValueError("dimension must be at least 2")
     return math.sqrt((n + 1.0) / n) * gaussian_max_mean(n + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _collapsed_simplex_rule(k: int, degree: int):
+    """Collapsed (Duffy) Gauss-Legendre product rule on a k-simplex:
+    barycentric nodes (degree^k rows of k + 1) and positive weights that sum
+    to 1, so a simplex's integral is its volume times the weighted sum.
+
+    The cube [0, 1]^k maps onto the simplex by lambda_i = u_1 ... u_i
+    (1 - u_{i+1}), lambda_k = u_1 ... u_k, with Jacobian k! volume times
+    prod_i u_i^(k - i), which joins the weights; Gauss-Legendre in each u_i
+    then integrates polynomials of degree 2 degree - k exactly.  The arrays
+    are cached and read-only."""
+    x, w = np.polynomial.legendre.leggauss(degree)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    U = np.stack(np.meshgrid(*[x] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    weights = np.prod(np.meshgrid(*[w] * k, indexing="ij"), axis=0).reshape(-1)
+    lam = np.empty((len(U), k + 1))
+    run = np.ones(len(U))
+    for i in range(k):
+        lam[:, i] = run * (1.0 - U[:, i])
+        run = run * U[:, i]
+        weights = weights * U[:, i] ** (k - 1 - i)
+    lam[:, k] = run
+    weights *= math.factorial(k)
+    lam.flags.writeable = weights.flags.writeable = False
+    return lam, weights
+
+
+def _cone_integral(simplices: np.ndarray, kernel, degree: int) -> np.ndarray:
+    """sum_F h_F int_F kernel(y) dA(y) over (n - 1)-simplices F in R^n, each
+    given by its n vertices (``simplices`` is F x n x n), h_F the distance of
+    F's hyperplane from the origin.
+
+    In cone coordinates x = t y, with y in F and t >= 0, dx = h_F t^(n-1)
+    dt dA(y).  So with kernel(y) = int_0^inf f(t y) t^(n-1) dt this is the
+    integral of f over the cones from the origin over the F, which is R^n
+    when the F triangulate the boundary of a body with the origin inside.
+    h_F area(F) = |det F| / (n - 1)!, and each F takes the collapsed
+    Gauss-Legendre rule with ``degree`` nodes per axis.  ``kernel`` maps an
+    (F, nodes, n) array of points to (F, nodes, ...) values; the result
+    has the trailing shape.  The node sums run per facet first, then over
+    the facets.
+    """
+    n = simplices.shape[-1]
+    lam, w = _collapsed_simplex_rule(n - 1, degree)
+    Y = np.einsum("jk,fkd->fjd", lam, simplices)
+    weight = np.abs(np.linalg.det(simplices)) / math.factorial(n - 1)
+    return weight @ np.tensordot(kernel(Y), w, axes=(1, 0))
 
 
 def _map_chunks(fn, n_samples: int, dim: int, seed: int, workers: int) -> list:

@@ -41,14 +41,10 @@ BOUND_EXPONENT = 26
 # tolerance of each condition of the certificate that the unit ball is the
 # Loewner/John ellipsoid, which ``measure_deficits`` checks for every polytope
 _NORMALISATION_TOL = 1e-6
-# largest dimension whose polytope deficits are closed form (``_exact_deficit``)
-_EXACT_MAX_DIM = 3
 # Gaussian mean of a body's support function per unit of its first intrinsic
 # volume: Kubota's formula w(L) = 2 kappa_{n-1} V_1(L) / (n kappa_n) times
 # E|G| / 2 gives E h_L(G) = V_1(L) / sqrt(2 pi) in every dimension
 _MEAN_PER_V1 = 1.0 / math.sqrt(2.0 * math.pi)
-# unit roundoff of float64, the unit of the closed forms' rounding bounds
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class FamilyError(GeometryError):
@@ -383,13 +379,16 @@ def _check_unit_ball_normalisation(K: Polytope, side: str) -> None:
             f"isotropic measure (fit residual {fit.max_residual:.3g} > {tol:g})")
 
 
-def _deficits(terms, n_samples: int, seed: int) -> list:
+def _deficits(terms, n_samples: int, seed: int, oracle: float | None = None) -> list:
     """One ``FunctionalEstimate`` per (body, side) term on one Gaussian sample:
     the mean of the term's paired gap, upper minus lower value of its side's
-    functional on K and on S, over S's exact mean.  Each side's S is
-    evaluated once per chunk; terms do not affect each other."""
+    functional on K and on S, over S's exact mean, which ``oracle`` (the
+    dimension's ``simplex_ell_oracle``, computed here when not given) fixes.
+    Each side's S is evaluated once per chunk; terms do not affect each
+    other."""
     n = terms[0][0].n
-    oracle = fn.simplex_ell_oracle(n)
+    if oracle is None:
+        oracle = fn.simplex_ell_oracle(n)
     rows = [(K, side, _SIDES[side]) for K, side in terms]
     simplices = {side: globals()[row.simplex](n) for _, side, row in rows}
 
@@ -436,7 +435,7 @@ def _first_intrinsic_volume(P: np.ndarray, triangulation):
         terms = lengths * psi
         scale, angle_slack = 0.5 / math.pi, 32.0 * float(lengths.sum())
     total = float(terms.sum())
-    bound = _UNIT_ROUNDOFF * ((len(terms) + 20) * total + angle_slack)
+    bound = fn._UNIT_ROUNDOFF * ((len(terms) + 20) * total + angle_slack)
     return scale * total, scale * bound
 
 
@@ -457,21 +456,21 @@ def _exact_deficit(K: Polytope, row: _Side, reference: float) -> fn.FunctionalEs
     v1, v1_bound = _first_intrinsic_volume(P, hull[4])
     ratio = v1 * _MEAN_PER_V1 / reference
     deficit = ratio - 1.0 if row.body_upper else 1.0 - ratio
-    bound = ratio * v1_bound / v1 + _UNIT_ROUNDOFF * abs(deficit)
+    bound = ratio * v1_bound / v1 + fn._UNIT_ROUNDOFF * abs(deficit)
     return fn.FunctionalEstimate(deficit, bound, "closed-form", 0)
 
 
 def _term_deficits(terms, n_samples: int, seed: int) -> list:
     """One ``FunctionalEstimate`` per (body, side) term, the bodies of one
     dimension: closed form (``_exact_deficit``) for a polytope at
-    n <= ``_EXACT_MAX_DIM``, the other terms on one Gaussian sample in
+    n <= ``fn._EXACT_MAX_DIM``, the other terms on one Gaussian sample in
     ``_deficits``, which draws nothing when every term is closed form.
     Nothing here checks the normalisation: callers check what they need."""
     n = terms[0][0].n
-    exact = [isinstance(K, Polytope) and n <= _EXACT_MAX_DIM for K, _ in terms]
+    exact = [isinstance(K, Polytope) and n <= fn._EXACT_MAX_DIM for K, _ in terms]
+    oracle = fn.simplex_ell_oracle(n)
     rest = [t for t, e in zip(terms, exact) if not e]
-    sampled = iter(_deficits(rest, n_samples, seed) if rest else ())
-    oracle = fn.simplex_ell_oracle(n) if any(exact) else None
+    sampled = iter(_deficits(rest, n_samples, seed, oracle) if rest else ())
     return [_exact_deficit(K, _SIDES[side], _SIDES[side].simplex_mean(n, oracle)) if e
             else next(sampled) for (K, side), e in zip(terms, exact)]
 

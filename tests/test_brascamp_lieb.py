@@ -8,6 +8,7 @@ from scipy.spatial import ConvexHull
 
 from simplexstab import brascamp_lieb as bl
 from simplexstab import ellipsoids as el
+from simplexstab import functionals as fn
 from simplexstab import isotropic as iso
 from simplexstab.rng import make_rng
 
@@ -341,6 +342,48 @@ class TestDilateIdentities:
     def test_gap_is_balanced_by_stderr(self):
         rep = bl.simplex_identity_check(2, 0.0, n_samples=400_000, seed=34)
         assert abs(rep.gap) <= 5.0 * rep.stderr + 5e-4 * rep.rhs
+
+
+class TestQuadratureIdentity:
+    """At n <= 3 the left side is a facet-fan quadrature, with no sample."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("variant", ["inscribed", "polar"])
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 0.1, 0.15, 1.0, 2.0])
+    def test_meets_the_bound_within_its_error_bound(self, n, variant, s):
+        rep = bl.simplex_identity_check(n, s, variant=variant)
+        assert abs(rep.gap) <= 1e-13 * rep.rhs
+        assert 0.0 < rep.stderr <= 1e-12 * rep.rhs
+        assert rep.samples == 0 and rep.method == "closed-form"
+
+    @pytest.mark.parametrize("n, chunks", [(2, 0), (3, 0), (4, 1)])
+    @pytest.mark.parametrize("variant", ["inscribed", "polar"])
+    def test_draws_no_chunk(self, monkeypatch, n, chunks, variant):
+        # n = 4 samples, so the wrapper is seen to count
+        calls = []
+        sample_mean = fn.sample_mean
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sample_mean(*args, **kwargs)
+
+        monkeypatch.setattr(fn, "sample_mean", counting)
+        monkeypatch.setattr(bl, "sample_mean", counting)
+        bl.simplex_identity_check(n, 0.1, n_samples=1_000, seed=3, variant=variant)
+        assert len(calls) == chunks
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("variant", ["inscribed", "polar"])
+    def test_sample_count_and_seed_change_nothing(self, n, variant):
+        assert (bl.simplex_identity_check(n, 0.15, n_samples=2, seed=1, variant=variant)
+                == bl.simplex_identity_check(n, 0.15, n_samples=10 ** 6, seed=2,
+                                             variant=variant))
+
+    @pytest.mark.parametrize("variant", ["inscribed", "polar"])
+    def test_sampled_path_at_four_dimensions(self, variant):
+        rep = bl.simplex_identity_check(4, 0.1, n_samples=400_000, seed=35, variant=variant)
+        assert rep.method == "mc-direct" and rep.samples == 400_000
+        assert abs(rep.gap) <= 5.0 * rep.stderr and rep.rel_gap < 1e-2
 
 
 class TestSmoothedComparison:

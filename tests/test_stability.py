@@ -505,6 +505,23 @@ class TestExactDeficits:
                                                K._vertex_hull()[4])
         assert abs(v1 - 6.0) <= bound <= 1e-13
 
+    def test_one_simplex_oracle_beside_a_sampled_body(self, monkeypatch):
+        # the closed-form polytope and the sampled ball share one oracle
+        K = st.make_family("vertex-added", 3, [0.05]).bodies[0]
+        ball = g.Ball(1.0, 3)
+        want = [st.measure_deficit(ball, "lowner", n_samples=20_000, seed=3),
+                st.measure_deficit(K, "lowner")]
+        calls = []
+        oracle = fn.simplex_ell_oracle
+
+        def counting(n):
+            calls.append(n)
+            return oracle(n)
+
+        monkeypatch.setattr(fn, "simplex_ell_oracle", counting)
+        assert st.measure_deficits([ball, K], "lowner", n_samples=20_000, seed=3) == want
+        assert calls == [3]
+
     def test_wrapped_functionals_leave_the_deficits(self, monkeypatch):
         # a tracer swaps the module's functionals for wrappers; the closed
         # form must still read the hull its side names, not pick it by the
