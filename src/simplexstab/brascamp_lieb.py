@@ -308,6 +308,12 @@ class IdentityReport:
     stderr: float
     samples: int
     method: str         # "closed-form" (quadrature, n <= 3) | "mc-direct"
+    ok: bool            # |gap| <= _IDENTITY_SIGMAS stderr
+
+
+# an identity holds when its gap is within this many of its own stderr: the
+# quadrature's stated bound at n <= 3, the standard error at n >= 4
+_IDENTITY_SIGMAS = 5.0
 
 
 def _kernel_tail_integral(a: np.ndarray, c: float) -> np.ndarray:
@@ -376,7 +382,8 @@ def simplex_identity_check(n: int, s: float, n_samples: int = 1_000_000,
     A Gaussian point X lies in the dilate of radius r exactly when r is at
     least its gauge radius a(X), so the r-integral of gamma_n is
     E T(a(X)), with T(a) the kernel integrated from a to infinity, in
-    closed form.
+    closed form, and a the gauge of one body, sqrt(n) simplex or
+    polar / sqrt(n), which both paths below read.
 
     At n <= 3 the left side is (2 pi)^{n/2} e^{-(n+1) s^2 / 2} times
     E T(a(X)) = (2 pi)^{-n/2} sum_F h_F int_F Psi(|y|^2) dA(y), a sum over
@@ -386,38 +393,29 @@ def simplex_identity_check(n: int, s: float, n_samples: int = 1_000_000,
     rule degrees, the radial cut and rounding), not a Monte-Carlo error,
     and ``method`` is "closed-form".  At n >= 4 the left side is the sample
     mean of T(a(X)) over ``n_samples`` Gaussian samples, with its standard
-    error ("mc-direct").
+    error ("mc-direct").  ``ok`` is |gap| <= ``_IDENTITY_SIGMAS`` stderr.
     """
     if variant not in ("inscribed", "polar"):
         raise ValueError("variant must be 'inscribed' or 'polar'")
-    simplex = regular_simplex(n)
     c = s * math.sqrt(n + 1.0)
     damping = math.exp(-0.5 * (n + 1.0) * s * s)
-
+    V = (math.sqrt(n) * regular_simplex(n).vertices if variant == "inscribed"
+         else regular_simplex_polar(n).vertices / math.sqrt(n))
+    body = Polytope(vertices=V, check=False)
     if n <= _EXACT_MAX_DIM:
-        body = (math.sqrt(n) * simplex.vertices if variant == "inscribed"
-                else regular_simplex_polar(n).vertices / math.sqrt(n))
-        value, bound = _gauge_tail_mean(body, c)
+        value, bound = _gauge_tail_mean(body.vertices, c)
         lhs = FunctionalEstimate(damping * value,
                                  damping * (bound + _UNIT_ROUNDOFF * value),
                                  "closed-form", 0)
     else:
-        def tail(X):
-            if variant == "inscribed":
-                # gauge of r sqrt(n) simplex <= 1  <=>  gauge_simplex(X)/sqrt(n) <= r
-                a = gauge_many(simplex, X) / math.sqrt(n)
-            else:
-                # gauge of the polar at X is the support function of the simplex
-                a = math.sqrt(n) * support_many(simplex, X)
-            return _kernel_tail_integral(a, c)
-
-        prefactor = (2.0 * math.pi) ** (n / 2.0) * damping
-        lhs = sample_mean(tail, n_samples, n, seed, prefactor)
+        lhs = sample_mean(lambda X: _kernel_tail_integral(gauge_many(body, X), c),
+                          n_samples, n, seed, (2.0 * math.pi) ** (n / 2.0) * damping)
     rhs = gtilde_integral(s) ** (n + 1)
     gap = lhs.value - rhs
     return IdentityReport(lhs=lhs.value, rhs=float(rhs), gap=float(gap),
                           rel_gap=float(abs(gap) / rhs), stderr=lhs.stderr,
-                          samples=lhs.samples, method=lhs.method)
+                          samples=lhs.samples, method=lhs.method,
+                          ok=bool(abs(gap) <= _IDENTITY_SIGMAS * lhs.stderr))
 
 
 def smoothing_inequality_check(mu: DiscreteMeasure, tau_grid,

@@ -17,10 +17,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import functionals as fn
-from .geometry import (GeometryError, Polytope, _convex_hull, _halfspaces_for_gauge,
-                       _hausdorff, _unit_halfspaces, gauge_many, point_set_hausdorff, polar,
-                       regular_simplex, regular_simplex_polar, support_many,
-                       symdiff_volume)
+from .geometry import (GeometryError, Polytope, _hausdorff, _unit_halfspaces, gauge_many,
+                       point_set_hausdorff, polar, regular_simplex, regular_simplex_polar,
+                       support_many, symdiff_volume)
 from .isotropic import _check_unit_points, _isotropic_contact_fit
 from .rng import make_rng
 
@@ -304,15 +303,15 @@ def _worst_angle_alignment(points: np.ndarray, n: int, seed: int = 0):
     return W @ R.T, angle
 
 
+def _support_body(K: Polytope, functional: str) -> Polytope:
+    """The polytope whose support function is K's ``functional``: K, or for
+    the gauge (g_K = h_K°) its polar, whose vertices are K's a_j / b_j."""
+    return K if functional == "support" else polar(K)
+
+
 def _support_points(K: Polytope, functional: str) -> np.ndarray:
-    """The points whose hull has K's ``functional`` as its support function:
-    K's vertices for the support, and for the gauge (g_K = h_K°) the points
-    a_j / b_j of K's gauge rows, so no polar body is built (a row with
-    b_j <= 0 raises ``GaugeUndefinedError``)."""
-    if functional == "support":
-        return K.vertices
-    A, b = _halfspaces_for_gauge(K)
-    return A / b[:, None]
+    """The vertices of ``_support_body``."""
+    return _support_body(K, functional).vertices
 
 
 @dataclass(frozen=True)
@@ -404,7 +403,7 @@ def _deficits(terms, n_samples: int, seed: int, oracle: float | None = None) -> 
 
 def _first_intrinsic_volume(P: np.ndarray, triangulation):
     """(V_1, bound) of conv P at n = 2 or 3 from its Qhull triangulation
-    (``_convex_hull``): the first intrinsic volume and a bound on its
+    (``Polytope._vertex_hull``): the first intrinsic volume and a bound on its
     floating-point rounding.
 
     At n = 2, V_1 is half the perimeter, a sum over the hull's edges.  At
@@ -443,17 +442,21 @@ def _exact_deficit(K: Polytope, row: _Side, reference: float) -> fn.FunctionalEs
     """Closed-form deficit of a polytope K at n <= 3 on a side whose simplex
     mean is ``reference``.
 
-    K's mean is E h_L(G) = V_1(L) / sqrt(2 pi) (``_MEAN_PER_V1``) over the
-    points of L that ``_support_points`` gives for the side's functional:
-    K's vertices, triangulated by K's cached hull, or the polar points
-    a_j / b_j, triangulated by one hull of their own.  The deficit is the
-    side's gap over ``reference``, signed as the gap is, and its stderr the
-    rounding bound of ``_first_intrinsic_volume`` carried to the deficit
-    plus one rounding of the final subtraction; no sample is drawn.
+    K's mean is E h_L(G) = V_1(L) / sqrt(2 pi) (``_MEAN_PER_V1``), L the
+    ``_support_body`` of the side's functional: K, or its polar, each
+    triangulated by its own cached hull.  The deficit is the side's gap
+    over ``reference``, signed as the gap is, and its stderr the rounding
+    bound of ``_first_intrinsic_volume`` carried to the deficit plus one
+    rounding of the final subtraction; no sample is drawn.
+
+    That stderr covers V_1's rounding only (2.55e-15 for the simplex at
+    n = 2, 4.75e-15 at n = 3), not the error of ``reference``: the simplex
+    oracle comes from ``quad``, whose own estimate is 1.17e-14 (m = 3) and
+    1.41e-14 (m = 4), though at m = 3 its value is within 1 ulp of
+    3 / (2 sqrt(pi)).
     """
-    P = _support_points(K, row.functional)
-    hull = K._vertex_hull() if row.functional == "support" else _convex_hull(P)
-    v1, v1_bound = _first_intrinsic_volume(P, hull[4])
+    L = _support_body(K, row.functional)
+    v1, v1_bound = _first_intrinsic_volume(L.vertices, L._vertex_hull()[4])
     ratio = v1 * _MEAN_PER_V1 / reference
     deficit = ratio - 1.0 if row.body_upper else 1.0 - ratio
     bound = ratio * v1_bound / v1 + fn._UNIT_ROUNDOFF * abs(deficit)
@@ -636,10 +639,7 @@ def centroid_bound_check(S1: Polytope, eta: float, seed: int = 0) -> dict:
     centroid then lies in 4 n eta times the aligned circumscribed simplex.
     Reports the gauge value and margin.
     """
-    A, b = S1.halfspaces
-    norms = np.linalg.norm(A, axis=1)
-    U = A / norms[:, None]
-    offsets = b / norms
+    U, offsets = _unit_halfspaces(S1)
     if np.abs(offsets - 1.0).max() > 1e-9:
         raise GeometryError("facets must touch the unit ball (unit offsets)")
     n = S1.n

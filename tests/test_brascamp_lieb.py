@@ -386,6 +386,29 @@ class TestQuadratureIdentity:
         assert abs(rep.gap) <= 5.0 * rep.stderr and rep.rel_gap < 1e-2
 
 
+class TestIdentityVerdict:
+    @pytest.mark.parametrize("n, n_samples", [(2, 2), (3, 2), (4, 50_000), (8, 50_000)])
+    @pytest.mark.parametrize("variant", ["inscribed", "polar"])
+    def test_ok_is_the_gap_within_five_stderr(self, n, n_samples, variant):
+        rep = bl.simplex_identity_check(n, 0.1, n_samples=n_samples, seed=3, variant=variant)
+        assert rep.ok == (abs(rep.gap) <= 5 * rep.stderr)
+        assert rep.ok
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_quadrature_defect_fails(self, monkeypatch, n):
+        # the quadrature's value 1e-4 off in relative terms, its bound unchanged
+        tail_mean = bl._gauge_tail_mean
+
+        def off(V, c):
+            value, bound = tail_mean(V, c)
+            return value * (1.0 + 1e-4), bound
+
+        monkeypatch.setattr(bl, "_gauge_tail_mean", off)
+        rep = bl.simplex_identity_check(n, 0.1)
+        assert rep.ok == (abs(rep.gap) <= 5 * rep.stderr)
+        assert not rep.ok and rep.rel_gap < 2e-4
+
+
 class TestSmoothedComparison:
     def test_simplex_measure_gives_equality(self):
         rep = bl.smoothing_inequality_check(iso.simplex_measure(2), [0.3],

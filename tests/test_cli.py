@@ -248,6 +248,46 @@ class TestFunctionalEstimates:
             assert r["ok"] and np.isfinite(r["lhs"]) and np.isfinite(r["stderr"])
 
 
+class TestIdentityVerdict:
+    """A dilate-identity row passes when |gap| <= 5 stderr: the quadrature's
+    stated bound at n <= 3, the standard error at n >= 4."""
+
+    @pytest.fixture
+    def quadrature_defect(self, monkeypatch):
+        # the quadrature's value 1e-4 off in relative terms, its bound unchanged
+        tail_mean = bl._gauge_tail_mean
+
+        def off(V, c):
+            value, bound = tail_mean(V, c)
+            return value * (1.0 + 1e-4), bound
+
+        monkeypatch.setattr(bl, "_gauge_tail_mean", off)
+
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_quadrature_defect_fails_the_rows(self, quadrature_defect, n, tmp_path):
+        out = tmp_path / "identity.json"
+        assert run_cli(["bl", "identity", "--n", n, "--s", "0.1", "--seed", "5",
+                        "--out", str(out)]) == cli.EXIT_VERIFY
+        rows = json.loads(out.read_text())["identities"]
+        assert not any(r["ok"] for r in rows)
+
+    def test_quadrature_defect_fails_the_suite(self, quadrature_defect, tmp_path):
+        out = tmp_path / "suite.json"
+        assert run_cli(["suite", "--quick", "--seed", "7",
+                        "--out", str(out)]) == cli.EXIT_VERIFY
+        checks = {c["check"]: c["pass"] for c in json.loads(out.read_text())["checks"]}
+        assert checks["dilate-identity"] is False
+
+    def test_small_sample_rows_pass_at_eight_dimensions(self, tmp_path):
+        # the inscribed row's gap is 0.60 stderr but 1.01e-2 of the right side
+        out = tmp_path / "identity.json"
+        assert run_cli(["bl", "identity", "--n", "8", "--s", "0.1", "--samples", "50000",
+                        "--seed", "3", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["identities"]
+        assert [r["ok"] for r in rows] == [True, True]
+        assert all("tol" not in r and r["method"] == "mc-direct" for r in rows)
+
+
 class TestTransportCommands:
     def test_verify_csv(self, tmp_path):
         out = tmp_path / "margins.csv"
