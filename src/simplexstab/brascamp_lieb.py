@@ -46,7 +46,7 @@ from .functionals import (_EXACT_MAX_DIM, _UNIT_ROUNDOFF, FunctionalEstimate,
                           _collapsed_simplex_rule, _cone_integral, _gap_columns,
                           sample_mean)
 from .geometry import (Polytope, contains_points, gauge_many, regular_simplex,
-                       regular_simplex_polar, support_many)
+                       support_many)
 from .isotropic import DiscreteMeasure, LiftedMeasure
 from .transport import gtilde_integral
 
@@ -144,10 +144,6 @@ class _NonnegTransportSolver:
     def __init__(self, lifted: LiftedMeasure, s: float):
         self.L = lifted
         self.s = float(s)
-        # the maximised log-integrand is -(1/2) sum c~_i (theta_i - s)^2 on the
-        # nonnegative orthant: its Hessian is -diag(c~), negative definite
-        if lifted.weights.min() <= 0:
-            raise ValueError("log-integrand is not strictly concave")
         self.A = (lifted.points * lifted.weights[:, None]).T   # d x k
         self.m = self.s * math.sqrt(lifted.dim) * lifted.pole
         self.hull = Polytope(vertices=lifted.base.points, check=False)
@@ -379,11 +375,13 @@ def simplex_identity_check(n: int, s: float, n_samples: int = 1_000_000,
     ``inscribed``: gamma_n(r sqrt(n) simplex) under the kernel
     e^{-r^2/2 + s r sqrt(n+1)} integrates to (int f)^{n+1} / ((2 pi)^{n/2}
     e^{-(n+1) s^2 / 2}).  ``polar``: same with gamma_n((r / sqrt(n)) polar).
-    A Gaussian point X lies in the dilate of radius r exactly when r is at
-    least its gauge radius a(X), so the r-integral of gamma_n is
-    E T(a(X)), with T(a) the kernel integrated from a to infinity, in
-    closed form, and a the gauge of one body, sqrt(n) simplex or
-    polar / sqrt(n), which both paths below read.
+    As polar / sqrt(n) = -sqrt(n) simplex and gamma_n is symmetric, the two
+    are one identity: at n <= 3 their rows are equal bit for bit, and at
+    n >= 4 the polar row evaluates the same integrand at -X.  A Gaussian
+    point X lies in the dilate of radius r exactly when r is at least its
+    gauge radius a(X), so the r-integral of gamma_n is E T(a(X)), with
+    T(a) the kernel integrated from a to infinity, in closed form, and a
+    the gauge of one body, +-sqrt(n) simplex, which both paths below read.
 
     At n <= 3 the left side is (2 pi)^{n/2} e^{-(n+1) s^2 / 2} times
     E T(a(X)) = (2 pi)^{-n/2} sum_F h_F int_F Psi(|y|^2) dA(y), a sum over
@@ -399,9 +397,9 @@ def simplex_identity_check(n: int, s: float, n_samples: int = 1_000_000,
         raise ValueError("variant must be 'inscribed' or 'polar'")
     c = s * math.sqrt(n + 1.0)
     damping = math.exp(-0.5 * (n + 1.0) * s * s)
-    V = (math.sqrt(n) * regular_simplex(n).vertices if variant == "inscribed"
-         else regular_simplex_polar(n).vertices / math.sqrt(n))
-    body = Polytope(vertices=V, check=False)
+    # the polar of the simplex is -n simplex, so polar / sqrt(n) = -sqrt(n) simplex
+    sign = 1.0 if variant == "inscribed" else -1.0
+    body = Polytope(vertices=sign * math.sqrt(n) * regular_simplex(n).vertices, check=False)
     if n <= _EXACT_MAX_DIM:
         value, bound = _gauge_tail_mean(body.vertices, c)
         lhs = FunctionalEstimate(damping * value,

@@ -64,7 +64,8 @@ def _emit_json(payload: dict, args, out_path: str | None) -> None:
         "seed": getattr(args, "seed", None),
     }
     envelope.update(payload)
-    text = json.dumps(envelope, sort_keys=True, indent=2, default=_jsonable) + "\n"
+    text = json.dumps(envelope, sort_keys=True, indent=2, default=_jsonable,
+                      allow_nan=False) + "\n"
     if out_path:
         _atomic_write(out_path, text)
     else:
@@ -112,8 +113,11 @@ def _load_measure(path: str) -> iso.DiscreteMeasure:
     return iso.DiscreteMeasure.from_json(data.get("measure", data))
 
 
-def _workers(args) -> int:
-    return args.workers or fn.default_workers()
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -156,8 +160,10 @@ def cmd_measure_reduce(args):
 
 def cmd_ellipsoid_mvee(args):
     data = _load_json(args.infile)
-    points = np.asarray(data["points"] if "points" in data else data["vertices"],
-                        dtype=float)
+    key = "points" if "points" in data else "vertices"
+    if key not in data:
+        raise ValueError(f"{args.infile} holds no 'points' or 'vertices' array")
+    points = np.asarray(data[key], dtype=float)
     E, weights = el.mvee(points, eps=args.eps)
     _emit_json({"ellipsoid": E.to_json(), "dual_weights": weights.tolist(),
                 "certificate": el.mvee_support_residual(points, weights)},
@@ -181,29 +187,17 @@ def cmd_ellipsoid_john(args):
 
 # ---------------------------------------------------------------- functional
 
-def cmd_functional_ell(args):
-    body = _load_body(args.body)
-    est = fn.ell_norm(body, n_samples=args.n_samples, seed=args.seed,
-                      workers=_workers(args))
-    _emit_json({"value": est.value, "stderr": est.stderr, "method": est.method,
-                "samples": est.samples}, args, args.out)
-    return EXIT_OK
+_FUNCTIONALS = {"ell": fn.ell_norm, "mass": fn.gaussian_mass, "width": fn.mean_width}
 
 
-def cmd_functional_mass(args):
-    body = _load_body(args.body)
-    est = fn.gaussian_mass(body, args.t, n_samples=args.n_samples,
-                           seed=args.seed, workers=_workers(args))
-    _emit_json({"value": est.value, "stderr": est.stderr, "t": args.t,
-                "samples": est.samples}, args, args.out)
-    return EXIT_OK
-
-
-def cmd_functional_width(args):
-    body = _load_body(args.body)
-    est = fn.mean_width(body, n_samples=args.n_samples, seed=args.seed)
-    _emit_json({"value": est.value, "stderr": est.stderr,
-                "samples": est.samples, "method": est.method}, args, args.out)
+def cmd_functional(args):
+    """ell, mass and width: the estimate's fields are the report."""
+    kwargs = {"t": args.t} if "t" in args else {}
+    if "workers" in args:
+        kwargs["workers"] = args.workers or fn.default_workers()
+    est = _FUNCTIONALS[args.subcommand](_load_body(args.body), n_samples=args.n_samples,
+                                        seed=args.seed, **kwargs)
+    _emit_json(vars(est), args, args.out)
     return EXIT_OK
 
 
@@ -278,9 +272,7 @@ def cmd_bl_identity(args):
     for variant in ("inscribed", "polar"):
         rep = bl.simplex_identity_check(args.n, args.s, n_samples=args.samples,
                                         seed=args.seed, variant=variant)
-        rows.append({"variant": variant, "lhs": rep.lhs, "rhs": rep.rhs,
-                     "gap": rep.gap, "rel_gap": rep.rel_gap,
-                     "stderr": rep.stderr, "method": rep.method, "ok": rep.ok})
+        rows.append({"variant": variant, **vars(rep)})
     _emit_json({"identities": rows}, args, args.out)
     if not all(row["ok"] for row in rows):
         raise VerificationFailure("simplex dilate-measure identity violated")
@@ -402,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", help="output path (default: stdout)")
         if tol is not None:
-            p.add_argument("--tol", type=float, default=tol)
+            p.add_argument("--tol", type=_finite_float, default=tol)
 
     measure = sub.add_parser("measure", help="generate/validate/reduce measures")
     msub = measure.add_subparsers(dest="subcommand", required=True)
@@ -435,29 +427,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     func = sub.add_parser("functional", help="Gaussian functionals of bodies")
     fsub = func.add_subparsers(dest="subcommand", required=True)
-    fe = fsub.add_parser("ell")
-    fe.add_argument("--body", required=True)
-    fe.add_argument("--n-samples", type=int, default=fn.DEFAULT_SAMPLES)
-    fe.add_argument("--workers", type=_positive_int)
-    add_common(fe)
-    fe.set_defaults(func=cmd_functional_ell)
-    fm = fsub.add_parser("mass")
-    fm.add_argument("--body", required=True)
-    fm.add_argument("--t", type=float, required=True)
-    fm.add_argument("--n-samples", type=int, default=fn.DEFAULT_SAMPLES)
-    fm.add_argument("--workers", type=_positive_int)
-    add_common(fm)
-    fm.set_defaults(func=cmd_functional_mass)
-    fw = fsub.add_parser("width")
-    fw.add_argument("--body", required=True)
-    fw.add_argument("--n-samples", type=int, default=fn.DEFAULT_SAMPLES)
-    add_common(fw)
-    fw.set_defaults(func=cmd_functional_width)
-    fc = fsub.add_parser("crosscheck")
-    fc.add_argument("--body", required=True)
-    fc.add_argument("--n-samples", type=int, default=fn.DEFAULT_SAMPLES)
-    add_common(fc)
-    fc.set_defaults(func=cmd_functional_crosscheck)
+    for name in ("ell", "mass", "width", "crosscheck"):
+        fp = fsub.add_parser(name)
+        fp.add_argument("--body", required=True)
+        if name == "mass":
+            fp.add_argument("--t", type=_finite_float, required=True)
+        fp.add_argument("--n-samples", type=int, default=fn.DEFAULT_SAMPLES)
+        if name in ("ell", "mass"):
+            fp.add_argument("--workers", type=_positive_int)
+        add_common(fp)
+        fp.set_defaults(func=cmd_functional_crosscheck if name == "crosscheck"
+                        else cmd_functional)
 
     trans = sub.add_parser("transport", help="transport maps and their bounds")
     tsub = trans.add_subparsers(dest="subcommand", required=True)
@@ -476,13 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = blp.add_subparsers(dest="subcommand", required=True)
     bv = bsub.add_parser("verify")
     bv.add_argument("--measure", required=True)
-    bv.add_argument("--s", type=float, default=0.1)
+    bv.add_argument("--s", type=_finite_float, default=0.1)
     bv.add_argument("--samples", type=int, default=200_000)
     add_common(bv)
     bv.set_defaults(func=cmd_bl_verify)
     bi = bsub.add_parser("identity")
     bi.add_argument("--n", type=int, required=True)
-    bi.add_argument("--s", type=float, default=0.0)
+    bi.add_argument("--s", type=_finite_float, default=0.0)
     bi.add_argument("--samples", type=int, default=1_000_000)
     add_common(bi)
     bi.set_defaults(func=cmd_bl_identity)

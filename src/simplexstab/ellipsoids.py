@@ -194,7 +194,7 @@ def mvee(points, eps: float = 1e-7):
     m, n = X.shape
     if not 0.0 < eps < 0.5:
         raise GeometryError("eps must lie in (0, 0.5)")
-    if m < n + 1 or np.linalg.matrix_rank(X - X.mean(axis=0)) < n:
+    if n < 1 or m < n + 1 or np.linalg.matrix_rank(X - X.mean(axis=0)) < n:
         raise DegenerateBodyError("points do not affinely span the space")
     p, cert = _design_weights(X)
     center = p @ X
@@ -287,6 +287,8 @@ def random_isotropic_measure(n: int, k_points: int, seed: int) -> DiscreteMeasur
     ``JohnDecomposition.ok``; ``john_contact_measure`` warns when they are
     not.  Identical seeds give identical measures.
     """
+    if n < 2:
+        raise GeometryError("dimension must be at least 2")
     if k_points < n + 1:
         raise GeometryError("need at least n+1 points")
     rng = make_rng(seed)

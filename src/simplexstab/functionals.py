@@ -282,8 +282,8 @@ def estimate(values, scale=1.0):
 def gaussian_mass(body, t: float, n_samples: int = DEFAULT_SAMPLES,
                   seed: int = 0, workers: int = 1) -> FunctionalEstimate:
     """Monte-Carlo Gaussian measure of the dilate t * body."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not t >= 0.0:                            # NaN fails too
+        raise ValueError(f"t must be nonnegative, got {t}")
     if t == 0.0:
         return FunctionalEstimate(0.0, 0.0, "closed-form", 0)
     return sample_mean(lambda X: gauge_many(body, X) <= t, n_samples, body.n,

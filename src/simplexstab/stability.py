@@ -11,7 +11,7 @@ log-log regressions of distance against the measured deficit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -69,6 +69,7 @@ class ExtremalFamily:
 
 @dataclass
 class ExperimentRow:
+    # fields in the order of ExperimentReport.CSV_COLUMNS, which names the CSV header
     eps_nominal: float
     eps_measured: float
     eps_stderr: float
@@ -96,9 +97,7 @@ class ExperimentReport:
 
     def as_csv_rows(self):
         for r in self.rows:
-            yield dict(zip(self.CSV_COLUMNS, (r.eps_nominal, r.eps_measured, r.eps_stderr,
-                                              r.delta_H, r.delta_vol,
-                                              r.bound_margin_log10, r.used_in_fit)))
+            yield dict(zip(self.CSV_COLUMNS, astuple(r)))
 
 
 def _rotate_towards(v: np.ndarray, away_from: np.ndarray, angle: float) -> np.ndarray:
@@ -125,7 +124,7 @@ def make_family(kind: str, n: int, eps_grid) -> ExtremalFamily:
     eps_grid = np.sort(np.atleast_1d(np.asarray(eps_grid, dtype=float)))
     if eps_grid.size == 0:
         raise FamilyError("eps grid is empty")
-    if np.any(eps_grid <= 0.0) or np.any(eps_grid >= 0.1):
+    if not np.all((eps_grid > 0.0) & (eps_grid < 0.1)):       # NaN fails both
         raise FamilyError("eps grid must lie in (0, 0.1)")
     if kind not in FAMILY_KINDS:
         raise FamilyError(f"unknown family kind {kind!r}")

@@ -138,35 +138,26 @@ def psi(s, y):
     return TruncatedGaussian(s).quantile(ndtr(y))
 
 
-def phi_derivs(s, x):
-    """(phi, phi', phi'') with f = g_s and h = g in the derivative formulas.
+def _derivs(val, x, f_x, h_T, f_mean, h_mean):
+    """(T, T', T'') by the module's derivative formulas, given T = val, f(x)
+    and h(T) for Gaussian densities f and h about f_mean and h_mean, so that
+    f'/f^2 = -(x - f_mean)/f(x) and h'(T)/h(T)^2 = -(T - h_mean)/h(T).
+    Every step is an elementwise ufunc, so the arguments broadcast."""
+    return val, f_x / h_T, (f_x ** 2 / h_T) * (-(x - f_mean) / f_x + (val - h_mean) / h_T)
 
-    Every step is an elementwise ufunc, so an array s broadcasts against x.
-    """
+
+def phi_derivs(s, x):
+    """(phi, phi', phi''), f = g_s and h = g; an array s broadcasts against x."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise TransportDomainError("phi requires x > 0")
     val = phi(s, x)
-    gs = TruncatedGaussian(s).pdf(x)
-    gval = _gauss_pdf(val)
-    first = gs / gval
-    # f'/f^2 = -(x - s)/g_s(x),  h'(T)/h(T)^2 = -T/g(T)
-    second = (gs ** 2 / gval) * (-(x - s) / gs + val / gval)
-    return val, first, second
+    return _derivs(val, x, TruncatedGaussian(s).pdf(x), _gauss_pdf(val), s, 0.0)
 
 
 def psi_derivs(s, y):
-    """(psi, psi', psi'') with f = g and h = g_s in the derivative formulas.
-
-    Every step is an elementwise ufunc, so an array s broadcasts against y.
-    """
+    """(psi, psi', psi''), f = g and h = g_s; an array s broadcasts against y."""
     y = np.asarray(y, dtype=float)
     val = psi(s, y)
-    gval = _gauss_pdf(y)
-    gs = TruncatedGaussian(s).pdf(val)
-    first = gval / gs
-    second = (gval ** 2 / gs) * (-y / gval + (val - s) / gs)
-    return val, first, second
+    return _derivs(val, y, _gauss_pdf(y), TruncatedGaussian(s).pdf(val), 0.0, s)
 
 
 def tail_constants() -> dict:
@@ -228,7 +219,7 @@ def _lattice_extremes(derivs, s_grid, x_grid):
 
 
 def derivative_box_margins(grid: int = 200) -> dict:
-    """Worst-case margins of the eight derivative bounds on the two boxes.
+    """Worst-case margins of the ten derivative bounds on the two boxes.
 
     Each entry maps a bound name to (worst value, margin); all margins must
     be positive for the bounds to hold on every node of the grid x grid

@@ -409,6 +409,32 @@ class TestIdentityVerdict:
         assert not rep.ok and rep.rel_gap < 2e-4
 
 
+class TestPolarRowIsTheInscribedRow:
+    """polar / sqrt(n) = -sqrt(n) simplex and gamma_n is symmetric, so both
+    variants are one identity."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 0.1, 2.0])
+    def test_quadrature_rows_are_equal(self, n, s):
+        inscribed = bl.simplex_identity_check(n, s)
+        polar = bl.simplex_identity_check(n, s, variant="polar")
+        assert (polar.lhs, polar.stderr) == (inscribed.lhs, inscribed.stderr)
+        assert polar == inscribed
+
+    def test_sampled_row_reads_the_reflected_samples(self, monkeypatch):
+        # at n >= 4 the polar row is the inscribed row's integrand at -X
+        sample_mean = bl.sample_mean
+
+        def reflected(f, *args, **kwargs):
+            return sample_mean(lambda X: f(-X), *args, **kwargs)
+
+        polar = bl.simplex_identity_check(4, 0.1, n_samples=20_000, seed=3, variant="polar")
+        monkeypatch.setattr(bl, "sample_mean", reflected)
+        inscribed = bl.simplex_identity_check(4, 0.1, n_samples=20_000, seed=3)
+        assert polar.lhs == pytest.approx(inscribed.lhs, rel=1e-14)
+        assert polar.stderr == pytest.approx(inscribed.stderr, rel=1e-12)
+
+
 class TestSmoothedComparison:
     def test_simplex_measure_gives_equality(self):
         rep = bl.smoothing_inequality_check(iso.simplex_measure(2), [0.3],

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from simplexstab import brascamp_lieb as bl
 from simplexstab import cli
+from simplexstab import functionals as fn
 from simplexstab import geometry as g
 from simplexstab import isotropic as iso
 from simplexstab.rng import make_rng
@@ -246,6 +248,123 @@ class TestFunctionalEstimates:
         assert [r["variant"] for r in rows] == ["inscribed", "polar"]
         for r in rows:
             assert r["ok"] and np.isfinite(r["lhs"]) and np.isfinite(r["stderr"])
+
+
+class TestOneFunctionalReport:
+    """ell, mass and width report the estimate's fields; flags such as
+    mass's --t stay in config_echo."""
+
+    @pytest.mark.parametrize("functional, extra", [("ell", []), ("mass", ["--t", "1.5"]),
+                                                   ("width", [])])
+    def test_report_carries_the_estimate_fields(self, functional, extra, tmp_path):
+        body = tmp_path / "b.json"
+        body.write_text(json.dumps(g.regular_simplex_polar(2).to_json()))
+        out = tmp_path / "report.json"
+        assert run_cli(["functional", functional, "--body", str(body), *extra,
+                        "--n-samples", "20000", "--seed", "1", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert set(data) == {"tool_version", "config_echo", "seed",
+                             "value", "stderr", "method", "samples"}
+        assert data["method"] == "mc-direct"
+
+    def test_mass_keeps_t_in_config_echo(self, tmp_path):
+        body = tmp_path / "b.json"
+        body.write_text(json.dumps(g.regular_simplex_polar(2).to_json()))
+        out = tmp_path / "mass.json"
+        assert run_cli(["functional", "mass", "--body", str(body), "--t", "1.5",
+                        "--n-samples", "20000", "--seed", "1", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["config_echo"]["t"] == 1.5 and "t" not in data
+
+    def test_identity_rows_carry_samples(self, tmp_path):
+        out = tmp_path / "identity.json"
+        assert run_cli(["bl", "identity", "--n", "2", "--s", "0.1", "--seed", "5",
+                        "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["identities"]
+        assert [r["samples"] for r in rows] == [0, 0]
+        assert {k: v for k, v in rows[0].items() if k != "variant"} == \
+            {k: v for k, v in rows[1].items() if k != "variant"}
+
+
+class TestBadInputsFailFast:
+    """Non-finite numbers and dimensions below 2 exit 1 with one error line
+    and write no file; they are never reported as a verification verdict."""
+
+    @staticmethod
+    def _fails_with_one_error_line(args, out, capsys, message=None):
+        assert run_cli([*args, "--out", str(out)]) == cli.EXIT_USAGE
+        err = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(err) == 1
+        assert message is None or message in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_mass_level(self, value, tmp_path, capsys):
+        body = tmp_path / "b.json"
+        body.write_text(json.dumps(g.regular_simplex_polar(2).to_json()))
+        self._fails_with_one_error_line(
+            ["functional", "mass", "--body", str(body), "--t", value,
+             "--n-samples", "1000", "--seed", "1"], tmp_path / "mass.json", capsys,
+            "--t: must be finite")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_identity_shift(self, value, tmp_path, capsys):
+        self._fails_with_one_error_line(
+            ["bl", "identity", "--n", "2", "--s", value, "--seed", "1"],
+            tmp_path / "identity.json", capsys, "--s: must be finite")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_product_shift(self, value, tmp_path, capsys):
+        measure = tmp_path / "measure.json"
+        measure.write_text(json.dumps(iso.simplex_measure(2).to_json()))
+        self._fails_with_one_error_line(
+            ["bl", "verify", "--measure", str(measure), "--s", value,
+             "--samples", "1000", "--seed", "1"], tmp_path / "bl.json", capsys,
+            "--s: must be finite")
+
+    def test_non_finite_tolerance(self, tmp_path, capsys):
+        measure = tmp_path / "measure.json"
+        measure.write_text(json.dumps(iso.simplex_measure(2).to_json()))
+        self._fails_with_one_error_line(
+            ["measure", "validate", "--in", str(measure), "--tol", "nan"],
+            tmp_path / "validate.json", capsys, "--tol: must be finite")
+
+    def test_non_finite_eps_grid(self, tmp_path, capsys):
+        self._fails_with_one_error_line(
+            ["stability", "run", "--family", "vertex-added", "--n", "2",
+             "--eps", "nan,1e-2,2e-2,4e-2", "--samples", "1000", "--seed", "4"],
+            tmp_path / "report.csv", capsys, "eps grid must lie in (0, 0.1)")
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_generate_below_two_dimensions(self, n, tmp_path, capsys):
+        self._fails_with_one_error_line(
+            ["measure", "generate", "--n", n, "--k", "10", "--seed", "1"],
+            tmp_path / "gen.json", capsys, "dimension must be at least 2")
+
+    def test_mvee_on_a_file_without_points(self, tmp_path, capsys):
+        report = tmp_path / "gen.json"
+        assert run_cli(["measure", "generate", "--n", "2", "--k", "10", "--seed", "1",
+                        "--out", str(report)]) == 0
+        self._fails_with_one_error_line(
+            ["ellipsoid", "mvee", "--in", str(report)], tmp_path / "mvee.json", capsys,
+            "holds no 'points' or 'vertices' array")
+
+    def test_mvee_on_an_empty_point_list(self, tmp_path, capsys):
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps({"points": []}))
+        self._fails_with_one_error_line(
+            ["ellipsoid", "mvee", "--in", str(points)], tmp_path / "mvee.json", capsys,
+            "points do not affinely span the space")
+
+    def test_gaussian_mass_rejects_nan(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn.gaussian_mass(g.regular_simplex_polar(2), float("nan"))
+
+    def test_report_with_nan_is_not_written(self, tmp_path):
+        out = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            cli._emit_json({"value": float("nan")}, argparse.Namespace(), str(out))
+        assert not out.exists()
 
 
 class TestIdentityVerdict:
