@@ -120,6 +120,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -254,11 +261,7 @@ def cmd_bl_verify(args):
                          seed=args.seed + 1)
     direct_ok = direct.value <= bound * (1.0 + 1e-12) + 3.0 * direct.stderr
     reverse_ok = reverse.value >= bound * (1.0 - 1e-12) - 3.0 * reverse.stderr
-    # the direct value is (2 pi)^(d/2) times the share of samples in the cone
-    in_cone = round(direct.value / (2.0 * math.pi) ** (inst.lifted.dim / 2.0) * direct.samples)
-    _emit_json({"bound": bound,
-                "direct": {"value": direct.value, "stderr": direct.stderr,
-                           "in_cone": in_cone},
+    _emit_json({"bound": bound, "direct": vars(direct),
                 "reverse": {"value": reverse.value, "stderr": reverse.stderr},
                 "direct_ok": direct_ok, "reverse_ok": reverse_ok},
                args, args.out)
@@ -394,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", help="output path (default: stdout)")
         if tol is not None:
-            p.add_argument("--tol", type=_finite_float, default=tol)
+            p.add_argument("--tol", type=_tolerance, default=tol)
 
     measure = sub.add_parser("measure", help="generate/validate/reduce measures")
     msub = measure.add_subparsers(dest="subcommand", required=True)

@@ -42,8 +42,8 @@ DEFAULT_SAMPLES = 200_000
 # samples per chunk (one SFC64 stream each) of the Gaussian sampler
 CHUNK_SAMPLES = 1 << 16
 # largest dimension at which polytope functionals are closed form or by
-# quadrature and draw no sample: the deficits of ``stability`` and the
-# dilate-measure identity of ``brascamp_lieb``
+# quadrature and draw no sample: the deficits of ``stability``, and the
+# dilate-measure identity and the direct product integral of ``brascamp_lieb``
 _EXACT_MAX_DIM = 3
 # unit roundoff of float64, the unit of the closed forms' rounding bounds
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -166,7 +166,7 @@ def _cone_integral(simplices: np.ndarray, kernel, degree: int) -> np.ndarray:
     """
     n = simplices.shape[-1]
     lam, w = _collapsed_simplex_rule(n - 1, degree)
-    Y = np.einsum("jk,fkd->fjd", lam, simplices)
+    Y = np.matmul(lam, simplices)
     weight = np.abs(np.linalg.det(simplices)) / math.factorial(n - 1)
     return weight @ np.tensordot(kernel(Y), w, axes=(1, 0))
 

@@ -92,6 +92,58 @@ class TestDirectIntegral:
         assert abs(ratio - 1.0) <= 3.0 * est.stderr / bl.bl_bound(inst) + 1e-4
 
 
+class TestExactDirectIntegral:
+    """At base n <= 3 the direct integral is a facet quadrature of a
+    closed-form radial kernel, with no sample drawn."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("s", [-0.5, 0.0, 0.1, 0.15, 1.0])
+    def test_equality_cases_meet_the_bound(self, n, s):
+        inst = bl.BLInstance(iso.lift(iso.simplex_measure(n), +1), s)
+        est = bl.bl_lhs(inst)
+        bound = bl.bl_bound(inst)
+        assert (est.method, est.samples) == ("closed-form", 0)
+        assert abs(est.value - bound) <= 1e-13 * bound
+        assert abs(est.value - bound) <= est.stderr
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("s", [5.0, 30.0])
+    def test_large_shifts_stay_within_the_stated_error(self, n, s):
+        inst = bl.BLInstance(iso.lift(iso.simplex_measure(n), +1), s)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            est = bl.bl_lhs(inst)
+        assert np.isfinite(est.value) and np.isfinite(est.stderr)
+        assert abs(est.value - bl.bl_bound(inst)) <= est.stderr
+
+    @pytest.mark.parametrize("n, seed", [(2, 1), (2, 4), (3, 0), (3, 2)])
+    def test_random_measures_agree_with_monte_carlo(self, n, seed):
+        mu = el.random_isotropic_measure(n, n + 6, seed=seed)
+        assert mu.k > n + 1
+        inst = bl.BLInstance(iso.lift(mu, +1), 0.1)
+        L = inst.lifted
+        m = inst.s * math.sqrt(L.dim) * L.pole
+        mc = fn.sample_mean(lambda X: np.all((X + m) @ L.points.T >= 0.0, axis=1),
+                            2_000_000, L.dim, 40 + seed, (2.0 * math.pi) ** (L.dim / 2.0))
+        est = bl.bl_lhs(inst)
+        assert abs(est.value - mc.value) <= 3.0 * math.hypot(est.stderr, mc.stderr)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_atom_order_and_lift_sign_do_not_matter(self, n):
+        mu = el.random_isotropic_measure(n, n + 6, seed=2)
+        order = make_rng(3).permutation(mu.k)
+        shuffled = iso.DiscreteMeasure(mu.points[order], mu.weights[order])
+        want = bl.bl_lhs(bl.BLInstance(iso.lift(mu, +1), 0.1)).value
+        for measure, sign in ((mu, -1), (shuffled, +1), (shuffled, -1)):
+            got = bl.bl_lhs(bl.BLInstance(iso.lift(measure, sign), 0.1)).value
+            assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sample_count_and_seed_have_no_effect(self, n):
+        inst = bl.BLInstance(iso.lift(el.random_isotropic_measure(n, n + 6, seed=1), +1), 0.1)
+        assert bl.bl_lhs(inst, n_samples=1000, seed=1) == bl.bl_lhs(inst, n_samples=10**9,
+                                                                     seed=7)
+
+
 class TestReverseIntegral:
     @pytest.mark.parametrize("s", [0.0, 0.1])
     def test_orthonormal_equality(self, s):

@@ -162,15 +162,26 @@ class TestMeasurePipeline:
         assert report["direct_ok"] and report["reverse_ok"]
 
     def test_bl_verify_counts_direct_samples_in_the_cone(self, tmp_path):
+        # at base n = 4 the direct side is sampled: its value is (2 pi)^(5/2)
+        # times the share of the samples in the cone
         gen, out = tmp_path / "m.json", tmp_path / "bl.json"
+        assert run_cli(["measure", "generate", "--n", "4", "--k", "30",
+                        "--seed", "3", "--out", str(gen)]) == 0
+        assert run_cli(["bl", "verify", "--measure", str(gen), "--samples", "8000",
+                        "--seed", "5", "--out", str(out)]) == 0
+        direct = json.loads(out.read_text())["direct"]
+        assert (direct["method"], direct["samples"]) == ("mc-direct", 8000)
+        in_cone = direct["value"] / (2.0 * np.pi) ** 2.5 * 8000
+        assert 0 < round(in_cone) < 8000
+        assert in_cone == pytest.approx(round(in_cone), abs=1e-9)
+        # at n = 2 it is computed, and no sample is drawn
         assert run_cli(["measure", "generate", "--n", "2", "--k", "30",
                         "--seed", "3", "--out", str(gen)]) == 0
         assert run_cli(["bl", "verify", "--measure", str(gen), "--samples", "8000",
                         "--seed", "5", "--out", str(out)]) == 0
         direct = json.loads(out.read_text())["direct"]
-        assert 0 < direct["in_cone"] < 8000
-        assert direct["value"] == pytest.approx(
-            direct["in_cone"] / 8000 * (2.0 * np.pi) ** 1.5, rel=1e-12)
+        assert sorted(direct) == ["method", "samples", "stderr", "value"]
+        assert (direct["method"], direct["samples"]) == ("closed-form", 0)
 
     def test_byte_identical_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -328,6 +339,18 @@ class TestBadInputsFailFast:
         self._fails_with_one_error_line(
             ["measure", "validate", "--in", str(measure), "--tol", "nan"],
             tmp_path / "validate.json", capsys, "--tol: must be finite")
+
+    @pytest.mark.parametrize("command", [["measure", "validate"], ["measure", "reduce"],
+                                         ["ellipsoid", "john"]])
+    def test_negative_tolerance(self, command, tmp_path, capsys):
+        # a usage error (exit 1), not a failed verification (exit 2)
+        body = tmp_path / "in.json"
+        data = (g.regular_simplex(2) if command[0] == "ellipsoid"
+                else iso.simplex_measure(2)).to_json()
+        body.write_text(json.dumps(data))
+        self._fails_with_one_error_line(
+            [*command, "--in", str(body), "--tol=-1"], tmp_path / "report.json", capsys,
+            "--tol: must be nonnegative")
 
     def test_non_finite_eps_grid(self, tmp_path, capsys):
         self._fails_with_one_error_line(

@@ -227,13 +227,18 @@ class TestSampler:
                                                              want_john.stderr)
 
     def test_bl_lhs_uses_the_chunks(self):
-        inst = bl.BLInstance(iso.lift(iso.simplex_measure(2), +1), 0.1)
+        # at base n = 4, where the direct integral is sampled
+        inst = bl.BLInstance(iso.lift(iso.simplex_measure(4), +1), 0.1)
         L = inst.lifted
         m = inst.s * math.sqrt(L.dim) * L.pole
         inside = np.concatenate([np.all((X + m) @ L.points.T >= 0.0, axis=1)
                                  for X in self._chunks(6, L.dim)])
         assert bl.bl_lhs(inst, n_samples=self.N, seed=6) == fn.estimate(
-            inside, (2.0 * math.pi) ** 1.5)
+            inside, (2.0 * math.pi) ** 2.5)
+        # at n = 2 it is computed, and no sample is drawn
+        inst = bl.BLInstance(iso.lift(iso.simplex_measure(2), +1), 0.1)
+        est = bl.bl_lhs(inst, n_samples=self.N, seed=6)
+        assert (est.method, est.samples) == ("closed-form", 0)
 
     def test_rbl_lhs_uses_the_chunks(self):
         inst = bl.BLInstance(iso.lift(iso.simplex_measure(2), +1), 0.1)
