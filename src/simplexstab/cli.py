@@ -127,6 +127,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _check_sample_counts(args) -> None:
+    """Fewer than 2 samples give no standard error: a usage error at every n."""
+    for flag in ("--samples", "--n-samples"):
+        count = getattr(args, flag[2:].replace("-", "_"), None)
+        if count is not None and count < 2:
+            raise ValueError(f"{flag} needs at least 2 samples, got {count}")
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -261,8 +269,7 @@ def cmd_bl_verify(args):
                          seed=args.seed + 1)
     direct_ok = direct.value <= bound * (1.0 + 1e-12) + 3.0 * direct.stderr
     reverse_ok = reverse.value >= bound * (1.0 - 1e-12) - 3.0 * reverse.stderr
-    _emit_json({"bound": bound, "direct": vars(direct),
-                "reverse": {"value": reverse.value, "stderr": reverse.stderr},
+    _emit_json({"bound": bound, "direct": vars(direct), "reverse": vars(reverse),
                 "direct_ok": direct_ok, "reverse_ok": reverse_ok},
                args, args.out)
     if not (direct_ok and reverse_ok):
@@ -495,6 +502,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        _check_sample_counts(args)
         return args.func(args)
     except VerificationFailure as exc:
         sys.stderr.write(f"verification failed: {exc}\n")

@@ -64,7 +64,7 @@ class ExtremalFamily:
     n: int
     eps_grid: np.ndarray
     bodies: list
-    side: str                 # deficit the family keeps small: lowner | john | lowner-width
+    side: str                 # lowner | lowner-width, or john: lowner-width of the polar
 
 
 @dataclass
@@ -302,21 +302,9 @@ def _worst_angle_alignment(points: np.ndarray, n: int, seed: int = 0):
     return W @ R.T, angle
 
 
-def _support_body(K: Polytope, functional: str) -> Polytope:
-    """The polytope whose support function is K's ``functional``: K, or for
-    the gauge (g_K = h_K°) its polar, whose vertices are K's a_j / b_j."""
-    return K if functional == "support" else polar(K)
-
-
-def _support_points(K: Polytope, functional: str) -> np.ndarray:
-    """The vertices of ``_support_body``."""
-    return _support_body(K, functional).vertices
-
-
 @dataclass(frozen=True)
-class _Side:                  # a side of the deficits: one functional on K against it on S
+class _Side:                  # a theorem's deficit: one functional on K against it on S
     functional: str           # gauge (Barthe's theorem) | support (Schmuckenschläger's)
-    simplex: str              # regular_simplex | regular_simplex_polar: S, which a fit aligns K to
     body_upper: bool          # K's value is the upper one of the gap
 
     # names, looked up in this module when called: a wrapper swapped in for
@@ -325,40 +313,34 @@ class _Side:                  # a side of the deficits: one functional on K agai
         return globals()[f"{self.functional}_many"](body, X)
 
     def simplex_mean(self, n: int, oracle: float) -> float:
-        # n oracle for the gauge of the inscribed simplex, else the oracle (the
-        # gauge of the circumscribed one, bit for bit the inscribed one's support)
-        inscribed = self.simplex == "regular_simplex"
-        return (n if inscribed and self.functional == "gauge" else 1) * oracle
+        # n oracle for the gauge of S, the oracle for its support (the gauge of S°)
+        return (n if self.functional == "gauge" else 1) * oracle
 
 
+# both rows against the inscribed simplex S; john is lowner-width of the polar body
 _SIDES = {
-    "lowner": _Side("gauge", "regular_simplex", False),
-    "john": _Side("gauge", "regular_simplex_polar", True),
-    "lowner-width": _Side("support", "regular_simplex", True),
+    "lowner": _Side("gauge", False),
+    "lowner-width": _Side("support", True),
 }
 
 
-def _check_unit_ball_normalisation(K: Polytope, side: str) -> None:
+def _check_unit_ball_normalisation(L: Polytope, side: str) -> None:
     """Raise ``NormalizationError`` unless John's certificate shows the unit
-    ball B to be K's Loewner ellipsoid on a side of the inscribed simplex,
-    its John ellipsoid on that of the circumscribed one.
+    ball B to be the Loewner ellipsoid of L: K, or on the John side K°.
 
     By John's theorem and its converse (Ball 1992, Geom. Dedicata 41), B is
-    the Loewner ellipsoid of a body K exactly when K lies in B and the
-    contact points K ∩ S^{n-1} carry a centred isotropic measure.  The
-    points read are K's vertices; on the John side, where B is the Loewner
-    ellipsoid of the polar K°, they are the polar points a_j / b_j of K's
-    H-rep (``_support_points``).  Each condition holds to
-    ``_NORMALISATION_TOL``: no point lies farther outside the sphere, at
-    least one point lies that close to it, and the renormalised contacts
-    carry weights, fitted as in ``john_contact_measure``, whose residuals
-    are no larger (the rule of ``JohnDecomposition.ok``).  The error names
-    the condition that failed.
+    the Loewner ellipsoid of a body L exactly when L lies in B and the
+    contact points L ∩ S^{n-1} carry a centred isotropic measure.  The
+    points read are L's vertices, on the John side the polar points a_j / b_j
+    of K's H-rep, which the error names with K's John ellipsoid.  Each
+    condition holds to ``_NORMALISATION_TOL``: no point lies farther outside
+    the sphere, at least one point lies that close to it, and the
+    renormalised contacts carry weights, fitted as in
+    ``john_contact_measure``, whose residuals are no larger (the rule of
+    ``JohnDecomposition.ok``).  The error names the condition that failed.
     """
-    lowner, tol = _SIDES[side].simplex == "regular_simplex", _NORMALISATION_TOL
-    ellipsoid, functional, what = (("lowner", "support", "vertex") if lowner
-                                   else ("john", "gauge", "polar point a_j/b_j"))
-    P = _support_points(K, functional)
+    ellipsoid, what = ("john", "polar point a_j/b_j") if side == "john" else ("lowner", "vertex")
+    tol, P = _NORMALISATION_TOL, L.vertices
     norms = np.linalg.norm(P, axis=1)
     failed = f"unit ball is not the {ellipsoid} ellipsoid"
     excess = float(norms.max()) - 1.0
@@ -380,23 +362,23 @@ def _check_unit_ball_normalisation(K: Polytope, side: str) -> None:
 def _deficits(terms, n_samples: int, seed: int, oracle: float | None = None) -> list:
     """One ``FunctionalEstimate`` per (body, side) term on one Gaussian sample:
     the mean of the term's paired gap, upper minus lower value of its side's
-    functional on K and on S, over S's exact mean, which ``oracle`` (the
-    dimension's ``simplex_ell_oracle``, computed here when not given) fixes.
-    Each side's S is evaluated once per chunk; terms do not affect each
-    other."""
+    functional on K and on the inscribed simplex S, over S's exact mean,
+    which ``oracle`` (the dimension's ``simplex_ell_oracle``, computed here
+    when not given) fixes.  S is evaluated once per chunk for each
+    functional some term uses; terms do not affect each other."""
     n = terms[0][0].n
     if oracle is None:
         oracle = fn.simplex_ell_oracle(n)
-    rows = [(K, side, _SIDES[side]) for K, side in terms]
-    simplices = {side: globals()[row.simplex](n) for _, side, row in rows}
+    rows = [(K, _SIDES[side]) for K, side in terms]
+    S, used = regular_simplex(n), dict.fromkeys(row for _, row in rows)
 
     def gaps(X):
-        values = {side: _SIDES[side].evaluate(S, X) for side, S in simplices.items()}
-        pairs = ((row.evaluate(K, X), values[side]) if row.body_upper
-                 else (values[side], row.evaluate(K, X)) for K, side, row in rows)
+        on_S = {row: row.evaluate(S, X) for row in used}
+        pairs = ((row.evaluate(K, X), on_S[row]) if row.body_upper
+                 else (on_S[row], row.evaluate(K, X)) for K, row in rows)
         return fn._gap_columns(len(rows), len(X), pairs)
 
-    scales = [1.0 / row.simplex_mean(n, oracle) for _, _, row in rows]
+    scales = [1.0 / row.simplex_mean(n, oracle) for _, row in rows]
     return fn.sample_mean(gaps, n_samples, n, seed, scales)
 
 
@@ -441,12 +423,13 @@ def _exact_deficit(K: Polytope, row: _Side, reference: float) -> fn.FunctionalEs
     """Closed-form deficit of a polytope K at n <= 3 on a side whose simplex
     mean is ``reference``.
 
-    K's mean is E h_L(G) = V_1(L) / sqrt(2 pi) (``_MEAN_PER_V1``), L the
-    ``_support_body`` of the side's functional: K, or its polar, each
-    triangulated by its own cached hull.  The deficit is the side's gap
-    over ``reference``, signed as the gap is, and its stderr the rounding
-    bound of ``_first_intrinsic_volume`` carried to the deficit plus one
-    rounding of the final subtraction; no sample is drawn.
+    K's mean is E h_L(G) = V_1(L) / sqrt(2 pi) (``_MEAN_PER_V1``), L the body
+    whose support function is the side's functional: K, or for the gauge
+    (g_K = h_K°) its polar, each triangulated by its own cached hull.  The
+    deficit is the side's gap over ``reference``, signed as the gap is, and
+    its stderr the rounding bound of ``_first_intrinsic_volume`` carried to
+    the deficit plus one rounding of the final subtraction; no sample is
+    drawn.
 
     That stderr covers V_1's rounding only (2.55e-15 for the simplex at
     n = 2, 4.75e-15 at n = 3), not the error of ``reference``: the simplex
@@ -454,7 +437,7 @@ def _exact_deficit(K: Polytope, row: _Side, reference: float) -> fn.FunctionalEs
     1.41e-14 (m = 4), though at m = 3 its value is within 1 ulp of
     3 / (2 sqrt(pi)).
     """
-    L = _support_body(K, row.functional)
+    L = K if row.functional == "support" else polar(K)
     v1, v1_bound = _first_intrinsic_volume(L.vertices, L._vertex_hull()[4])
     ratio = v1 * _MEAN_PER_V1 / reference
     deficit = ratio - 1.0 if row.body_upper else 1.0 - ratio
@@ -481,7 +464,8 @@ def measure_deficit(K, side: str, n_samples: int = fn.DEFAULT_SAMPLES, seed: int
     """Relative deficit of K against the extremal simplex value.
 
     ``lowner`` side (K inside the unit ball): 1 - ell(K)/ell(simplex);
-    ``john`` side (K containing the unit ball): ell(K)/ell(polar simplex) - 1;
+    ``john`` side (K containing the unit ball): ell(K)/ell(polar simplex) - 1,
+    the ``lowner-width`` deficit of K's polar;
     ``lowner-width`` (K inside the unit ball): the mean-width deficit
     w(K)/w(simplex) - 1, from the Gaussian means of the support functions.
     The one-body case of ``measure_deficits``.  Returns (deficit, stderr).
@@ -494,9 +478,11 @@ def measure_deficits(bodies, side: str, n_samples: int = fn.DEFAULT_SAMPLES,
     """Deficits (as in ``measure_deficit``) of bodies of one dimension, one
     (deficit, stderr) pair per body.
 
-    The side is a row of ``_SIDES``; the ellipsoid its simplex implies is
-    checked to be the unit ball for every polytope by John's contact
-    certificate (``_check_unit_ball_normalisation``).  The deficit of a
+    The side is a row of ``_SIDES``, or ``john``, the ``lowner-width`` row on
+    the polar bodies, each built once: g_K = h_K°, ell(S°) = E h_S, and B is
+    K's John ellipsoid exactly when it is K°'s Loewner ellipsoid.  That B is
+    the Loewner ellipsoid of each polytope measured is checked by John's
+    contact certificate (``_check_unit_ball_normalisation``).  The deficit of a
     polytope at n <= 3 is closed form (``_exact_deficit``), whatever
     ``n_samples`` and ``seed``, and its stderr is a bound on its rounding.
     The other bodies (balls, ellipsoids, and polytopes at n >= 4) share one
@@ -511,7 +497,7 @@ def measure_deficits(bodies, side: str, n_samples: int = fn.DEFAULT_SAMPLES,
 
 def _deficit_estimates(bodies, side: str, n_samples: int, seed: int) -> list:
     """``measure_deficits`` as one ``FunctionalEstimate`` per body."""
-    if side not in _SIDES:
+    if side not in ("lowner", "john", "lowner-width"):
         raise ValueError("side must be 'lowner', 'john' or 'lowner-width'")
     bodies = list(bodies)
     if not bodies:
@@ -519,10 +505,11 @@ def _deficit_estimates(bodies, side: str, n_samples: int, seed: int) -> list:
     dims = sorted({K.n for K in bodies})
     if len(dims) > 1:
         raise GeometryError(f"bodies of one dimension needed, got dimensions {dims}")
-    for K in bodies:
-        if isinstance(K, Polytope):
-            _check_unit_ball_normalisation(K, side)
-    return _term_deficits([(K, side) for K in bodies], n_samples, seed)
+    terms = [(polar(K), "lowner-width") if side == "john" else (K, side) for K in bodies]
+    for L, _ in terms:
+        if isinstance(L, Polytope):
+            _check_unit_ball_normalisation(L, side)
+    return _term_deficits(terms, n_samples, seed)
 
 
 def stability_bound_log10(n: int, eps_measured: float, delta: float) -> float:
@@ -551,7 +538,8 @@ def fit_exponent(family: ExtremalFamily, n_samples: int = fn.DEFAULT_SAMPLES,
     ``delta_vol`` as NaN.
     """
     n = family.n
-    target = globals()[_SIDES[family.side].simplex](n)
+    # John-side families align K to S°, as delta_H(K, S°) is not delta_H(K°, S)
+    target = (regular_simplex_polar if family.side == "john" else regular_simplex)(n)
     use_vol = family.kind in ("vertex-added", "polar-vertex-added")
     rows, deltas = [], []
     estimates = _deficit_estimates(family.bodies, family.side, n_samples, seed)
@@ -658,17 +646,18 @@ def extremality_check(mu_points: np.ndarray, n_samples: int = fn.DEFAULT_SAMPLES
                       seed: int = 0) -> dict:
     """Both extremality deficits of the hull C of an isotropic support.
 
-    The gauge mean of C falls below the inscribed-simplex value and that of
-    its polar exceeds the circumscribed value, both with equality exactly
-    for a regular simplex: C's ``lowner`` and ``lowner-width`` deficits,
-    split as in ``measure_deficits`` (``_term_deficits``).  At n <= 3 they
-    are closed form, their stderr a bound on the rounding, and no sample is
-    drawn; ``n_samples`` and the sample's ``seed`` act only at n >= 4, where
-    both deficits share one sample.  ``seed`` also seeds the restarts of
-    the alignment.  Returns the deficits with their stderrs, how they were
-    measured (``deficit_method``: closed-form | mc-direct) and the support's
-    distance to the aligned simplex.  Points that are not unit vectors raise
-    ``MeasureError`` before any hull or draw.
+    The gauge mean of C falls below that of the inscribed simplex S and the
+    mean of its support function exceeds that of S, both with equality
+    exactly for a regular simplex: C's ``lowner`` and ``lowner-width``
+    deficits, split as in ``measure_deficits`` (``_term_deficits``); its
+    ``john_deficit`` is the width deficit of C, the John deficit of C°.  At
+    n <= 3 they are closed form, their stderr a bound on the rounding, and
+    no sample is drawn; ``n_samples`` and the sample's ``seed`` act only at
+    n >= 4, where both deficits share one sample.  ``seed`` also seeds the
+    restarts of the alignment.  Returns the deficits with their stderrs, how
+    they were measured (``deficit_method``: closed-form | mc-direct) and the
+    support's distance to the aligned simplex.  Points that are not unit
+    vectors raise ``MeasureError`` before any hull or draw.
     """
     P = np.atleast_2d(mu_points)
     _check_unit_points(P)

@@ -183,6 +183,18 @@ class TestMeasurePipeline:
         assert sorted(direct) == ["method", "samples", "stderr", "value"]
         assert (direct["method"], direct["samples"]) == ("closed-form", 0)
 
+    def test_bl_verify_sides_carry_the_same_fields(self, tmp_path):
+        # the reverse side is sampled at a quarter of --samples, 1000 at least
+        gen, out = tmp_path / "m.json", tmp_path / "bl.json"
+        assert run_cli(["measure", "generate", "--n", "2", "--k", "30",
+                        "--seed", "3", "--out", str(gen)]) == 0
+        assert run_cli(["bl", "verify", "--measure", str(gen), "--samples", "8000",
+                        "--seed", "5", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert sorted(report["direct"]) == sorted(report["reverse"]) == [
+            "method", "samples", "stderr", "value"]
+        assert (report["reverse"]["method"], report["reverse"]["samples"]) == ("mc-direct", 2000)
+
     def test_byte_identical_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -357,6 +369,22 @@ class TestBadInputsFailFast:
             ["stability", "run", "--family", "vertex-added", "--n", "2",
              "--eps", "nan,1e-2,2e-2,4e-2", "--samples", "1000", "--seed", "4"],
             tmp_path / "report.csv", capsys, "eps grid must lie in (0, 0.1)")
+
+    @pytest.mark.parametrize("samples", ["-8", "0", "1"])
+    @pytest.mark.parametrize("command", ["bl verify", "bl identity", "stability run"])
+    def test_fewer_than_two_samples_at_two_dimensions(self, command, samples, tmp_path,
+                                                      capsys):
+        # at n = 2 each value is closed form and draws no sample, yet the
+        # sample count is checked as at every n
+        measure = tmp_path / "measure.json"
+        measure.write_text(json.dumps(iso.simplex_measure(2).to_json()))
+        args = {"bl verify": ["--measure", str(measure)],
+                "bl identity": ["--n", "2"],
+                "stability run": ["--family", "corner-cut", "--n", "2",
+                                  "--eps", "1e-3..9e-2:6"]}[command]
+        self._fails_with_one_error_line(
+            [*command.split(), *args, "--samples", samples, "--seed", "1"],
+            tmp_path / "report.out", capsys, f"at least 2 samples, got {samples}")
 
     @pytest.mark.parametrize("n", ["0", "1"])
     def test_generate_below_two_dimensions(self, n, tmp_path, capsys):

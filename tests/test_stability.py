@@ -209,14 +209,18 @@ class TestMeasureDeficit:
         with pytest.raises(st.NormalizationError):
             st.measure_deficit(K, "lowner", n_samples=1000, seed=6)
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_width_side_is_the_john_side_of_the_polar(self, n):
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["stretched-vertex", "corner-cut", "polar-vertex-added"])
+    def test_width_side_is_the_john_side_of_the_polar(self, kind, n):
         # a body's support function is, bit for bit, the gauge of its polar,
-        # so the width deficits equal the John deficits of the polar bodies
-        fam = st.make_family("stretched-vertex", n, np.geomspace(1e-3, 0.09, 4))
-        widths = st.measure_deficits(fam.bodies, "lowner-width", n_samples=20_000, seed=7)
-        assert widths == [st.measure_deficit(g.polar(K), "john", n_samples=20_000, seed=7)
-                          for K in fam.bodies]
+        # so the width deficits equal the John deficits of the polar bodies,
+        # and the John deficits the width deficits of the polar bodies:
+        # closed form at n <= 3, sampled at n = 4
+        fam = st.make_family(kind, n, np.geomspace(1e-3, 0.09, 4))
+        other = {"lowner-width": "john", "john": "lowner-width"}[fam.side]
+        deficits = st.measure_deficits(fam.bodies, fam.side, n_samples=20_000, seed=7)
+        assert deficits == [st.measure_deficit(g.polar(K), other, n_samples=20_000, seed=7)
+                            for K in fam.bodies]
 
     def test_sampled_deficits_call_the_module_functionals(self, monkeypatch):
         # a tracer swaps the module's bindings for counting wrappers; the
@@ -254,8 +258,9 @@ def _mvee_verdict(K, side):
 
 
 def _certificate_verdict(K, side):
+    """Whether ``measure_deficit`` accepts K's normalisation on the side."""
     try:
-        st._check_unit_ball_normalisation(K, side)
+        st.measure_deficit(K, side, n_samples=2)
     except st.NormalizationError:
         return False
     return True
@@ -270,8 +275,7 @@ class TestNormalisationCertificate:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_accepts_every_family_body(self, kind, n):
         fam = st.make_family(kind, n, np.geomspace(1e-4, 0.09, 5))
-        for K in fam.bodies:
-            st._check_unit_ball_normalisation(K, fam.side)
+        st.measure_deficits(fam.bodies, fam.side, n_samples=2)
 
     @pytest.mark.parametrize("scale, shift, reason", [
         (0.5, 0.0, r"no contact point, every vertex lies 0\.5 or more inside"),
@@ -292,13 +296,12 @@ class TestNormalisationCertificate:
 
     def test_rejects_polar_of_skew_triangle_on_john_side(self):
         with pytest.raises(st.NormalizationError, match="john ellipsoid.*fit residual"):
-            st._check_unit_ball_normalisation(g.polar(g.Polytope(vertices=_SKEW_TRIANGLE)),
-                                              "john")
+            st.measure_deficit(g.polar(g.Polytope(vertices=_SKEW_TRIANGLE)), "john")
 
     def test_john_side_needs_origin_inside(self):
         K = _moved(g.regular_simplex_polar(2), 1.0, np.array([5.0, 0.0]))
         with pytest.raises(g.GaugeUndefinedError):
-            st._check_unit_ball_normalisation(K, "john")
+            st.measure_deficit(K, "john")
 
     def test_no_contact_raises_before_the_weight_fit(self, monkeypatch):
         # scipy's nnls aborts the interpreter on a matrix with no columns, so
@@ -381,6 +384,14 @@ class TestFitExponent:
             st.fit_exponent(fam, n_samples=50_000, seed=13)
 
 
+def _sampled_deficits(fam, n_samples, seed):
+    """The family's deficits on one Gaussian sample, a John-side family's as
+    the width deficits of its polar bodies."""
+    terms = [(g.polar(K), "lowner-width") if fam.side == "john" else (K, fam.side)
+             for K in fam.bodies]
+    return st._deficits(terms, n_samples, seed)
+
+
 class TestPlanarClosedForm:
     """Planar polytope deficits from Cauchy's formula, E h_L(G) = per(L) / (2 sqrt(2 pi))."""
 
@@ -395,7 +406,7 @@ class TestPlanarClosedForm:
     def test_families_agree_with_the_sampled_gap(self, kind):
         fam = st.make_family(kind, 2, np.geomspace(1e-3, 0.09, 3))
         exact = st.measure_deficits(fam.bodies, fam.side)
-        sampled = st._deficits([(K, fam.side) for K in fam.bodies], 1 << 20, 31)
+        sampled = _sampled_deficits(fam, 1 << 20, 31)
         for (deficit, stderr), est in zip(exact, sampled):
             assert 0.0 < stderr <= 1e-14 and est.method == "mc-direct"
             assert abs(deficit - est.value) <= 3.0 * est.stderr
@@ -407,7 +418,7 @@ class TestPlanarClosedForm:
         rng = make_rng(seed)
         K = g.Polytope(vertices=rng.standard_normal((9, 2)) + rng.uniform(-0.2, 0.2, 2))
         assert np.all(K.halfspaces[1] > 0)
-        gauge = st._exact_deficit(K, st._SIDES["john"], 1.0).value + 1.0
+        gauge = st._exact_deficit(g.polar(K), st._SIDES["lowner-width"], 1.0).value + 1.0
         support = st._exact_deficit(K, st._SIDES["lowner-width"], 1.0).value + 1.0
         ell = fn.ell_norm(K, n_samples=1 << 20, seed=seed)
         assert abs(gauge - ell.value) <= 3.0 * ell.stderr
@@ -501,8 +512,7 @@ class TestExactDeficits:
         # 12 edges of length 2 at right angles: V_1 = 12 * 2 * (pi / 2) / (2 pi);
         # the edges inside the six square facets add exactly 0
         K = g.cube(3)
-        v1, bound = st._first_intrinsic_volume(st._support_points(K, "support"),
-                                               K._vertex_hull()[4])
+        v1, bound = st._first_intrinsic_volume(K.vertices, K._vertex_hull()[4])
         assert abs(v1 - 6.0) <= bound <= 1e-13
 
     def test_one_simplex_oracle_beside_a_sampled_body(self, monkeypatch):
@@ -540,7 +550,7 @@ class TestExactDeficits:
     def test_families_agree_with_the_sampled_gap(self, kind):
         fam = st.make_family(kind, 3, np.geomspace(1e-3, 0.09, 3))
         exact = st.measure_deficits(fam.bodies, fam.side)
-        sampled = st._deficits([(K, fam.side) for K in fam.bodies], 1 << 20, 31)
+        sampled = _sampled_deficits(fam, 1 << 20, 31)
         for (deficit, bound), est in zip(exact, sampled):
             assert 0.0 < bound <= 1e-14 and est.method == "mc-direct"
             assert abs(deficit - est.value) <= 3.0 * est.stderr
@@ -554,7 +564,7 @@ class TestExactDeficits:
             rng = make_rng(seed)
             K = g.Polytope(vertices=rng.standard_normal((12, 3)) + rng.uniform(-0.2, 0.2, 3))
         assert np.all(K.halfspaces[1] > 0)
-        gauge = st._exact_deficit(K, st._SIDES["john"], 1.0).value + 1.0
+        gauge = st._exact_deficit(g.polar(K), st._SIDES["lowner-width"], 1.0).value + 1.0
         support = st._exact_deficit(K, st._SIDES["lowner-width"], 1.0).value + 1.0
         ell = fn.ell_norm(K, n_samples=1 << 20, seed=seed)
         assert abs(gauge - ell.value) <= 3.0 * ell.stderr
